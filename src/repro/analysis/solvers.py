@@ -9,7 +9,9 @@ The conductance matrix of a grounded RC power grid (in MNA form, i.e. the
 *negative* of the paper-convention ``G``) is symmetric positive definite, so
 conjugate gradients with a simple preconditioner is the canonical choice.
 For RLC grids (package inductance adds branch rows) the matrix is no longer
-symmetric and the solver falls back to GMRES.
+symmetric and the solver falls back to GMRES.  The Jacobi and ILU
+preconditioners live in :mod:`repro.linalg.backends` beside the cg/gmres
+backends and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import SimulationError
+from repro.linalg.backends import ilu_preconditioner, jacobi_preconditioner
 from repro.linalg.sparse_utils import is_symmetric, to_csr
 
 __all__ = ["IterativeSolveResult", "solve_dc_iterative", "jacobi_preconditioner",
@@ -50,34 +52,6 @@ class IterativeSolveResult:
     converged: bool
     residual_norm: float
     method: str
-
-
-def jacobi_preconditioner(matrix) -> spla.LinearOperator:
-    """Diagonal (Jacobi) preconditioner ``M^{-1} ~ diag(A)^{-1}``.
-
-    Zero or non-finite diagonal entries — a node with no conductance to
-    ground (cap-only or inductor-branch rows in an RLC grid), or an empty
-    matrix — are passed through with unit scale instead of raising, so the
-    preconditioner stays well defined on any grid the iterative solvers can
-    handle.
-    """
-    A = to_csr(matrix)
-    diag = np.asarray(A.diagonal())
-    inv_diag = np.ones_like(diag)
-    usable = np.isfinite(diag) & (diag != 0.0)
-    inv_diag[usable] = 1.0 / diag[usable]
-    return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-
-
-def ilu_preconditioner(matrix, drop_tol: float = 1e-4,
-                       fill_factor: float = 10.0) -> spla.LinearOperator:
-    """Incomplete-LU preconditioner (the standard choice for grid matrices)."""
-    A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
-    try:
-        ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
-    except RuntimeError as exc:
-        raise SimulationError(f"ILU factorisation failed: {exc}") from exc
-    return spla.LinearOperator(A.shape, matvec=ilu.solve)
 
 
 def solve_dc_iterative(system, rhs: np.ndarray, *,

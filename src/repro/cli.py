@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "or, with --partitions, share bases "
                                  "between content-identical shards; "
                                  "--no-recycle forces the from-scratch "
-                                 "(bit-identical) path")
+                                 "path (nothing screens)")
     _add_trace_out(reduce_cmd)
 
     bench_cmd = sub.add_parser(

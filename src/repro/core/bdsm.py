@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.analysis.engine import SweepEngine
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
@@ -79,13 +78,6 @@ class BDSMOptions:
         parameters).  With caching on, repeated reductions of the same grid
         at the same ``s0`` — and analyses at the same shift — reuse the
         pencil factorisation.
-    ortho_kernel:
-        Orthonormalisation kernel used inside each cluster (``"blocked"``
-        — the BLAS-3 default — or ``"columnwise"``, see
-        :data:`~repro.linalg.krylov.ORTHO_KERNELS`).  Both kernels span
-        the same per-port subspaces, so the ROM is equivalent up to an
-        orthogonal change of each block's coordinates (same poles and
-        transfer function); the choice does not enter the store key.
     engine:
         Optional :class:`~repro.analysis.engine.SweepEngine` whose worker
         pool processes the independent port chunks (all sharing the one
@@ -99,7 +91,6 @@ class BDSMOptions:
     deflation_tol: float = 1e-12
     n_workers: int = 1
     solver: SolverOptions | None = None
-    ortho_kernel: str = "blocked"
     engine: SweepEngine | None = field(default=None, compare=False)
 
 
@@ -212,8 +203,7 @@ def bdsm_reduce(system, n_moments: int, *, s0: complex = 0.0,
             bases, chunk_stats, _deflated = column_clustered_krylov_bases(
                 operator, B, n_moments,
                 deflation_tol=opts.deflation_tol,
-                columns=chunk_columns,
-                kernel=opts.ortho_kernel)
+                columns=chunk_columns)
         chunk_blocks: list[ROMBlock] = []
         with scoped_timer("bdsm.project"):
             for local_idx, port in enumerate(chunk_columns):

@@ -2,19 +2,19 @@
 
 The paper develops BDSM at a single expansion point and notes that "the
 multi-point projection follows analogously".  This module implements that
-extension: for every input column ``i`` the bases computed at each expansion
-point are concatenated and re-orthonormalised *within the group*, so the
-per-port block grows to (at most) ``l * k`` for ``k`` points but the global
-ROM stays block-diagonal.  Real and imaginary parts of complex-point bases
-are split so the ROM remains real.
+extension: every input column ``i`` keeps one
+:class:`~repro.linalg.recycle.RecycleWorkspace` across the expansion points,
+and the clustered Krylov driver absorbs each point's candidates into it
+*within the group*, so the per-port block grows to (at most) ``l * k`` for
+``k`` points but the global ROM stays block-diagonal.  Real and imaginary
+parts of complex-point candidates are split so the ROM remains real.
 
-With ``recycle=True`` every port group carries a
-:class:`~repro.linalg.recycle.RecycleWorkspace` across the expansion
-points: a port whose candidate at a new shift is already captured by its
-accumulated group basis drops out of the shared solve recursion, skipping
-its remaining shifted solves at that point.  ``rom.recycle_stats`` /
+With ``recycle=True`` each workspace is frozen at every new point: a port
+whose candidate at a new shift is already captured by its accumulated
+group basis drops out of the shared solve recursion, skipping its
+remaining shifted solves at that point.  ``rom.recycle_stats`` /
 ``rom.solve_counts`` record the hits and the per-point solve columns.
-Recycling off (the default) is bit-identical to the from-scratch path.
+Recycling off (the default) never freezes, so nothing screens.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from repro.core.bdsm import BDSMOptions
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
 from repro.exceptions import ReductionError
 from repro.linalg.krylov import ShiftedOperator, column_clustered_krylov_bases
-from repro.linalg.orthogonalization import OrthoStats, block_orthonormalize
+from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.recycle import (
     DEFAULT_RECYCLE_TOL,
     RecycleStats,
     RecycleWorkspace,
-    recycled_clustered_krylov_bases,
 )
 from repro.linalg.sparse_utils import to_csr
 from repro.mor.base import ResourceBudget
@@ -63,14 +62,16 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         port, complex points up to ``2 l`` (real + imaginary parts).
     options:
         Optional :class:`~repro.core.bdsm.BDSMOptions` (chunking, deflation,
-        basis retention).
+        basis retention, solver).  There is no chunk fan-out here, so an
+        ``engine`` or ``n_workers > 1`` raises :class:`ReductionError`
+        rather than being ignored.
     budget:
         Optional resource guard.
     recycle:
         Carry each port's accumulated group basis from one expansion
         point into the next and skip the shifted solves of directions it
         already captures.  Spans the same per-port subspaces up to
-        ``recycle_tol``; leave off for bit-identical moment matching.
+        ``recycle_tol``; leave off for exact moment matching.
     recycle_tol:
         Relative residual below which a port's candidate at a new shift
         counts as captured by its recycled group basis.
@@ -85,6 +86,12 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     if moments_per_point < 1:
         raise ReductionError("moments_per_point must be >= 1")
     opts = options or BDSMOptions()
+    if opts.n_workers < 1:
+        raise ReductionError("n_workers must be >= 1")
+    if opts.engine is not None or opts.n_workers > 1:
+        raise ReductionError(
+            "multipoint BDSM has no chunk fan-out; drop BDSMOptions.engine "
+            "and n_workers")
     budget = budget or ResourceBudget.unlimited()
 
     C = to_csr(system.C)
@@ -114,66 +121,23 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     blocks: list[ROMBlock] = []
     for chunk_start in range(0, m, chunk):
         chunk_columns = list(range(chunk_start, min(chunk_start + chunk, m)))
-        if recycle:
-            workspaces = [
-                RecycleWorkspace(n, recycle_tol=recycle_tol,
-                                 deflation_tol=opts.deflation_tol,
-                                 stats=recycle_stats)
-                for _ in chunk_columns]
-            for operator, point in zip(operators, points):
+        workspaces = [RecycleWorkspace(n, recycle_tol=recycle_tol,
+                                       stats=recycle_stats)
+                      for _ in chunk_columns]
+        for operator, point in zip(operators, points):
+            if recycle:
                 for workspace in workspaces:
                     workspace.begin_shift()
-                with trace_span("multipoint.krylov", point=str(point),
-                                recycle=True):
-                    point_stats, _ = recycled_clustered_krylov_bases(
-                        operator, B_dense, moments_per_point,
-                        workspaces=workspaces, columns=chunk_columns)
-                stats.merge(point_stats)
-            combined_bases = [workspace.basis for workspace in workspaces]
-        else:
-            per_point_bases: list[list[np.ndarray]] = []
-            for operator, point in zip(operators, points):
-                with trace_span("multipoint.krylov", point=str(point),
-                                recycle=False):
-                    bases, point_stats, _ = column_clustered_krylov_bases(
-                        operator, B_dense, moments_per_point,
-                        deflation_tol=opts.deflation_tol,
-                        columns=chunk_columns,
-                        kernel=opts.ortho_kernel)
-                stats.merge(point_stats)
-                if complex(point).imag != 0.0:
-                    bases = [np.hstack([np.real(b), np.imag(b)])
-                             for b in bases]
-                else:
-                    bases = [np.asarray(np.real(b), dtype=float)
-                             for b in bases]
-                per_point_bases.append(bases)
+            with trace_span("multipoint.krylov", point=str(point),
+                            recycle=recycle):
+                _, point_stats, _ = column_clustered_krylov_bases(
+                    operator, B_dense, moments_per_point,
+                    deflation_tol=opts.deflation_tol,
+                    columns=chunk_columns, workspaces=workspaces)
+            stats.merge(point_stats)
 
-            combined_bases = []
-            with trace_span("multipoint.merge", ports=len(chunk_columns)):
-                for local_idx in range(len(chunk_columns)):
-                    combined = np.empty((n, 0))
-                    for bases in per_point_bases:
-                        candidate = bases[local_idx]
-                        # Whole-point-block merge into the port's group
-                        # basis: BLAS-3 CGS2 + rank-revealing QR per
-                        # expansion point.
-                        new_cols, merge_stats = block_orthonormalize(
-                            candidate,
-                            initial_basis=(combined if combined.size
-                                           else None),
-                            deflation_tol=opts.deflation_tol)
-                        stats.merge(merge_stats)
-                        if new_cols.size:
-                            combined = (np.hstack([combined, new_cols])
-                                        if combined.size else new_cols)
-                    combined_bases.append(combined)
-
-        for local_idx, port in enumerate(chunk_columns):
-            combined = combined_bases[local_idx]
-            if not combined.size:
-                raise ReductionError(
-                    f"port {port}: multipoint basis is empty after deflation")
+        for workspace, port in zip(workspaces, chunk_columns):
+            combined = workspace.basis
             b_i = B_dense[:, port]
             blocks.append(ROMBlock(
                 index=port,

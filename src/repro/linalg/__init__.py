@@ -7,17 +7,21 @@ Contents
 --------
 ``backends``
     Pluggable linear-solver backends (sparse LU, SPD Cholesky-style, dense
-    LAPACK, preconditioned CG/GMRES) behind a registry with per-matrix
-    auto-selection, plus the LRU factorization cache every hot path shares.
+    LAPACK, Jacobi/ILU-preconditioned CG/GMRES) behind a registry with
+    per-matrix auto-selection, plus the LRU factorization cache every hot
+    path shares.
 ``orthogonalization``
-    Modified Gram-Schmidt with re-orthogonalisation and deflation detection,
-    plus an operation counter used by the cost model.
+    The blocked BLAS-3 orthonormalisation kernel and its column-wise
+    modified-Gram-Schmidt reference, with deflation detection and an
+    operation counter used by the cost model.
 ``krylov``
-    (Block) Krylov subspace construction around a shifted descriptor pencil,
-    shared by PRIMA, EKS and BDSM.
+    One (block) Krylov driver per orthonormalisation scheme — global for
+    PRIMA/EKS, clustered per input column for BDSM — around a shifted
+    descriptor pencil.
 ``recycle``
-    Basis recycling across expansion points (solve-skipping screening
-    against the accumulated basis) and fingerprint-keyed shard-basis reuse.
+    The workspace the Krylov drivers build into (solve-skipping screening
+    against a basis carried across expansion points) and fingerprint-keyed
+    shard-basis reuse.
 ``blockdiag``
     Assembly and bookkeeping of block-diagonal sparse matrices.
 ``sparse_utils``
@@ -49,7 +53,6 @@ from repro.linalg.blockdiag import (
     blocks_from_matrix,
 )
 from repro.linalg.krylov import (
-    ORTHO_KERNELS,
     KrylovResult,
     ShiftedOperator,
     block_krylov_basis,
@@ -61,8 +64,6 @@ from repro.linalg.recycle import (
     RecycleStats,
     RecycleWorkspace,
     ShardBasisCache,
-    recycled_block_krylov_basis,
-    recycled_clustered_krylov_bases,
 )
 from repro.linalg.orthogonalization import (
     OrthoStats,
@@ -94,7 +95,6 @@ __all__ = [
     "ShiftedOperator",
     "SolverOptions",
     "SparsityInfo",
-    "ORTHO_KERNELS",
     "available_backends",
     "block_diag_sparse",
     "block_krylov_basis",
@@ -111,8 +111,6 @@ __all__ = [
     "nnz_density",
     "orthonormalize_against",
     "process_worker_init",
-    "recycled_block_krylov_basis",
-    "recycled_clustered_krylov_bases",
     "select_backend",
     "set_default_cache",
     "solve",

@@ -45,7 +45,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.exceptions import SingularSystemError, SolverBackendError
+from repro.exceptions import (
+    SimulationError,
+    SingularSystemError,
+    SolverBackendError,
+)
 from repro.obs.health import default_health, health_enabled
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import trace_span
@@ -64,6 +68,8 @@ __all__ = [
     "CholeskySolver",
     "DenseSolver",
     "IterativeSolver",
+    "jacobi_preconditioner",
+    "ilu_preconditioner",
     "FactorizationCache",
     "CacheStats",
     "register_backend",
@@ -366,6 +372,34 @@ class DenseSolver(LinearSolver):
         return out[:, 0] if single else out
 
 
+def jacobi_preconditioner(matrix) -> spla.LinearOperator:
+    """Diagonal (Jacobi) preconditioner ``M^{-1} ~ diag(A)^{-1}``.
+
+    Zero or non-finite diagonal entries — a node with no conductance to
+    ground (cap-only or inductor-branch rows in an RLC grid), or an empty
+    matrix — are passed through with unit scale instead of raising, so the
+    preconditioner stays well defined on any grid the iterative solvers can
+    handle.
+    """
+    A = to_csr(matrix)
+    diag = np.asarray(A.diagonal())
+    inv_diag = np.ones_like(diag)
+    usable = np.isfinite(diag) & (diag != 0.0)
+    inv_diag[usable] = 1.0 / diag[usable]
+    return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+
+
+def ilu_preconditioner(matrix, drop_tol: float = 1e-4,
+                       fill_factor: float = 10.0) -> spla.LinearOperator:
+    """Incomplete-LU preconditioner (the standard choice for grid matrices)."""
+    A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
+    try:
+        ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
+    except RuntimeError as exc:
+        raise SimulationError(f"ILU factorisation failed: {exc}") from exc
+    return spla.LinearOperator(A.shape, matvec=ilu.solve)
+
+
 class IterativeSolver(LinearSolver):
     """Preconditioned Krylov iteration (CG / GMRES).
 
@@ -391,14 +425,11 @@ class IterativeSolver(LinearSolver):
         self._M = self._build_preconditioner(options)
 
     def _build_preconditioner(self, options: SolverOptions):
-        # Local import: analysis.solvers sits one layer above linalg, so the
-        # dependency is resolved lazily to keep the linalg layer import-clean.
-        from repro.analysis import solvers as _solvers
         kind = options.preconditioner
         if kind == "jacobi":
-            return _solvers.jacobi_preconditioner(self._A)
+            return jacobi_preconditioner(self._A)
         if kind == "ilu":
-            return _solvers.ilu_preconditioner(self._A)
+            return ilu_preconditioner(self._A)
         if kind == "none":
             return None
         raise SolverBackendError(f"unknown preconditioner {kind!r}")

@@ -11,6 +11,16 @@ around an expansion point ``s0``.  The expensive pieces — one sparse LU of
 :class:`ShiftedOperator` so the reducers differ only in *how the candidate
 vectors are orthonormalised* (globally for PRIMA, clustered per input column
 for BDSM), which is exactly the distinction the paper draws in Fig. 2.
+
+There is one driver per scheme, :func:`block_krylov_basis` and
+:func:`column_clustered_krylov_bases`.  Each accumulates its basis in a
+:class:`~repro.linalg.recycle.RecycleWorkspace`: a fresh one by default,
+or a caller's workspace carried across expansion points.  Every Krylov
+step first screens the candidates against the workspace's frozen
+(recycled) prefix — a no-op for a fresh workspace — so already-captured
+directions leave the recursion before their shifted solves are spent; the
+survivors are absorbed with the blocked BLAS-3 kernel, complex candidates
+split into real and imaginary parts so every basis is real.
 """
 
 from __future__ import annotations
@@ -28,49 +38,17 @@ from repro.linalg.backends import (
     get_solver,
     matrix_fingerprint,
 )
-from repro.linalg.orthogonalization import (
-    DEFAULT_DEFLATION_TOL,
-    OrthoStats,
-    block_orthonormalize,
-    modified_gram_schmidt,
-    orthonormalize_against,
-)
+from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL, OrthoStats
+from repro.linalg.recycle import RecycleWorkspace
 from repro.linalg.sparse_utils import to_csr
 
 __all__ = [
     "ShiftedOperator",
     "KrylovResult",
-    "ORTHO_KERNELS",
     "block_krylov_basis",
     "column_clustered_krylov_bases",
     "krylov_candidate_blocks",
 ]
-
-#: Orthonormalisation kernels selectable by the basis constructors:
-#: ``"blocked"`` (BLAS-3 CGS2 + rank-revealing QR, the default production
-#: path) and ``"columnwise"`` (the modified-Gram-Schmidt reference the
-#: paper's operation counts are phrased in).
-ORTHO_KERNELS = ("blocked", "columnwise")
-
-
-def _orthonormalize_block(candidates, initial_basis, *, kernel: str,
-                          deflation_tol: float,
-                          require_full_rank: bool = False,
-                          ) -> tuple[np.ndarray, OrthoStats]:
-    """Dispatch one whole-block orthonormalisation to the chosen kernel."""
-    if kernel == "blocked":
-        return block_orthonormalize(
-            candidates, initial_basis=initial_basis,
-            deflation_tol=deflation_tol,
-            require_full_rank=require_full_rank)
-    if kernel == "columnwise":
-        return modified_gram_schmidt(
-            candidates, initial_basis=initial_basis,
-            deflation_tol=deflation_tol,
-            require_full_rank=require_full_rank)
-    raise ValueError(
-        f"unknown orthonormalisation kernel {kernel!r}; "
-        f"choose from {ORTHO_KERNELS}")
 
 
 class ShiftedOperator:
@@ -175,7 +153,9 @@ class KrylovResult:
     Attributes
     ----------
     basis:
-        ``n x q`` matrix with orthonormal columns spanning the subspace.
+        ``n x q`` real matrix with orthonormal columns: the columns this
+        build added to its workspace (the whole subspace unless a
+        workspace carried over from earlier shifts was passed).
     stats:
         Orthonormalisation operation counts (see :class:`OrthoStats`).
     moments_requested:
@@ -214,6 +194,11 @@ def krylov_candidate_blocks(operator: ShiftedOperator, B, order: int,
     return blocks
 
 
+def _as_block(X) -> np.ndarray:
+    X = np.asarray(X)
+    return X.reshape(-1, 1) if X.ndim == 1 else X
+
+
 def block_krylov_basis(
     operator: ShiftedOperator,
     B,
@@ -221,13 +206,15 @@ def block_krylov_basis(
     *,
     deflation_tol: float = DEFAULT_DEFLATION_TOL,
     require_full_rank: bool = False,
-    kernel: str = "blocked",
+    workspace: RecycleWorkspace | None = None,
 ) -> KrylovResult:
     """Construct an orthonormal basis of the block Krylov subspace (PRIMA-style).
 
     All candidate vectors are orthonormalised against *every* previously
     accepted vector, which is the global (unclustered) scheme whose cost the
-    paper attributes to PRIMA.
+    paper attributes to PRIMA.  Each step block goes through one BLAS-3
+    :func:`~repro.linalg.orthogonalization.block_orthonormalize` call, and
+    the operator is applied to the *raw* candidates of the step.
 
     Parameters
     ----------
@@ -241,55 +228,47 @@ def block_krylov_basis(
         Relative tolerance for dropping linearly dependent candidates.
     require_full_rank:
         Raise :class:`DeflationError` instead of dropping candidates.
-    kernel:
-        Orthonormalisation kernel (see :data:`ORTHO_KERNELS`): ``"blocked"``
-        (default) runs each step block through the BLAS-3 kernel;
-        ``"columnwise"`` is the modified-Gram-Schmidt reference.  Both span
-        the same subspace, so the ROM is identical up to an orthogonal
-        change of reduced coordinates.
+    workspace:
+        Optional :class:`~repro.linalg.recycle.RecycleWorkspace` carried
+        across expansion points (call its ``begin_shift`` before each
+        shift).  Every step block is screened against its frozen prefix
+        first; a hit leaves the recursion, saving ``order - 1 - step``
+        shifted solves.  By default a fresh workspace is used, so nothing
+        screens and the build is the from-scratch one.
     """
     if order < 1:
         raise ValueError("Krylov order must be >= 1")
+    ws = workspace if workspace is not None else RecycleWorkspace(operator.n)
+    start = ws.size
     stats = OrthoStats()
-    n = operator.n
-
-    current = np.asarray(operator.starting_block(B))
-    if current.ndim == 1:
-        current = current.reshape(-1, 1)
-
-    basis = np.empty((n, 0))
-    deflated = False
+    hit = False
+    current = _as_block(operator.starting_block(B))
     for step in range(order):
-        new_cols, step_stats = _orthonormalize_block(
-            current,
-            basis if basis.size else None,
-            kernel=kernel,
-            deflation_tol=deflation_tol,
-            require_full_rank=require_full_rank,
-        )
-        stats.merge(step_stats)
-        if step_stats.deflations:
-            deflated = True
-        if new_cols.size:
-            basis = np.hstack([basis, new_cols]) if basis.size else new_cols
-        if step == order - 1:
+        keep = ws.screen(current)
+        if not keep.all():
+            hit = True
+            ws.stats.solves_skipped += (
+                int(keep.size - np.count_nonzero(keep)) * (order - 1 - step))
+            current = current[:, keep]
+        ws.absorb(current, stats, deflation_tol=deflation_tol,
+                  require_full_rank=require_full_rank)
+        if step == order - 1 or not current.shape[1]:
             break
-        if not basis.size:
+        if not ws.size:
             raise DeflationError(
                 "Krylov construction produced an empty basis; the input "
                 "matrix B is (numerically) zero"
             )
-        current = np.asarray(operator.apply(current))
-        if current.ndim == 1:
-            current = current.reshape(-1, 1)
+        current = _as_block(operator.apply(current))
 
-    if not basis.size:
+    if not ws.size:
         raise DeflationError("block Krylov basis is empty")
+    basis = ws.basis[:, start:]
     return KrylovResult(
         basis=basis,
         stats=stats,
         moments_requested=order,
-        deflated=deflated,
+        deflated=hit or stats.deflations > 0,
         per_block_sizes=[int(basis.shape[1])],
     )
 
@@ -301,7 +280,7 @@ def column_clustered_krylov_bases(
     *,
     deflation_tol: float = DEFAULT_DEFLATION_TOL,
     columns: list[int] | None = None,
-    kernel: str = "blocked",
+    workspaces: list[RecycleWorkspace] | None = None,
 ) -> tuple[list[np.ndarray], OrthoStats, bool]:
     """Construct one thin Krylov basis per input column (BDSM clustering).
 
@@ -309,7 +288,11 @@ def column_clustered_krylov_bases(
     Fig. 2 and Algorithm 1: the candidate blocks ``M_j`` are computed for the
     whole input matrix at once (sharing the sparse solves), but column ``i``
     of every ``M_j`` is orthonormalised only against the previous vectors of
-    *its own* group ``V^(i)``.
+    *its own* group ``V^(i)``.  Each group's candidates are gathered into one
+    ``n x l`` block and absorbed with a single BLAS-3 call.  All candidate
+    blocks are held at once (``n x len(columns) x l`` floats) — chunk the
+    columns (as :func:`~repro.core.bdsm.bdsm_reduce` does) to bound memory
+    on very wide systems.
 
     Parameters
     ----------
@@ -323,30 +306,25 @@ def column_clustered_krylov_bases(
         Relative deflation tolerance inside each group.
     columns:
         Optional subset of column indices to build bases for (default: all).
-    kernel:
-        Orthonormalisation kernel (see :data:`ORTHO_KERNELS`).  The default
-        ``"blocked"`` path gathers each group's ``l`` candidates (column
-        ``i`` of every ``M_j``) into one ``n x l`` block and orthonormalises
-        it with a single BLAS-3 call; ``"columnwise"`` is the per-vector
-        reference loop.  The blocked path holds all candidate blocks at
-        once (``n x len(columns) x l`` floats) — chunk the columns (as
-        :func:`~repro.core.bdsm.bdsm_reduce` does) to bound memory on very
-        wide systems.
+    workspaces:
+        Optional per-column :class:`~repro.linalg.recycle.RecycleWorkspace`
+        list, carried across expansion points (call ``begin_shift`` on
+        each before each shift).  Every step screens each column against
+        its own workspace's frozen prefix; a hit drops that column out of
+        the shared recursion, so one captured port does not stall the
+        others.  By default fresh workspaces are used and nothing screens.
 
     Returns
     -------
     (bases, stats, deflated)
-        ``bases[i]`` is the ``n x l_i`` orthonormal basis for the selected
-        column ``i`` (``l_i <= order`` if deflation occurred), ``stats``
-        aggregates the orthonormalisation counts over all groups, and
-        ``deflated`` flags whether any group lost a vector.
+        ``bases[i]`` is the ``n x l_i`` real orthonormal basis this build
+        added for the selected column ``i`` (``l_i <= order`` at a real
+        shift if deflation occurred, ``<= 2 * order`` at a complex one),
+        ``stats`` aggregates the orthonormalisation counts over all groups,
+        and ``deflated`` flags whether any group lost a vector.
     """
     if order < 1:
         raise ValueError("Krylov order must be >= 1")
-    if kernel not in ORTHO_KERNELS:
-        raise ValueError(
-            f"unknown orthonormalisation kernel {kernel!r}; "
-            f"choose from {ORTHO_KERNELS}")
     B_dense = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
     if B_dense.ndim == 1:
         B_dense = B_dense.reshape(-1, 1)
@@ -355,64 +333,47 @@ def column_clustered_krylov_bases(
     for i in selected:
         if not 0 <= i < m:
             raise ValueError(f"column index {i} out of range for m={m}")
+    if workspaces is None:
+        workspaces = [RecycleWorkspace(operator.n) for _ in selected]
+    elif len(workspaces) != len(selected):
+        raise ValueError("need exactly one workspace per selected column")
 
+    starts = [ws.size for ws in workspaces]
     stats = OrthoStats()
-    deflated = False
-
+    hit = False
+    groups: list[list[np.ndarray]] = [[] for _ in selected]
     # Shared candidate recursion over all selected columns at once: this is
     # what makes BDSM no more expensive than PRIMA in solves (Algorithm 1).
-    current = np.asarray(
-        operator.starting_block(B_dense[:, selected]))
-    if current.ndim == 1:
-        current = current.reshape(-1, 1)
+    # ``active`` maps each column of ``current`` to its group.
+    active = list(range(len(selected)))
+    current = _as_block(operator.starting_block(B_dense[:, selected]))
+    for step in range(order):
+        survivors: list[int] = []
+        for pos, group in enumerate(active):
+            ws = workspaces[group]
+            if ws.screen(current[:, pos])[0]:
+                groups[group].append(current[:, pos])
+                survivors.append(pos)
+            else:
+                # Recycled hit: this port's direction is already captured,
+                # so its remaining moments' solves are skipped.
+                hit = True
+                ws.stats.solves_skipped += order - 1 - step
+        if step == order - 1 or not survivors:
+            break
+        if len(survivors) < len(active):
+            active = [active[pos] for pos in survivors]
+            current = current[:, survivors]
+        current = _as_block(operator.apply(current))
 
-    bases: list[np.ndarray] = [np.empty((operator.n, 0)) for _ in selected]
-    if kernel == "blocked":
-        # Gather the candidate blocks M_1..M_l first (the recursion applies
-        # the operator to the *raw* blocks either way, so the candidates are
-        # identical to the column-wise path), then orthonormalise each
-        # group's n x l block with one BLAS-3 call.
-        candidate_blocks = [current]
-        for _ in range(order - 1):
-            current = np.asarray(operator.apply(current))
-            if current.ndim == 1:
-                current = current.reshape(-1, 1)
-            candidate_blocks.append(current)
-        for local_idx in range(len(selected)):
-            group = np.column_stack(
-                [blk[:, local_idx] for blk in candidate_blocks])
-            basis_i, group_stats = block_orthonormalize(
-                group, deflation_tol=deflation_tol)
-            stats.merge(group_stats)
-            if group_stats.deflations:
-                deflated = True
-            bases[local_idx] = basis_i
-    else:
-        for step in range(order):
-            for local_idx in range(len(selected)):
-                candidate = current[:, local_idx]
-                existing = bases[local_idx] if bases[local_idx].size else None
-                q = orthonormalize_against(
-                    candidate, existing,
-                    stats=stats, deflation_tol=deflation_tol,
-                )
-                if q is None:
-                    deflated = True
-                    continue
-                if bases[local_idx].size:
-                    bases[local_idx] = np.column_stack([bases[local_idx], q])
-                else:
-                    bases[local_idx] = q.reshape(-1, 1)
-            if step == order - 1:
-                break
-            current = np.asarray(operator.apply(current))
-            if current.ndim == 1:
-                current = current.reshape(-1, 1)
-
-    for local_idx, basis in enumerate(bases):
-        if basis.shape[1] == 0:
+    for group, ws in enumerate(workspaces):
+        if groups[group]:
+            ws.absorb(np.column_stack(groups[group]), stats,
+                      deflation_tol=deflation_tol)
+        if not ws.size:
             raise DeflationError(
-                f"input column {selected[local_idx]} produced an empty Krylov "
+                f"input column {selected[group]} produced an empty Krylov "
                 "basis (zero column in B?)"
             )
-    return bases, stats, deflated
+    bases = [ws.basis[:, start:] for ws, start in zip(workspaces, starts)]
+    return bases, stats, hit or stats.deflations > 0

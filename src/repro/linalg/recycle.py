@@ -14,14 +14,11 @@ factors; this module shares the *subspace*:
     Krylov recursion immediately — its remaining shifted solves are
     skipped, not just its re-orthonormalisation.  Hits, misses and skipped
     solves are tallied in :class:`RecycleStats` and mirrored to the
-    ``krylov.recycle`` metric.
-
-:func:`recycled_block_krylov_basis` / :func:`recycled_clustered_krylov_bases`
-    Recycling-aware counterparts of
+    ``krylov.recycle`` metric.  The Krylov drivers
     :func:`~repro.linalg.krylov.block_krylov_basis` (PRIMA's global basis)
     and :func:`~repro.linalg.krylov.column_clustered_krylov_bases` (BDSM's
-    per-port groups).  At the first shift the workspace is empty, screening
-    is a no-op and the construction matches the from-scratch kernels.
+    per-port groups) always build into a workspace; a fresh one, never
+    frozen, screens nothing and gives the from-scratch basis.
 
 :class:`ShardBasisCache`
     Fingerprint-keyed reuse of whole shard projection bases.  Sibling
@@ -37,14 +34,14 @@ candidate also drops its image under the Krylov operator, which the
 recycled basis is not guaranteed to contain.  For clustered or repeated
 shifts — the regime where recycling pays — the omitted directions are
 higher-order cross terms; parity is therefore checked in transfer-function
-/ pole tolerance, and recycling stays opt-in (off = bit-identical to the
-from-scratch path).
+/ pole tolerance, and recycling stays opt-in (off = no ``begin_shift``
+call, so nothing is ever frozen and nothing screens).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +58,6 @@ __all__ = [
     "RecycleStats",
     "RecycleWorkspace",
     "ShardBasisCache",
-    "recycled_block_krylov_basis",
-    "recycled_clustered_krylov_bases",
 ]
 
 #: Default relative tolerance for deflating a candidate against a recycled
@@ -124,22 +119,20 @@ class RecycleWorkspace:
     shifts, frozen at :meth:`begin_shift`) from columns absorbed during the
     current shift.  :meth:`screen` deflates candidates only against the
     frozen prefix with the loose ``recycle_tol``; :meth:`absorb`
-    orthonormalises survivors against the *whole* basis with the strict
-    ``deflation_tol``.  The split keeps the first shift exactly equivalent
-    to a from-scratch build (nothing is frozen yet, so nothing screens)
-    while later shifts deflate already-captured directions before their
-    solves are spent.
+    orthonormalises survivors against the *whole* basis with the Krylov
+    driver's strict ``deflation_tol``.  The split keeps the first shift
+    exactly equivalent to a from-scratch build (nothing is frozen yet, so
+    nothing screens) while later shifts deflate already-captured
+    directions before their solves are spent.
     """
 
     def __init__(self, n: int, *,
                  recycle_tol: float = DEFAULT_RECYCLE_TOL,
-                 deflation_tol: float = DEFAULT_DEFLATION_TOL,
                  stats: RecycleStats | None = None) -> None:
         if recycle_tol <= 0.0:
             raise ValueError("recycle_tol must be positive")
         self.n = int(n)
         self.recycle_tol = float(recycle_tol)
-        self.deflation_tol = float(deflation_tol)
         self.basis = np.empty((self.n, 0))
         self.stats = stats if stats is not None else RecycleStats()
         self._frozen = 0
@@ -205,13 +198,17 @@ class RecycleWorkspace:
                               result="miss")
         return keep
 
-    def absorb(self, candidates: np.ndarray, stats: OrthoStats) -> int:
+    def absorb(self, candidates: np.ndarray, stats: OrthoStats, *,
+               deflation_tol: float = DEFAULT_DEFLATION_TOL,
+               require_full_rank: bool = False) -> int:
         """Orthonormalise ``candidates`` against the basis and append.
 
-        Complex blocks are split into real and imaginary parts first (the
-        workspace basis stays real so downstream ROMs stay real — the
-        standard real rational-Arnoldi trick).  Returns the number of
-        columns actually added; deflation counts accrue to ``stats``.
+        One :func:`~repro.linalg.orthogonalization.block_orthonormalize`
+        call for the whole block.  Complex blocks are split into real and
+        imaginary parts first (the workspace basis stays real so
+        downstream ROMs stay real — the standard real rational-Arnoldi
+        trick).  Returns the number of columns actually added; deflation
+        counts accrue to ``stats``.
         """
         W = candidates if candidates.ndim == 2 else candidates.reshape(-1, 1)
         if W.shape[1] == 0:
@@ -221,111 +218,13 @@ class RecycleWorkspace:
         W = np.asarray(W, dtype=float)
         new_cols, merge_stats = block_orthonormalize(
             W, initial_basis=self.basis if self.size else None,
-            deflation_tol=self.deflation_tol)
+            deflation_tol=deflation_tol,
+            require_full_rank=require_full_rank)
         stats.merge(merge_stats)
         if new_cols.size:
             self.basis = (np.hstack([self.basis, new_cols])
                           if self.size else new_cols)
         return int(new_cols.shape[1])
-
-
-def recycled_block_krylov_basis(operator, B, order: int, *,
-                                workspace: RecycleWorkspace,
-                                ) -> tuple[OrthoStats, int, bool]:
-    """One shift of a PRIMA-style block Krylov build, recycling-aware.
-
-    Mirrors :func:`~repro.linalg.krylov.block_krylov_basis` — the operator
-    is applied to the *raw* surviving candidates each step — but every
-    step block is screened against the workspace's recycled prefix first.
-    Hits leave the recursion, so each one saves ``order - 1 - step``
-    shifted solves; survivors are absorbed directly into the workspace
-    (no separate per-shift basis + merge pass).
-
-    Returns ``(ortho_stats, columns_added, deflated)``.  Call
-    :meth:`RecycleWorkspace.begin_shift` before each shift.
-    """
-    if order < 1:
-        raise ValueError("Krylov order must be >= 1")
-    stats = OrthoStats()
-    added = 0
-    deflated = False
-    current = np.asarray(operator.starting_block(B))
-    if current.ndim == 1:
-        current = current.reshape(-1, 1)
-    for step in range(order):
-        keep = workspace.screen(current)
-        skipped = int(current.shape[1] - np.count_nonzero(keep))
-        if skipped:
-            deflated = True
-            workspace.stats.solves_skipped += skipped * (order - 1 - step)
-            current = current[:, keep]
-        if current.shape[1]:
-            n_new = workspace.absorb(current, stats)
-            added += n_new
-            if n_new < (current.shape[1] *
-                        (2 if np.iscomplexobj(current) else 1)):
-                deflated = True
-        if step == order - 1 or current.shape[1] == 0:
-            break
-        current = np.asarray(operator.apply(current))
-        if current.ndim == 1:
-            current = current.reshape(-1, 1)
-    return stats, added, deflated
-
-
-def recycled_clustered_krylov_bases(operator, B_dense: np.ndarray,
-                                    order: int, *,
-                                    workspaces: list[RecycleWorkspace],
-                                    columns: list[int],
-                                    ) -> tuple[OrthoStats, bool]:
-    """One shift of BDSM's per-port clustered build, recycling-aware.
-
-    Mirrors :func:`~repro.linalg.krylov.column_clustered_krylov_bases`:
-    the candidate recursion is shared across all selected columns (one
-    shifted solve block per step), but each column screens and absorbs
-    against *its own port's* workspace.  A port whose candidate deflates
-    against its recycled basis drops out of the shared recursion — the
-    solve-skipping is per column, so one captured port does not stall the
-    others.
-
-    ``workspaces[i]`` accumulates the combined multi-point group basis
-    for ``columns[i]``; read ``workspace.basis`` after the last shift.
-    Call :meth:`RecycleWorkspace.begin_shift` on each before each shift.
-    """
-    if order < 1:
-        raise ValueError("Krylov order must be >= 1")
-    if len(workspaces) != len(columns):
-        raise ValueError("need exactly one workspace per selected column")
-    stats = OrthoStats()
-    deflated = False
-    active = list(range(len(columns)))
-    current = np.asarray(operator.starting_block(B_dense[:, columns]))
-    if current.ndim == 1:
-        current = current.reshape(-1, 1)
-    for step in range(order):
-        survivors: list[int] = []
-        kept_positions: list[int] = []
-        for pos, local_idx in enumerate(active):
-            ws = workspaces[local_idx]
-            col = current[:, pos]
-            if not bool(ws.screen(col)[0]):
-                # Recycled hit: this port's direction is already captured;
-                # skip its remaining moments' solves.
-                deflated = True
-                ws.stats.solves_skipped += order - 1 - step
-                continue
-            n_new = ws.absorb(col, stats)
-            if n_new < (2 if np.iscomplexobj(col) else 1):
-                deflated = True
-            survivors.append(local_idx)
-            kept_positions.append(pos)
-        if step == order - 1 or not survivors:
-            break
-        active = survivors
-        current = np.asarray(operator.apply(current[:, kept_positions]))
-        if current.ndim == 1:
-            current = current.reshape(-1, 1)
-    return stats, deflated
 
 
 class ShardBasisCache:
@@ -355,8 +254,8 @@ class ShardBasisCache:
         """Content key for one shard reduction.
 
         ``params`` must carry every knob that changes the basis
-        (``n_moments``, ``s0``, ``method``, ``deflation_tol``,
-        ``ortho_kernel``, interface description, ...).
+        (``n_moments``, ``s0``, ``method``, ``deflation_tol``, interface
+        description, ...).
         """
         return (
             matrix_fingerprint(system.C),

@@ -22,7 +22,7 @@ import numpy as np
 from repro.exceptions import ReductionError
 from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
-from repro.linalg.orthogonalization import OrthoStats, block_orthonormalize
+from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.sparse_utils import to_csr
 from repro.mor.base import ReducedSystem, ResourceBudget
 from repro.obs.health import begin_reduce_health, finish_reduce_health
@@ -51,8 +51,7 @@ def congruence_project(system, V: np.ndarray, *, method: str,
         raise ReductionError(
             "congruence_project needs a real basis; span the real and "
             "imaginary parts of a complex basis first (the real "
-            "rational-Arnoldi trick used by prima_reduce and "
-            "multipoint_prima_reduce)")
+            "rational-Arnoldi trick the Krylov drivers apply)")
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ReductionError("projection basis must be a 2-D array")
@@ -100,8 +99,7 @@ def prima_reduce(system, n_moments: int, *, s0: complex = 0.0,
                  keep_projection: bool = False,
                  deflation_tol: float = _DEFAULT_DEFLATION_TOL,
                  solver: SolverOptions | None = None,
-                 store=None,
-                 ortho_kernel: str = "blocked"):
+                 store=None):
     """Reduce ``system`` with PRIMA, matching ``n_moments`` block moments.
 
     Parameters
@@ -130,13 +128,6 @@ def prima_reduce(system, n_moments: int, *, s0: complex = 0.0,
         across processes, keyed on the system content and ``(n_moments,
         s0, deflation_tol, keep_projection)``.  On a store hit the ROM is
         loaded instead of rebuilt (empty stats, load time returned).
-    ortho_kernel:
-        Orthonormalisation kernel (``"blocked"`` — the BLAS-3 default —
-        or ``"columnwise"``, see
-        :data:`~repro.linalg.krylov.ORTHO_KERNELS`).  The kernels span the
-        same subspace, so the ROM is equivalent up to an orthogonal change
-        of reduced coordinates (same poles, moments and transfer function);
-        the choice therefore does not enter the store key.
 
     Returns
     -------
@@ -171,24 +162,11 @@ def prima_reduce(system, n_moments: int, *, s0: complex = 0.0,
     operator = ShiftedOperator(system.C, system.G, s0=s0, solver=solver)
     with scoped_timer("prima.krylov"):
         krylov = block_krylov_basis(operator, system.B, n_moments,
-                                    deflation_tol=deflation_tol,
-                                    kernel=ortho_kernel)
-    basis = krylov.basis
+                                    deflation_tol=deflation_tol)
     stats = krylov.stats
-    if np.iscomplexobj(basis) or complex(s0).imag != 0.0:
-        # Complex expansion point: span the real and imaginary parts and
-        # re-orthonormalise so the ROM stays real — the standard real
-        # rational-Arnoldi trick, same as multipoint_prima_reduce.
-        split = np.hstack([np.real(basis), np.imag(basis)])
-        basis, split_stats = block_orthonormalize(
-            np.asarray(split, dtype=float), deflation_tol=deflation_tol)
-        merged = OrthoStats()
-        merged.merge(krylov.stats)
-        merged.merge(split_stats)
-        stats = merged
     with scoped_timer("prima.project"):
         rom = congruence_project(
-            system, basis, method="PRIMA", s0=s0, n_moments=n_moments,
+            system, krylov.basis, method="PRIMA", s0=s0, n_moments=n_moments,
             reusable=True, keep_projection=keep_projection)
     finish_reduce_health(health_mark, rom, stats, method="PRIMA")
     elapsed = time.perf_counter() - start

@@ -8,18 +8,19 @@ to several expansion points.  This module provides the PRIMA-side extension
 reference [15]); the BDSM-side extension lives in
 :mod:`repro.core.multipoint`.
 
-The basis is the union of the single-point block Krylov bases at every
-expansion point, re-orthonormalised globally; the congruence transform then
-matches the prescribed number of moments at each point (up to deflation).
+The per-point block Krylov builds all absorb into one
+:class:`~repro.linalg.recycle.RecycleWorkspace`, so the basis is the union
+of the single-point Krylov subspaces, orthonormalised globally; the
+congruence transform then matches the prescribed number of moments at each
+point (up to deflation).
 
-With ``recycle=True`` the per-point builds share a
-:class:`~repro.linalg.recycle.RecycleWorkspace`: candidates at shift
-``s_{j+1}`` are screened against the basis accumulated at ``s_1 .. s_j``
-first, and already-captured directions leave the Krylov recursion before
-their remaining shifted solves are spent.  The ROM then carries
-``rom.recycle_stats`` / ``rom.solve_counts`` so callers can audit the
-skipped work.  Recycling off (the default) is bit-identical to the
-from-scratch path.
+With ``recycle=True`` the workspace is frozen at every new point:
+candidates at shift ``s_{j+1}`` are screened against the basis accumulated
+at ``s_1 .. s_j`` first, and already-captured directions leave the Krylov
+recursion before their remaining shifted solves are spent.  The ROM then
+carries ``rom.recycle_stats`` / ``rom.solve_counts`` so callers can audit
+the skipped work.  Recycling off (the default) never freezes, so nothing
+screens.
 """
 
 from __future__ import annotations
@@ -27,17 +28,14 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.exceptions import ReductionError
 from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
-from repro.linalg.orthogonalization import OrthoStats, block_orthonormalize
+from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.recycle import (
     DEFAULT_RECYCLE_TOL,
     RecycleStats,
     RecycleWorkspace,
-    recycled_block_krylov_basis,
 )
 from repro.mor.base import ResourceBudget
 from repro.mor.prima import congruence_project
@@ -74,7 +72,7 @@ def multipoint_prima_reduce(system, moments_per_point: int,
     keep_projection:
         Store the combined projection basis on the ROM.
     deflation_tol:
-        Relative deflation tolerance for the global re-orthonormalisation.
+        Relative deflation tolerance of the global orthonormalisation.
     solver:
         Optional :class:`~repro.linalg.backends.SolverOptions` for the
         per-point shifted-pencil solves.
@@ -82,7 +80,7 @@ def multipoint_prima_reduce(system, moments_per_point: int,
         Carry the accumulated basis from each expansion point into the
         next and skip the shifted solves of directions it already
         captures.  Spans the same subspace up to ``recycle_tol``; leave
-        off for bit-identical moment matching at every point.
+        off for exact moment matching at every point.
     recycle_tol:
         Relative residual below which a candidate at a new shift counts
         as captured by the recycled basis.
@@ -106,54 +104,26 @@ def multipoint_prima_reduce(system, moments_per_point: int,
     health_mark = begin_reduce_health()
     stats = OrthoStats()
     recycle_stats = RecycleStats() if recycle else None
-    workspace = (RecycleWorkspace(n, recycle_tol=recycle_tol,
-                                  deflation_tol=deflation_tol,
-                                  stats=recycle_stats)
-                 if recycle else None)
+    workspace = RecycleWorkspace(n, recycle_tol=recycle_tol,
+                                 stats=recycle_stats)
     solve_counts: list[int] = []
-    combined = np.empty((n, 0))
     for point in points:
         operator = ShiftedOperator(system.C, system.G, s0=point,
                                    solver=solver)
-        if workspace is not None:
+        if recycle:
             workspace.begin_shift()
-            with trace_span("multipoint.krylov", point=str(point),
-                            recycle=True) as span:
-                point_stats, added, _ = recycled_block_krylov_basis(
-                    operator, system.B, moments_per_point,
-                    workspace=workspace)
-                span.set_tag("columns_added", added)
-            stats.merge(point_stats)
-            solve_counts.append(operator.solve_count)
-            continue
         with trace_span("multipoint.krylov", point=str(point),
-                        recycle=False):
+                        recycle=recycle) as span:
             krylov = block_krylov_basis(operator, system.B,
                                         moments_per_point,
-                                        deflation_tol=deflation_tol)
+                                        deflation_tol=deflation_tol,
+                                        workspace=workspace)
+            span.set_tag("columns_added", krylov.size)
         stats.merge(krylov.stats)
         solve_counts.append(operator.solve_count)
-        candidate = krylov.basis
-        if np.iscomplexobj(candidate) or complex(point).imag != 0.0:
-            candidate = np.hstack([np.real(candidate), np.imag(candidate)])
-        # Whole-block merge against the combined basis: one BLAS-3 CGS2
-        # sweep plus a rank-revealing QR instead of a per-column MGS loop.
-        with trace_span("multipoint.merge", point=str(point)):
-            new_cols, merge_stats = block_orthonormalize(
-                np.asarray(candidate, dtype=float),
-                initial_basis=combined if combined.size else None,
-                deflation_tol=deflation_tol)
-        stats.merge(merge_stats)
-        if new_cols.size:
-            combined = (np.hstack([combined, new_cols])
-                        if combined.size else new_cols)
 
-    if workspace is not None:
-        combined = workspace.basis
-    if not combined.size:
-        raise ReductionError("multipoint basis is empty after deflation")
     rom = congruence_project(
-        system, combined, method="multipoint-PRIMA",
+        system, workspace.basis, method="multipoint-PRIMA",
         s0=points[0], n_moments=moments_per_point, reusable=True,
         keep_projection=keep_projection)
     rom.expansion_points = list(points)  # type: ignore[attr-defined]

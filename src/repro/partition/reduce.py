@@ -114,7 +114,6 @@ def _shard_cache_key(subdomain: Subdomain, n_moments: int, s0: complex,
     return ShardBasisCache.key_for(
         subdomain.system, n_moments=n_moments, s0=complex(s0),
         method=method, deflation_tol=opts.deflation_tol,
-        ortho_kernel=opts.ortho_kernel,
         interface=(interface or PartitionedOptions()).describe())
 
 
@@ -133,7 +132,7 @@ def _shard_basis_bdsm(subdomain: Subdomain, n_moments: int, s0: complex,
             return cached, OrthoStats()
     shard_opts = BDSMOptions(
         keep_projection=True, deflation_tol=opts.deflation_tol,
-        solver=opts.solver, ortho_kernel=opts.ortho_kernel)
+        solver=opts.solver)
     stats = OrthoStats()
 
     def build():
@@ -229,8 +228,7 @@ def _shard_basis_prima(subdomain: Subdomain, n_moments: int, s0: complex,
         rom, rom_stats, _ = prima_reduce(
             subdomain.system, n_moments, s0=s0, solver=opts.solver,
             keep_projection=True, budget=budget,
-            deflation_tol=opts.deflation_tol,
-            ortho_kernel=opts.ortho_kernel)
+            deflation_tol=opts.deflation_tol)
         stats.merge(rom_stats)
         return rom
 
@@ -344,8 +342,8 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         Per-shard reducer: ``"bdsm"`` (per-cluster bases, merged) or
         ``"prima"`` (one block basis per shard).
     options:
-        Optional :class:`~repro.core.bdsm.BDSMOptions`; ``deflation_tol``,
-        ``solver`` and ``ortho_kernel`` apply to both methods.
+        Optional :class:`~repro.core.bdsm.BDSMOptions`; ``deflation_tol``
+        and ``solver`` apply to both methods.
     interface:
         Optional :class:`~repro.partition.interface.PartitionedOptions`.
         With ``interface_order`` set, the separator is reduced too: a

@@ -2,20 +2,15 @@
 
 Each workload times one hot path of the reduction stack on a registered
 synthetic benchmark grid and returns a JSON-ready entry for
-:class:`~repro.perf.bench.BenchmarkRunner`.  The reduction workloads record
-both the production (blocked BLAS-3) and the reference (column-wise MGS)
-kernel so the *speedup ratio* — the machine-independent quantity the CI
-gate enforces — is part of every recorded run:
+:class:`~repro.perf.bench.BenchmarkRunner`.  Each workload records a
+*speedup ratio* against a baseline path — the machine-independent quantity
+the CI gate enforces:
 
 ``ortho_blocked_vs_columnwise``
-    The orthogonalisation kernels head-to-head on one PRIMA-style global
-    candidate block (``m*l`` Krylov candidates of the grid).
-``bdsm_cold``
-    Cold BDSM reduction (factorisation cache cleared before every
-    repetition), blocked vs. column-wise cluster orthonormalisation.
-``prima_cold``
-    Cold PRIMA reduction, blocked vs. column-wise global
-    orthonormalisation.
+    The production blocked BLAS-3 kernel head-to-head with the column-wise
+    MGS reference on one PRIMA-style global candidate block (``m*l``
+    Krylov candidates of the grid).  The reducers always run the blocked
+    kernel; column-wise MGS survives only here and as the test oracle.
 ``bdsm_pooled_clusters``
     Cold BDSM serial vs. per-cluster chunks fanned over a thread-pool
     :class:`~repro.analysis.engine.SweepEngine`.  Recorded but never gated
@@ -173,8 +168,8 @@ def _grid(benchmark: str, scale: str):
     return system, n_moments
 
 
-def _ortho_kernels(runner: BenchmarkRunner, benchmark: str,
-                   scale: str) -> dict:
+def _ortho_blocked_vs_columnwise(runner: BenchmarkRunner, benchmark: str,
+                                 scale: str) -> dict:
     system, n_moments = _grid(benchmark, scale)
     operator = ShiftedOperator(system.C, system.G, s0=0.0)
     candidates = np.hstack(
@@ -195,51 +190,6 @@ def _ortho_kernels(runner: BenchmarkRunner, benchmark: str,
         "candidates": int(candidates.shape[1]),
         "rank_blocked": int(rank_blocked),
         "rank_columnwise": int(rank_columnwise),
-    }
-
-
-def _bdsm_cold(runner: BenchmarkRunner, benchmark: str, scale: str) -> dict:
-    system, n_moments = _grid(benchmark, scale)
-
-    def reduce_with(kernel: str) -> float:
-        options = BDSMOptions(ortho_kernel=kernel)
-        return runner.time_callable(
-            lambda: bdsm_reduce(system, n_moments, options=options),
-            setup=clear_default_cache)
-
-    blocked = reduce_with("blocked")
-    columnwise = reduce_with("columnwise")
-    return {
-        "seconds": blocked,
-        "baseline_seconds": columnwise,
-        "speedup": columnwise / blocked,
-        "gate": True,
-        "grid": system.name,
-        "n": int(system.size),
-        "ports": int(system.n_ports),
-        "n_moments": int(n_moments),
-    }
-
-
-def _prima_cold(runner: BenchmarkRunner, benchmark: str, scale: str) -> dict:
-    system, n_moments = _grid(benchmark, scale)
-
-    def reduce_with(kernel: str) -> float:
-        return runner.time_callable(
-            lambda: prima_reduce(system, n_moments, ortho_kernel=kernel),
-            setup=clear_default_cache)
-
-    blocked = reduce_with("blocked")
-    columnwise = reduce_with("columnwise")
-    return {
-        "seconds": blocked,
-        "baseline_seconds": columnwise,
-        "speedup": columnwise / blocked,
-        "gate": True,
-        "grid": system.name,
-        "n": int(system.size),
-        "ports": int(system.n_ports),
-        "n_moments": int(n_moments),
     }
 
 
@@ -872,9 +822,7 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
 
 #: Registry of the named workloads (name -> fn(runner, benchmark, scale)).
 WORKLOADS = {
-    "ortho_blocked_vs_columnwise": _ortho_kernels,
-    "bdsm_cold": _bdsm_cold,
-    "prima_cold": _prima_cold,
+    "ortho_blocked_vs_columnwise": _ortho_blocked_vs_columnwise,
     "bdsm_pooled_clusters": _bdsm_pooled,
     "partitioned_cold": _partitioned_cold,
     "partitioned_scaled": _partitioned_scaled,

@@ -82,6 +82,18 @@ class TestBdsmAccuracy:
         rom, _, _ = bdsm_reduce(rc_grid_system, 3, s0=s0)
         assert count_matched_moments(rc_grid_system, rom, 3, s0=s0) >= 3
 
+    def test_complex_expansion_point_gives_real_blocks(self, rc_grid_system):
+        # The clustered driver splits complex candidates into real and
+        # imaginary parts, so each block is real with at most 2 l columns.
+        s0, order = 1j * 1e9, 2
+        rom, _, _ = bdsm_reduce(rc_grid_system, order, s0=s0)
+        for block in rom.blocks:
+            assert np.isrealobj(block.C) and np.isrealobj(block.G)
+            assert np.isrealobj(block.b) and np.isrealobj(block.L)
+            assert block.order <= 2 * order
+        assert count_matched_moments(rc_grid_system, rom, order,
+                                     s0=s0) >= order
+
     def test_column_by_column_moment_matching(self, rc_grid_system):
         # Each column of H_r matches the corresponding column of H at s0.
         rom, _, _ = bdsm_reduce(rc_grid_system, 3)

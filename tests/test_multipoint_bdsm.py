@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.engine import SweepEngine
 from repro.core import BDSMOptions, bdsm_reduce, multipoint_bdsm_reduce
 from repro.core.structured_rom import BlockDiagonalROM
 from repro.exceptions import ReductionError
@@ -70,3 +71,16 @@ class TestMultipointBdsm:
         with pytest.raises(ReductionError):
             multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
                                    options=BDSMOptions(port_chunk_size=-1))
+
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_worker_counts_rejected(self, rc_grid_system, n_workers):
+        # No chunk fan-out here: a pool request must fail, not be ignored.
+        with pytest.raises(ReductionError, match="n_workers"):
+            multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
+                                   options=BDSMOptions(n_workers=n_workers))
+
+    def test_engine_rejected(self, rc_grid_system):
+        with SweepEngine(jobs=2) as engine, \
+                pytest.raises(ReductionError, match="engine"):
+            multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
+                                   options=BDSMOptions(engine=engine))

@@ -212,8 +212,6 @@ class TestWorkloads:
     def test_workload_names_stable(self):
         names = workload_names()
         assert "ortho_blocked_vs_columnwise" in names
-        assert "bdsm_cold" in names
-        assert "prima_cold" in names
         assert "bdsm_pooled_clusters" in names
 
     def test_unknown_workload_rejected(self):
@@ -222,7 +220,8 @@ class TestWorkloads:
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValidationError):
-            run_workloads(["bdsm_cold"], benchmark="ckt99", scale="smoke")
+            run_workloads(["ortho_blocked_vs_columnwise"],
+                          benchmark="ckt99", scale="smoke")
 
     def test_ortho_workload_records_speedup(self):
         payload = run_workloads(["ortho_blocked_vs_columnwise"],
@@ -235,13 +234,6 @@ class TestWorkloads:
             entry["baseline_seconds"] / entry["seconds"])
         assert payload["schema"] == 1
         assert payload["scale"] == "smoke"
-
-    def test_bdsm_cold_workload_runs(self):
-        payload = run_workloads(["bdsm_cold"], benchmark="ckt1",
-                                scale="smoke", repeats=1)
-        entry = payload["workloads"]["bdsm_cold"]
-        assert entry["seconds"] > 0.0
-        assert entry["ports"] > 0
 
     def test_format_workloads_rows(self):
         payload = {"schema": 1, "workloads": {
@@ -319,7 +311,8 @@ class TestBenchCLI:
                        "workloads": {
                            "ortho_blocked_vs_columnwise":
                                {"speedup": 0.1, "gate": True},
-                           "prima_cold": {"speedup": 1e9, "gate": True},
+                           "multipoint_recycle": {"speedup": 1e9,
+                                                  "gate": True},
                        }}, baseline)
         code = main(["bench", "--quick", "--benchmark", "ckt1",
                      "--workload", "ortho_blocked_vs_columnwise",

@@ -1,7 +1,9 @@
 """Tests of the top-level package surface (exports, exceptions, metadata)."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,25 @@ class TestPackageSurface:
     ])
     def test_subpackages_import_cleanly(self, module):
         assert importlib.import_module(module) is not None
+
+    def test_linalg_does_not_import_analysis(self):
+        # linalg is the substrate every other subpackage builds on; an
+        # import of repro.analysis from it (even a lazy one) is a layering
+        # inversion.
+        linalg_dir = Path(importlib.import_module("repro.linalg").__file__)
+        offenders = []
+        for path in sorted(linalg_dir.parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders += [f"{path.name}: {name}" for name in names
+                              if name.startswith("repro.analysis")]
+        assert offenders == []
 
     def test_public_callables_have_docstrings(self):
         undocumented = [

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import BDSMOptions, multipoint_bdsm_reduce
+from repro.core import multipoint_bdsm_reduce
 from repro.linalg import (
+    OrthoStats,
     RecycleStats,
     RecycleWorkspace,
     ShardBasisCache,
+    ShiftedOperator,
     block_orthonormalize,
+    column_clustered_krylov_bases,
     modified_gram_schmidt,
 )
 from repro.mor import multipoint_prima_reduce
@@ -29,8 +32,6 @@ class TestRecycleWorkspace:
         assert ws.stats.hits == 0
 
     def test_repeated_direction_is_a_hit(self):
-        from repro.linalg import OrthoStats
-
         rng = np.random.default_rng(1)
         ws = RecycleWorkspace(10)
         block = rng.standard_normal((10, 3))
@@ -46,8 +47,6 @@ class TestRecycleWorkspace:
         assert ws.stats.hits == 1
 
     def test_zero_candidate_is_not_a_hit(self):
-        from repro.linalg import OrthoStats
-
         ws = RecycleWorkspace(6)
         ws.begin_shift()
         ws.absorb(np.eye(6)[:, :2], OrthoStats())
@@ -57,8 +56,6 @@ class TestRecycleWorkspace:
         assert ws.stats.hits == 0
 
     def test_absorb_splits_complex_blocks_and_keeps_basis_real(self):
-        from repro.linalg import OrthoStats
-
         rng = np.random.default_rng(2)
         ws = RecycleWorkspace(12)
         ws.begin_shift()
@@ -114,6 +111,74 @@ class TestDeflationParityWithColumnwise:
         qc, sc = modified_gram_schmidt(W.copy())
         assert qb.shape == (16, 1)
         assert sb.deflations == sc.deflations == 3
+
+
+def _per_column_recycled_reference(operator, B, order, workspaces):
+    """Screen-and-absorb one candidate at a time (the per-column loop the
+    clustered driver batches into one absorb per port and shift)."""
+    stats = OrthoStats()
+    active = list(range(len(workspaces)))
+    current = np.asarray(operator.starting_block(B))
+    for step in range(order):
+        survivors = []
+        for pos, group in enumerate(active):
+            ws = workspaces[group]
+            col = current[:, pos]
+            if not ws.screen(col)[0]:
+                ws.stats.solves_skipped += order - 1 - step
+                continue
+            ws.absorb(col, stats)
+            survivors.append(pos)
+        if step == order - 1 or not survivors:
+            break
+        active = [active[pos] for pos in survivors]
+        current = np.asarray(operator.apply(current[:, survivors]))
+    return stats
+
+
+class TestClusteredDriverRecycling:
+    # Three moments at clustered shifts: every later-shift candidate is a
+    # hit and skips its solves.  One moment at spread shifts: later shifts
+    # absorb genuinely new directions through the batched path.
+    @pytest.mark.parametrize("points, order", [([0.0, 5e8, 2e9], 3),
+                                               ([0.0, 1e10, 1e11], 1)])
+    def test_batched_absorb_matches_per_column_reference(
+            self, rc_grid_system, points, order):
+        system = rc_grid_system
+        B = system.B.toarray()
+        m = B.shape[1]
+        runs = {}
+        for name in ("driver", "reference"):
+            recycle_stats = RecycleStats()
+            workspaces = [RecycleWorkspace(system.size, stats=recycle_stats)
+                          for _ in range(m)]
+            ortho = OrthoStats()
+            for point in points:
+                for ws in workspaces:
+                    ws.begin_shift()
+                operator = ShiftedOperator(system.C, system.G, s0=point)
+                if name == "driver":
+                    _, point_stats, _ = column_clustered_krylov_bases(
+                        operator, B, order, workspaces=workspaces)
+                else:
+                    point_stats = _per_column_recycled_reference(
+                        operator, B, order, workspaces)
+                ortho.merge(point_stats)
+            runs[name] = (recycle_stats, ortho, workspaces)
+        stats_d, ortho_d, ws_d = runs["driver"]
+        stats_r, ortho_r, ws_r = runs["reference"]
+        assert stats_r.hits > 0
+        assert stats_r.solves_skipped > 0 or max(
+            ws.size for ws in ws_r) > order
+        assert (stats_d.screened, stats_d.hits, stats_d.solves_skipped) == \
+            (stats_r.screened, stats_r.hits, stats_r.solves_skipped)
+        assert ortho_d.deflations == ortho_r.deflations
+        for a, b in zip(ws_d, ws_r):
+            assert a.basis.shape == b.basis.shape
+            assert np.linalg.norm(a.basis - b.basis @ (b.basis.T @ a.basis)) \
+                < 1e-8
+            assert np.linalg.norm(b.basis - a.basis @ (a.basis.T @ b.basis)) \
+                < 1e-8
 
 
 class TestMultipointRecycling:
