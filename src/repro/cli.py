@@ -174,14 +174,28 @@ from repro.partition import (
 
 __all__ = ["main", "build_parser"]
 
+def _reduce_bdsm(system, l, solver, points=(0.0,), store=None, engine=None,
+                 recycle=False):
+    return multipoint_bdsm_reduce(
+        system, l, points, options=BDSMOptions(solver=solver, engine=engine),
+        store=store, recycle=recycle)
+
+
+def _reduce_prima(system, l, solver, points=(0.0,), store=None,
+                  recycle=False, **_):
+    return multipoint_prima_reduce(system, l, points, solver=solver,
+                                   store=store, recycle=recycle)
+
+
+#: Every reducer the CLI drives.  Only bdsm/prima take expansion points, a
+#: store or recycling (and only bdsm a chunk fan-out engine); the other
+#: methods ignore those keywords and the CLI rejects the flags for them.
 _REDUCERS = {
-    "bdsm": lambda system, l, solver, store=None: bdsm_reduce(
-        system, l, options=BDSMOptions(solver=solver), store=store),
-    "prima": lambda system, l, solver, store=None: prima_reduce(
-        system, l, solver=solver, store=store),
-    "svdmor": lambda system, l, solver, store=None: svdmor_reduce(
+    "bdsm": _reduce_bdsm,
+    "prima": _reduce_prima,
+    "svdmor": lambda system, l, solver, **_: svdmor_reduce(
         system, l, alpha=0.6, solver=solver),
-    "eks": lambda system, l, solver, store=None: eks_reduce(
+    "eks": lambda system, l, solver, **_: eks_reduce(
         system, l, solver=solver),
 }
 
@@ -194,8 +208,9 @@ _STORABLE_METHODS = {
 }
 
 
-def _store_options(method: str, moments: int) -> dict:
-    return _STORABLE_METHODS[method](moments)
+def _store_options(method: str, moments: int, points=(0.0,),
+                   recycle: bool = False) -> dict:
+    return _STORABLE_METHODS[method](moments, points, recycle=recycle)
 
 #: Choices of the ``--solver`` flag (registry backends plus the selectors).
 _SOLVER_CHOICES = ("auto", "iterative", *available_backends())
@@ -551,13 +566,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         if partitions > 1:
             raise ValidationError(
                 "--points and --partitions are separate drivers; pick one")
-        if args.store is not None or args.from_store:
-            raise ValidationError(
-                "multipoint reductions are not store-memoized yet; drop "
-                "--store/--from-store")
-        if getattr(args, "jobs", 1) != 1:
-            raise ValidationError(
-                "--jobs does not apply to multipoint reductions")
+    shifts = points or [0.0]
     recycle = bool(getattr(args, "recycle", False))
     if recycle and points is None and partitions <= 1:
         raise ValidationError(
@@ -599,7 +608,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         store = ModelStore(args.store, create=not args.from_store)
         if args.from_store:
             key = store.key_for(system, args.method.upper(),
-                                _store_options(args.method, args.moments))
+                                _store_options(args.method, args.moments,
+                                               shifts, recycle))
             if not store.contains(key):
                 raise ValidationError(
                     f"store {args.store} has no entry for "
@@ -616,42 +626,27 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValidationError(
             "--jobs parallelizes BDSM per-cluster chunks or partitioned "
             f"shards; monolithic {args.method} has no chunked reduction")
-    if points is not None:
-        # Multipoint: one reduce spanning every expansion point, with
-        # optional cross-shift basis recycling.
-        if args.method == "bdsm":
-            rom, stats, seconds = multipoint_bdsm_reduce(
-                system, args.moments, points,
-                options=BDSMOptions(solver=solver), recycle=recycle)
-        else:
-            rom, stats, seconds = multipoint_prima_reduce(
-                system, args.moments, points, solver=solver,
-                recycle=recycle)
-    elif partitions > 1:
-        # Sharded: shard reductions are independent, so a thread pool
-        # fans them out; the store (if any) memoizes per shard.
-        engine = SweepEngine(jobs=jobs) if jobs != 1 else None
-        try:
+    engine = SweepEngine(jobs=jobs) if jobs != 1 else None
+    try:
+        if partitions > 1:
+            # Sharded: shard reductions are independent, so a thread pool
+            # fans them out; the store (if any) memoizes per shard.
             rom, stats, seconds = multilevel_reduce(
                 system, args.moments, levels=levels, n_parts=partitions,
                 partitioner=args.partitioner, method=args.method,
                 options=BDSMOptions(solver=solver), interface=interface,
                 engine=engine, store=store, recycle=recycle)
-        finally:
-            if engine is not None:
-                engine.close()
-    elif args.method == "bdsm" and jobs != 1:
-        # Hand the reducer a pool; it chunks the ports itself so every
-        # worker gets a few independent clusters, all sharing the one
-        # cached pencil factorisation.
-        with SweepEngine(jobs=jobs) as engine:
-            rom, stats, seconds = bdsm_reduce(
-                system, args.moments,
-                options=BDSMOptions(solver=solver, engine=engine),
-                store=store)
-    else:
-        rom, stats, seconds = _REDUCERS[args.method](system, args.moments,
-                                                     solver, store)
+        else:
+            # One reduce spanning every expansion point (default s0 = 0).
+            # A bdsm pool gets the reducer's own port chunking, so every
+            # worker builds a few independent clusters over each point's
+            # one cached pencil factorisation.
+            rom, stats, seconds = _REDUCERS[args.method](
+                system, args.moments, solver, points=shifts,
+                store=store, engine=engine, recycle=recycle)
+    finally:
+        if engine is not None:
+            engine.close()
     omegas = np.logspace(5, 9, 5)
     row = {
         "benchmark": system.name,
@@ -899,7 +894,8 @@ def _run_observed(args: argparse.Namespace) -> None:
         return
     with tempfile.TemporaryDirectory() as tmp:
         store = ModelStore(tmp)
-        _REDUCERS[args.method](system, args.moments, SolverOptions(), store)
+        _REDUCERS[args.method](system, args.moments, SolverOptions(),
+                               store=store)
         name = f"{args.benchmark}/{args.method}"
         key = store.key_for(system, args.method.upper(),
                             _store_options(args.method, args.moments))

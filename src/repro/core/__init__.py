@@ -10,17 +10,22 @@ Contents
     Eq. (14), with block-wise transfer-function evaluation and the same
     analysis interface as the full descriptor system.
 ``bdsm``
-    :func:`bdsm_reduce` — Algorithm 1 of the paper (single expansion point),
-    with chunked port processing so memory stays bounded on many-port grids.
-``multipoint``
-    Multi-point BDSM, the straightforward extension the paper mentions for
-    wide-band excitations.
+    :func:`multipoint_bdsm_reduce` — Algorithm 1 of the paper at one or
+    more expansion points (the multi-point extension the paper mentions
+    for wide-band excitations), with chunked, optionally fanned-out port
+    processing so memory stays bounded on many-port grids — and
+    :func:`bdsm_reduce`, its one-point case.
 ``cost_model``
     Closed-form cost expressions of Sec. III-B (orthonormalisation counts,
     ROM non-zeros, simulation flops) used by the ablation benchmarks.
 """
 
-from repro.core.bdsm import BDSMOptions, bdsm_reduce, bdsm_store_options
+from repro.core.bdsm import (
+    BDSMOptions,
+    bdsm_reduce,
+    bdsm_store_options,
+    multipoint_bdsm_reduce,
+)
 from repro.core.cost_model import (
     CostComparison,
     orthonormalization_inner_products,
@@ -28,7 +33,6 @@ from repro.core.cost_model import (
     simulation_flops,
     sweep_cost_model,
 )
-from repro.core.multipoint import multipoint_bdsm_reduce
 from repro.core.splitting import (
     parallel_composition,
     split_input_matrix,

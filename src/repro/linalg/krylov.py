@@ -25,6 +25,7 @@ split into real and imaginary parts so every basis is real.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,9 @@ class ShiftedOperator:
             pencil, options=self.solver_options, cache=cache,
             key=(matrix_fingerprint(pencil), self.s0))
         self._solve_count = 0
+        # Port chunks fanned over a thread pool share one operator per
+        # shift; the lock keeps the solve tally exact under that fan-out.
+        self._count_lock = threading.Lock()
 
     @property
     def solve_count(self) -> int:
@@ -133,7 +137,8 @@ class ShiftedOperator:
         with trace_span("linalg.solve", backend=self._solver.name,
                         columns=1 if rhs.ndim == 1 else rhs.shape[1]):
             out = self._solver.solve(rhs)
-        self._solve_count += 1 if out.ndim == 1 else out.shape[1]
+        with self._count_lock:
+            self._solve_count += 1 if out.ndim == 1 else out.shape[1]
         return out
 
     def apply(self, X) -> np.ndarray:

@@ -7,16 +7,16 @@ Contents
     guard reproducing the "break down" entries of Table II, and the
     :class:`ReductionSummary` record used by the benchmark harness.
 ``prima``
-    PRIMA: block-Arnoldi congruence projection (Odabasioglu et al.).
+    PRIMA: block-Arnoldi congruence projection (Odabasioglu et al.) at one
+    or more expansion points — the multi-point (rational Krylov) extension
+    the paper mentions for wide-band inputs, with single-point PRIMA its
+    one-point case.
 ``svdmor``
     SVDMOR: SVD-based terminal reduction followed by PRIMA on the thin
     system (Feldmann).
 ``eks``
     EKS: extended-Krylov-subspace style input-dependent reduction
     (Wang & Nguyen) — fast but not reusable under new excitations.
-``rational``
-    Multi-point (rational Krylov) projection, the straightforward extension
-    mentioned in the paper for wide-band inputs.
 ``btrunc``
     Poor Man's TBR sampling-based balanced truncation (Phillips & Silveira),
     the paper's reference [7], usable on small systems as an accuracy anchor.
@@ -29,8 +29,11 @@ from repro.mor.base import (
 )
 from repro.mor.btrunc import pmtbr_reduce
 from repro.mor.eks import eks_reduce
-from repro.mor.prima import prima_reduce, prima_store_options
-from repro.mor.rational import multipoint_prima_reduce
+from repro.mor.prima import (
+    multipoint_prima_reduce,
+    prima_reduce,
+    prima_store_options,
+)
 from repro.mor.svdmor import svdmor_reduce
 
 __all__ = [

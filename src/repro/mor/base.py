@@ -1,6 +1,6 @@
 """Common containers shared by every reducer in the library.
 
-Three pieces live here:
+Four pieces live here:
 
 :class:`ReducedSystem`
     A dense reduced descriptor model with the same interface as the full
@@ -18,6 +18,12 @@ Three pieces live here:
 :class:`ReductionSummary`
     The per-run record (method, CPU time, ROM size, non-zeros, matched
     moments, reusability) that the Table I / Table II harnesses aggregate.
+
+Expansion-point helpers
+    :func:`expansion_points_checked`, :func:`real_columns_per_input` and
+    :func:`expansion_point_options` — the argument check, dense-budget
+    column bound and store-key record the Krylov reducers (BDSM, PRIMA)
+    share, whatever the number of expansion points.
 """
 
 from __future__ import annotations
@@ -29,9 +35,58 @@ import scipy.sparse as sp
 
 from repro.exceptions import ReductionError, ResourceBudgetExceeded
 from repro.linalg.orthogonalization import OrthoStats
+from repro.linalg.recycle import DEFAULT_RECYCLE_TOL
 from repro.linalg.sparse_utils import estimate_dense_bytes, nnz_density
 
-__all__ = ["ReducedSystem", "ReductionSummary", "ResourceBudget"]
+__all__ = [
+    "ReducedSystem",
+    "ReductionSummary",
+    "ResourceBudget",
+    "expansion_point_options",
+    "expansion_points_checked",
+    "real_columns_per_input",
+]
+
+
+def expansion_points_checked(moments_per_point: int,
+                             expansion_points) -> list:
+    """The expansion points as a list, after the argument checks every
+    Krylov reducer makes (at least one point, at least one moment)."""
+    points = list(expansion_points)
+    if not points:
+        raise ReductionError("need at least one expansion point")
+    if moments_per_point < 1:
+        raise ReductionError("moments_per_point must be >= 1")
+    return points
+
+
+def real_columns_per_input(moments_per_point: int, expansion_points) -> int:
+    """Real basis columns one input column can contribute: ``l`` per real
+    point and ``2 l`` per complex one (its real and imaginary parts) — the
+    width the dense-budget checks must assume."""
+    return moments_per_point * sum(1 if complex(p).imag == 0.0 else 2
+                                   for p in expansion_points)
+
+
+def expansion_point_options(moments_per_point: int, expansion_points, *,
+                            recycle: bool = False,
+                            recycle_tol: float = DEFAULT_RECYCLE_TOL,
+                            ) -> dict:
+    """The point-dependent part of a Krylov reducer's store options.
+
+    One point records ``s0`` (the single-point key, unchanged since the
+    store was introduced); several record ``expansion_points``, plus
+    ``recycle_tol`` when recycling screens candidates (with one point
+    nothing is ever screened, so recycling cannot change the ROM).
+    """
+    points = [complex(p) for p in expansion_points]
+    if len(points) == 1:
+        return {"n_moments": int(moments_per_point), "s0": points[0]}
+    record = {"n_moments": int(moments_per_point),
+              "expansion_points": points}
+    if recycle:
+        record["recycle_tol"] = float(recycle_tol)
+    return record
 
 
 @dataclass

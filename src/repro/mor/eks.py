@@ -30,6 +30,7 @@ import numpy as np
 from repro.exceptions import ReductionError
 from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
+from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL
 from repro.linalg.sparse_utils import to_csr
 from repro.mor.base import ResourceBudget
 from repro.mor.prima import congruence_project
@@ -43,7 +44,7 @@ def eks_reduce(system, n_moments: int, *,
                s0: complex = 0.0,
                budget: ResourceBudget | None = None,
                keep_projection: bool = False,
-               deflation_tol: float = 1e-12,
+               deflation_tol: float = DEFAULT_DEFLATION_TOL,
                solver: SolverOptions | None = None):
     """Reduce ``system`` around a prescribed excitation pattern.
 

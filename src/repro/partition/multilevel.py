@@ -48,8 +48,8 @@ from repro.partition.interface import (
 )
 from repro.partition.reduce import (
     _METHODS,
-    _SHARD_REDUCERS,
     _project_subdomain,
+    _shard_basis,
     partitioned_reduce,
 )
 from repro.obs.tracing import traced
@@ -164,7 +164,7 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
             basis_cache=basis_cache)
 
     method = str(method).lower()
-    if method not in _SHARD_REDUCERS:
+    if method not in _METHODS:
         raise PartitionError(
             f"unknown partitioned method {method!r}; choose from {_METHODS}")
     if n_workers < 1:
@@ -193,7 +193,6 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
             subdomains = [compress_subdomain(sub, interface_basis)
                           for sub in subdomains]
 
-    reduce_shard = _SHARD_REDUCERS[method]
     children: list[dict | None] = [None] * len(subdomains)
 
     def process(subdomain: Subdomain,
@@ -222,7 +221,7 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
                     reduced.basis = basis
                 return reduced, child_stats
         with scoped_timer("partition.shard_reduce"):
-            basis, stats = reduce_shard(subdomain, n_moments, s0,
+            basis, stats = _shard_basis(method, subdomain, n_moments, s0,
                                         opts, budget, store, result,
                                         interface=iface_opts,
                                         basis_cache=basis_cache)

@@ -72,15 +72,14 @@ def partitioned_store_options(n_moments: int, *, s0: complex = 0.0,
     while identical re-runs hit.
     """
     method = method.lower()
+    opts = options or BDSMOptions()
     if method == "bdsm":
-        opts = options or BDSMOptions()
         base = bdsm_store_options(
-            n_moments, s0=s0,
+            n_moments, [s0],
             options=BDSMOptions(keep_projection=True,
                                 deflation_tol=opts.deflation_tol))
     elif method == "prima":
-        opts = options or BDSMOptions()
-        base = prima_store_options(n_moments, s0=s0,
+        base = prima_store_options(n_moments, [s0],
                                    deflation_tol=opts.deflation_tol,
                                    keep_projection=True)
     else:
@@ -117,46 +116,66 @@ def _shard_cache_key(subdomain: Subdomain, n_moments: int, s0: complex,
         interface=(interface or PartitionedOptions()).describe())
 
 
-def _shard_basis_bdsm(subdomain: Subdomain, n_moments: int, s0: complex,
-                      opts: BDSMOptions, budget: ResourceBudget, store,
-                      partition: PartitionResult,
-                      interface: PartitionedOptions | None = None,
-                      basis_cache: ShardBasisCache | None = None,
-                      ) -> tuple[np.ndarray, OrthoStats]:
-    """Reduce one shard with BDSM and merge its block bases into one."""
+def _shard_basis(method: str, subdomain: Subdomain, n_moments: int,
+                 s0: complex, opts: BDSMOptions, budget: ResourceBudget,
+                 store, partition: PartitionResult,
+                 interface: PartitionedOptions | None = None,
+                 basis_cache: ShardBasisCache | None = None,
+                 ) -> tuple[np.ndarray, OrthoStats]:
+    """Reduce one shard with ``method`` and return its projection basis.
+
+    BDSM's per-cluster block bases are merged into one; PRIMA's global
+    block basis is used as is.  Both reductions keep their projection
+    (assembly needs it) and are memoized in ``store`` under
+    :func:`partitioned_store_options` and in ``basis_cache`` by content.
+    """
     if basis_cache is not None:
-        cache_key = _shard_cache_key(subdomain, n_moments, s0, "bdsm",
+        cache_key = _shard_cache_key(subdomain, n_moments, s0, method,
                                      opts, interface)
         cached = basis_cache.fetch(cache_key)
         if cached is not None:
             return cached, OrthoStats()
-    shard_opts = BDSMOptions(
-        keep_projection=True, deflation_tol=opts.deflation_tol,
-        solver=opts.solver)
     stats = OrthoStats()
 
     def build():
-        rom, rom_stats, _ = bdsm_reduce(subdomain.system, n_moments, s0=s0,
-                                        options=shard_opts, budget=budget)
+        if method == "bdsm":
+            rom, rom_stats, _ = bdsm_reduce(
+                subdomain.system, n_moments, s0=s0, budget=budget,
+                options=BDSMOptions(keep_projection=True,
+                                    deflation_tol=opts.deflation_tol,
+                                    solver=opts.solver))
+        else:
+            rom, rom_stats, _ = prima_reduce(
+                subdomain.system, n_moments, s0=s0, solver=opts.solver,
+                keep_projection=True, budget=budget,
+                deflation_tol=opts.deflation_tol)
         stats.merge(rom_stats)
         return rom
 
     if store is not None:
         options = partitioned_store_options(
-            n_moments, s0=s0, method="bdsm", options=opts,
+            n_moments, s0=s0, method=method, options=opts,
             partition=partition, subdomain=subdomain, interface=interface)
-        rom, _ = store.get_or_reduce(subdomain.system, "BDSM", options,
-                                     build)
+        rom, _ = store.get_or_reduce(subdomain.system, method.upper(),
+                                     options, build)
     else:
         rom = build()
-    columns = [block.basis for block in rom.blocks
-               if block.basis is not None and block.basis.shape[1]]
-    if not columns:
-        raise PartitionError(
-            f"subdomain {subdomain.index}: every Krylov candidate "
-            "deflated; the shard basis is empty")
-    basis, merge_stats = _merge_cluster_bases(columns, opts.deflation_tol)
-    stats.merge(merge_stats)
+    if method == "bdsm":
+        columns = [block.basis for block in rom.blocks
+                   if block.basis is not None and block.basis.shape[1]]
+        if not columns:
+            raise PartitionError(
+                f"subdomain {subdomain.index}: every Krylov candidate "
+                "deflated; the shard basis is empty")
+        basis, merge_stats = _merge_cluster_bases(columns,
+                                                  opts.deflation_tol)
+        stats.merge(merge_stats)
+    else:
+        if rom.projection is None or rom.projection.shape[1] == 0:
+            raise PartitionError(
+                f"subdomain {subdomain.index}: PRIMA returned no "
+                "projection basis")
+        basis = np.asarray(rom.projection)
     if basis_cache is not None:
         basis_cache.store(cache_key, basis)
     return basis, stats
@@ -207,50 +226,6 @@ def _merge_cluster_bases(columns: list[np.ndarray], deflation_tol: float,
     stats.inner_products += k * rank
     stats.axpy_updates += k * rank
     return np.ascontiguousarray(Q[:, :rank]), stats
-
-
-def _shard_basis_prima(subdomain: Subdomain, n_moments: int, s0: complex,
-                       opts: BDSMOptions, budget: ResourceBudget, store,
-                       partition: PartitionResult,
-                       interface: PartitionedOptions | None = None,
-                       basis_cache: ShardBasisCache | None = None,
-                       ) -> tuple[np.ndarray, OrthoStats]:
-    """Reduce one shard with PRIMA and return its global block basis."""
-    if basis_cache is not None:
-        cache_key = _shard_cache_key(subdomain, n_moments, s0, "prima",
-                                     opts, interface)
-        cached = basis_cache.fetch(cache_key)
-        if cached is not None:
-            return cached, OrthoStats()
-    stats = OrthoStats()
-
-    def build():
-        rom, rom_stats, _ = prima_reduce(
-            subdomain.system, n_moments, s0=s0, solver=opts.solver,
-            keep_projection=True, budget=budget,
-            deflation_tol=opts.deflation_tol)
-        stats.merge(rom_stats)
-        return rom
-
-    if store is not None:
-        options = partitioned_store_options(
-            n_moments, s0=s0, method="prima", options=opts,
-            partition=partition, subdomain=subdomain, interface=interface)
-        rom, _ = store.get_or_reduce(subdomain.system, "PRIMA", options,
-                                     build)
-    else:
-        rom = build()
-    if rom.projection is None or rom.projection.shape[1] == 0:
-        raise PartitionError(
-            f"subdomain {subdomain.index}: PRIMA returned no projection "
-            "basis")
-    basis = np.asarray(rom.projection)
-    if basis_cache is not None:
-        basis_cache.store(cache_key, basis)
-    return basis, stats
-
-
-_SHARD_REDUCERS = {"bdsm": _shard_basis_bdsm, "prima": _shard_basis_prima}
 
 
 def _project_subdomain(subdomain: Subdomain, basis: np.ndarray,
@@ -389,7 +364,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
     if n_moments < 1:
         raise PartitionError("n_moments must be >= 1")
     method = str(method).lower()
-    if method not in _SHARD_REDUCERS:
+    if method not in _METHODS:
         raise PartitionError(
             f"unknown partitioned method {method!r}; choose from {_METHODS}")
     if n_workers < 1:
@@ -422,13 +397,11 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
             subdomains = [compress_subdomain(sub, interface_basis)
                           for sub in subdomains]
 
-    reduce_shard = _SHARD_REDUCERS[method]
-
     def process(subdomain: Subdomain,
                 ) -> tuple[ReducedSubdomain, OrthoStats]:
         with scoped_timer("partition.shard_reduce"):
-            basis, stats = reduce_shard(subdomain, n_moments, s0, opts,
-                                        budget, store, result,
+            basis, stats = _shard_basis(method, subdomain, n_moments, s0,
+                                        opts, budget, store, result,
                                         interface=iface_opts,
                                         basis_cache=basis_cache)
         with scoped_timer("partition.project"):

@@ -86,8 +86,7 @@ from repro.analysis.engine import SweepEngine
 from repro.circuit.benchmarks import BENCHMARKS, make_benchmark
 from repro.circuit.mna import assemble_mna
 from repro.circuit.powergrid import build_power_grid, make_multidomain_spec
-from repro.core.bdsm import BDSMOptions, bdsm_reduce
-from repro.core.multipoint import multipoint_bdsm_reduce
+from repro.core.bdsm import BDSMOptions, bdsm_reduce, multipoint_bdsm_reduce
 from repro.exceptions import ValidationError
 from repro.linalg.backends import clear_default_cache
 from repro.linalg.krylov import ShiftedOperator, krylov_candidate_blocks
@@ -95,8 +94,7 @@ from repro.linalg.orthogonalization import (
     block_orthonormalize,
     modified_gram_schmidt,
 )
-from repro.mor.prima import prima_reduce
-from repro.mor.rational import multipoint_prima_reduce
+from repro.mor.prima import multipoint_prima_reduce, prima_reduce
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import (
     default_tracer,

@@ -144,6 +144,16 @@ class TestBdsmCostAndStructure:
         with pytest.raises(ResourceBudgetExceeded):
             prima_reduce(rc_grid_system, 4, budget=budget)
 
+    def test_budget_counts_both_parts_of_a_complex_shift(self,
+                                                         rc_grid_system):
+        # A complex s0 yields up to 2l real columns per port: a budget
+        # between the l- and 2l-column working sets admits only a real s0.
+        n, m, l = rc_grid_system.size, rc_grid_system.n_ports, 3
+        budget = ResourceBudget(max_dense_bytes=n * m * l * 3 // 2 * 8)
+        bdsm_reduce(rc_grid_system, l, s0=1e9, budget=budget)
+        with pytest.raises(ResourceBudgetExceeded):
+            bdsm_reduce(rc_grid_system, l, s0=1j * 1e9, budget=budget)
+
 
 class TestBdsmChunking:
     def test_chunked_equals_unchunked(self, rc_grid_system):

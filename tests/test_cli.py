@@ -78,6 +78,31 @@ class TestReduceCommand:
         second = capsys.readouterr().out
         assert "hit (reduction skipped)" in second
 
+    def test_reduce_points_store_miss_then_hit(self, capsys, tmp_path):
+        argv = ["reduce", "--benchmark", "ckt1", "--moments", "3",
+                "--method", "bdsm", "--points", "0,1e9",
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert "miss (ROM saved)" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "hit (reduction skipped)" in capsys.readouterr().out
+
+    def test_reduce_one_point_hits_plain_entry(self, capsys, tmp_path):
+        store_dir = str(tmp_path / "store")
+        assert main(["reduce", "--benchmark", "ckt1", "--moments", "3",
+                     "--store", store_dir]) == 0
+        capsys.readouterr()
+        assert main(["reduce", "--benchmark", "ckt1", "--moments", "3",
+                     "--points", "0", "--store", store_dir,
+                     "--from-store"]) == 0
+        assert "hit (reduction skipped)" in capsys.readouterr().out
+
+    def test_reduce_points_fan_out_over_jobs(self, capsys):
+        assert main(["reduce", "--benchmark", "ckt1", "--moments", "2",
+                     "--method", "bdsm", "--points", "0,1e9",
+                     "--jobs", "2"]) == 0
+        assert "2 points" in capsys.readouterr().out
+
     def test_reduce_from_store_without_store_flag(self, capsys):
         assert main(["reduce", "--from-store"]) == 1
         assert "--from-store requires --store" in capsys.readouterr().err

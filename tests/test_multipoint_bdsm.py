@@ -1,12 +1,20 @@
-"""Unit tests for repro.core.multipoint (multi-point BDSM)."""
+"""Unit tests for multi-point BDSM (repro.core.bdsm.multipoint_bdsm_reduce,
+of which bdsm_reduce is the one-point case)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.engine import SweepEngine
-from repro.core import BDSMOptions, bdsm_reduce, multipoint_bdsm_reduce
+from repro.core import (
+    BDSMOptions,
+    bdsm_reduce,
+    bdsm_store_options,
+    multipoint_bdsm_reduce,
+)
 from repro.core.structured_rom import BlockDiagonalROM
 from repro.exceptions import ReductionError
+from repro.linalg import OrthoStats
+from repro.store import ModelStore
 from repro.validation import count_matched_moments, max_relative_error
 
 
@@ -72,15 +80,76 @@ class TestMultipointBdsm:
             multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
                                    options=BDSMOptions(port_chunk_size=-1))
 
-    @pytest.mark.parametrize("n_workers", [0, 2])
+    @pytest.mark.parametrize("n_workers", [0])
     def test_worker_counts_rejected(self, rc_grid_system, n_workers):
-        # No chunk fan-out here: a pool request must fail, not be ignored.
         with pytest.raises(ReductionError, match="n_workers"):
             multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
                                    options=BDSMOptions(n_workers=n_workers))
 
-    def test_engine_rejected(self, rc_grid_system):
-        with SweepEngine(jobs=2) as engine, \
-                pytest.raises(ReductionError, match="engine"):
-            multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
-                                   options=BDSMOptions(engine=engine))
+    @pytest.mark.parametrize("pool", ["engine", "n_workers"])
+    def test_fan_out_matches_serial(self, rc_grid_system, pool):
+        # Chunks own their workspaces and share only the per-point
+        # operators, so fanning them out changes nothing, recycling and
+        # solve tallies included.
+        points = [0.0, 5e8, 2e9]
+
+        def reduce(**fan_out):
+            return multipoint_bdsm_reduce(
+                rc_grid_system, 2, points, recycle=True,
+                options=BDSMOptions(port_chunk_size=3, **fan_out))
+
+        serial, serial_stats, _ = reduce()
+        if pool == "engine":
+            with SweepEngine(jobs=2) as engine:
+                pooled, pooled_stats, _ = reduce(engine=engine)
+        else:
+            pooled, pooled_stats, _ = reduce(n_workers=2)
+        for a, b in zip(serial.blocks, pooled.blocks):
+            for name in ("C", "G", "b", "L"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert pooled_stats == serial_stats
+        assert pooled.recycle_stats == serial.recycle_stats
+        assert pooled.solve_counts == serial.solve_counts
+
+
+class TestMultipointBdsmStore:
+    def test_multipoint_round_trip(self, rc_grid_system, tmp_path):
+        points = [0.0, 1e9]
+        store = ModelStore(tmp_path)
+        fresh, _, _ = multipoint_bdsm_reduce(rc_grid_system, 2, points,
+                                             store=store)
+        loaded, stats, _ = multipoint_bdsm_reduce(rc_grid_system, 2, points,
+                                                  store=store)
+        assert store.stats().hits == 1
+        assert stats == OrthoStats()
+        assert loaded.s0 == fresh.s0 == points
+        for a, b in zip(fresh.blocks, loaded.blocks):
+            for name in ("C", "G", "b", "L"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_multipoint_key_differs_from_single_point(self, rc_grid_system,
+                                                      tmp_path):
+        store = ModelStore(tmp_path)
+        bdsm_reduce(rc_grid_system, 2, store=store)
+        multipoint_bdsm_reduce(rc_grid_system, 2, [0.0, 1e9], store=store)
+        multipoint_bdsm_reduce(rc_grid_system, 2, [0.0, 1e9], recycle=True,
+                               store=store)
+        assert store.stats().hits == 0
+        assert len(store.entries()) == 3
+
+    def test_one_point_store_options_pinned(self):
+        assert bdsm_store_options(3) == {
+            "n_moments": 3, "s0": 0j, "deflation_tol": 1e-12,
+            "keep_projection": False}
+        assert bdsm_store_options(
+            2, [1e3], options=BDSMOptions(keep_projection=True),
+            recycle=True) == {
+            "n_moments": 2, "s0": 1e3 + 0j, "deflation_tol": 1e-12,
+            "keep_projection": True}
+
+    def test_multipoint_store_options(self):
+        assert bdsm_store_options(2, [0.0, 1e9], recycle=True,
+                                  recycle_tol=1e-6) == {
+            "n_moments": 2, "expansion_points": [0j, 1e9 + 0j],
+            "recycle_tol": 1e-6, "deflation_tol": 1e-12,
+            "keep_projection": False}

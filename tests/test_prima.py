@@ -49,6 +49,16 @@ class TestPrimaReduce:
         with pytest.raises(ResourceBudgetExceeded):
             prima_reduce(rc_grid_system, 4, budget=budget)
 
+    def test_budget_counts_both_parts_of_a_complex_shift(self,
+                                                         rc_grid_system):
+        # A complex s0 yields up to 2ml real basis columns: a budget
+        # between the ml- and 2ml-column basis admits only a real s0.
+        n, q = rc_grid_system.size, rc_grid_system.n_ports * 3
+        budget = ResourceBudget(max_dense_bytes=n * q * 3 // 2 * 8)
+        prima_reduce(rc_grid_system, 3, s0=1e9, budget=budget)
+        with pytest.raises(ResourceBudgetExceeded):
+            prima_reduce(rc_grid_system, 3, s0=1j * 1e9, budget=budget)
+
     def test_keep_projection(self, rc_grid_system):
         rom, _, _ = prima_reduce(rc_grid_system, 2, keep_projection=True)
         assert rom.projection is not None

@@ -1,10 +1,13 @@
-"""Unit tests for repro.mor.rational (multipoint PRIMA)."""
+"""Unit tests for multipoint PRIMA (repro.mor.prima.multipoint_prima_reduce,
+of which prima_reduce is the one-point case)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ReductionError
-from repro.mor import multipoint_prima_reduce, prima_reduce
+from repro.linalg import OrthoStats
+from repro.mor import multipoint_prima_reduce, prima_reduce, prima_store_options
+from repro.store import ModelStore
 from repro.validation import count_matched_moments, max_relative_error
 
 
@@ -57,3 +60,33 @@ class TestMultipointPrima:
             multipoint_prima_reduce(rc_grid_system, 2, [])
         with pytest.raises(ReductionError):
             multipoint_prima_reduce(rc_grid_system, 0, [0.0])
+
+
+class TestMultipointPrimaStore:
+    def test_multipoint_round_trip(self, rc_grid_system, tmp_path):
+        points = [0.0, 1e8]
+        store = ModelStore(tmp_path)
+        fresh, _, _ = multipoint_prima_reduce(rc_grid_system, 2, points,
+                                              store=store)
+        loaded, stats, _ = multipoint_prima_reduce(rc_grid_system, 2,
+                                                   points, store=store)
+        assert store.stats().hits == 1
+        assert stats == OrthoStats()
+        assert loaded.s0 == fresh.s0 == points[0]
+        assert loaded.expansion_points == fresh.expansion_points == points
+        for name in ("C", "G", "B", "L"):
+            assert np.array_equal(getattr(fresh, name), getattr(loaded, name))
+
+    def test_one_point_store_options_pinned(self):
+        assert prima_store_options(3) == {
+            "n_moments": 3, "s0": 0j, "deflation_tol": 1e-12,
+            "keep_projection": False}
+        assert prima_store_options(2, [1e3], keep_projection=True,
+                                   recycle=True) == {
+            "n_moments": 2, "s0": 1e3 + 0j, "deflation_tol": 1e-12,
+            "keep_projection": True}
+
+    def test_multipoint_store_options(self):
+        assert prima_store_options(2, [0.0, 1e8]) == {
+            "n_moments": 2, "expansion_points": [0j, 1e8 + 0j],
+            "deflation_tol": 1e-12, "keep_projection": False}
