@@ -90,7 +90,6 @@ from repro.obs import (
     trace_span,
     tracing_enabled,
 )
-from repro.perf import default_registry, scoped_timer
 from repro.mor import (
     ReducedSystem,
     ReductionSummary,
@@ -182,7 +181,6 @@ __all__ = [
     "clear_default_cache",
     "count_matched_moments",
     "default_cache",
-    "default_registry",
     "disable_tracing",
     "dynamic_ir_drop",
     "dynamic_ir_drop_batch",
@@ -208,7 +206,6 @@ __all__ = [
     "relative_error_curve",
     "rom_structure_report",
     "save_artifact",
-    "scoped_timer",
     "span_tree_report",
     "svdmor_reduce",
     "to_chrome_trace",

@@ -53,7 +53,6 @@ from repro.obs.tracing import (
     enable_tracing,
     trace_span,
 )
-from repro.perf.timers import default_registry
 
 __all__ = ["SweepEngine", "AdaptiveSweepResult"]
 
@@ -154,12 +153,13 @@ def _thread_chunk_call(kernel, task, ctx):
 def _process_chunk_call(payload):
     """Run one chunk in a worker process and ship its telemetry home.
 
-    Process workers accumulate timers/counters/metrics into *their own*
-    process-local default registries, which historically died with the
-    pool.  This wrapper snapshots (and resets) those registries after the
-    kernel runs and returns ``(result, telemetry)`` so the parent can
-    merge them — and, when tracing is on, re-attaches the submitter's
-    span context so worker spans land under the dispatching span.
+    Process workers accumulate metrics (span timings included) into
+    *their own* process-local default registry, which would otherwise die
+    with the pool.  This wrapper snapshots (and resets) that registry and
+    drains the worker's finished spans after the kernel runs, returning
+    ``(result, {"metrics", "spans"})`` so the parent can merge them — and,
+    when tracing is on, re-attaches the submitter's span context so
+    worker spans land under the dispatching span.
     """
     kernel, task, ctx = payload
     if ctx is not None and ctx.enabled:
@@ -170,16 +170,22 @@ def _process_chunk_call(payload):
         with trace_span("engine.chunk", executor="process",
                         kernel=getattr(kernel, "__name__", str(kernel))):
             result = kernel(task)
-    registry = default_registry()
     metrics = default_metrics()
     telemetry = {
-        "perf": registry.snapshot(include_samples=True),
         "metrics": metrics.snapshot(),
         "spans": [span.as_dict() for span in drain_spans()],
     }
-    registry.reset()
     metrics.reset()
     return result, telemetry
+
+
+def _process_worker_init(capacity: int) -> None:
+    """Pool initializer: a fresh solver cache, and telemetry cleared of
+    whatever a forked worker inherited from the parent (shipping that
+    home would count the parent's spans twice)."""
+    process_worker_init(capacity)
+    default_metrics().reset()
+    drain_spans()
 
 
 # --------------------------------------------------------------------------- #
@@ -371,7 +377,7 @@ class SweepEngine:
             if self.executor == "process":
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.resolved_jobs(),
-                    initializer=process_worker_init,
+                    initializer=_process_worker_init,
                     initargs=(max(self.worker_cache_capacity, 1),))
             else:
                 self._pool = ThreadPoolExecutor(
@@ -406,8 +412,9 @@ class SweepEngine:
         Parallel dispatches capture the submitting trace context so
         worker spans re-attach to the dispatching span (threads *and*
         processes); process dispatches additionally merge each worker's
-        perf/metrics snapshots and finished spans back into the parent's
-        default registries, so per-chunk telemetry survives the pool.
+        metrics snapshot and finished spans back into the parent's
+        default registry and tracer, so per-chunk telemetry survives the
+        pool.
         """
         workers = min(self.resolved_jobs(), len(tasks))
         if workers <= 1:
@@ -417,15 +424,13 @@ class SweepEngine:
         if self.executor == "process":
             payloads = [(kernel, task, ctx) for task in tasks]
             outcomes = list(pool.map(_process_chunk_call, payloads))
-            registry = default_registry()
             metrics = default_metrics()
             tracer = default_tracer()
             results = []
             for result, telemetry in outcomes:
                 results.append(result)
-                registry.merge_snapshot(telemetry.get("perf") or {})
-                metrics.merge_snapshot(telemetry.get("metrics") or {})
-                tracer.ingest(telemetry.get("spans") or ())
+                metrics.merge_snapshot(telemetry["metrics"])
+                tracer.ingest(telemetry["spans"])
             return results
         return list(pool.map(
             lambda task: _thread_chunk_call(kernel, task, ctx), tasks))

@@ -67,10 +67,11 @@ script:
     ``query``, ``serve-bench`` and ``bench``.
 
 ``python -m repro stats --benchmark ckt1 --method bdsm --serve``
-    Same canned run, but print the collected counters, gauges and timer
-    histograms in the Prometheus text exposition format (``--out`` writes
-    the exposition to a file for a file-based scrape; ``--json-out``
-    writes the raw snapshots, re-renderable later via ``--from FILE``).
+    Same canned run, but print the collected counters, gauges and
+    histograms (span timings as ``repro_span_seconds{span=...}``) in the
+    Prometheus text exposition format (``--out`` writes the exposition to
+    a file for a file-based scrape; ``--json-out`` writes the raw metrics
+    snapshot, re-renderable later via ``--from FILE``).
 
 ``python -m repro trace --diff benchmarks/baselines/trace_profile.json --budget 20%``
     Trace-diff regression gating: roll the current run (or ``--from
@@ -469,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(hardware-portable, what CI uses)")
         else:
             obs_cmd.add_argument("--json-out", metavar="PATH", default=None,
-                                 help="also write the metrics+perf "
-                                      "snapshots as JSON (re-renderable "
+                                 help="also write the metrics "
+                                      "snapshot as JSON (re-renderable "
                                       "via `repro stats --from PATH`)")
 
     flight_cmd = sub.add_parser(
@@ -972,22 +973,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs import default_metrics
-    from repro.perf import default_registry
 
     if args.from_file is not None:
         try:
             document = json.loads(Path(args.from_file).read_text())
         except (OSError, ValueError) as exc:
             raise ValidationError(f"--from: {exc}") from exc
-        if not isinstance(document, dict):
+        metrics_snapshot = (document.get("metrics")
+                            if isinstance(document, dict) else None)
+        if not isinstance(metrics_snapshot, dict):
             raise ValidationError(
                 f"--from: {args.from_file} is not a stats snapshot "
-                "(expected a JSON object with 'metrics'/'perf' keys)")
-        metrics_snapshot = document.get("metrics") or {}
-        perf_snapshot = document.get("perf") or {}
+                "(expected a JSON object with a 'metrics' object)")
     else:
         default_metrics().reset()
-        default_registry().reset()
         enable_tracing()
         try:
             _run_observed(args)
@@ -995,8 +994,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             drain_spans()
             disable_tracing()
         metrics_snapshot = default_metrics().snapshot()
-        perf_snapshot = default_registry().snapshot()
-    text = to_prometheus(metrics_snapshot, perf_snapshot)
+    text = to_prometheus(metrics_snapshot)
     print(text, end="")
     if args.out is not None:
         path = Path(args.out)
@@ -1007,7 +1005,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         path = Path(args.json_out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
-            {"metrics": metrics_snapshot, "perf": perf_snapshot},
+            {"metrics": metrics_snapshot},
             indent=1, sort_keys=True, default=str) + "\n")
         print(f"stats snapshot written to {path}")
     return 0

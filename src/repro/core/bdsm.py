@@ -66,8 +66,7 @@ from repro.mor.base import (
     real_columns_per_input,
 )
 from repro.obs.health import begin_reduce_health, finish_reduce_health
-from repro.obs.tracing import traced
-from repro.perf.timers import scoped_timer
+from repro.obs.tracing import trace_span, traced
 
 __all__ = ["BDSMOptions", "bdsm_reduce", "bdsm_store_options",
            "multipoint_bdsm_reduce"]
@@ -276,13 +275,13 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
             if recycle:
                 for workspace in workspaces:
                     workspace.begin_shift()
-            with scoped_timer("bdsm.cluster_bases", point=str(point)):
+            with trace_span("bdsm.cluster_bases", point=str(point)):
                 _, point_stats, _ = column_clustered_krylov_bases(
                     operator, B_chunk, moments_per_point,
                     deflation_tol=opts.deflation_tol, workspaces=workspaces)
             chunk_stats.merge(point_stats)
         chunk_blocks: list[ROMBlock] = []
-        with scoped_timer("bdsm.project"):
+        with trace_span("bdsm.project"):
             for local_idx, port in enumerate(columns):
                 V_i = workspaces[local_idx].basis
                 chunk_blocks.append(ROMBlock(

@@ -686,7 +686,7 @@ def clear_default_cache() -> None:
 def process_worker_init(capacity: int = 32) -> None:
     """Install a fresh default cache in a worker process.
 
-    Passed as the ``initializer`` of a ``ProcessPoolExecutor`` (e.g. by
+    Run by the ``initializer`` of a ``ProcessPoolExecutor`` (e.g. by
     :class:`repro.analysis.engine.SweepEngine`) so each worker process gets
     its own empty :class:`FactorizationCache` instead of a fork-copied
     snapshot of the parent's: solver objects hold SuperLU handles that must

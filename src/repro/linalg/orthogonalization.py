@@ -214,8 +214,14 @@ def orthonormalize_against(
             stats.inner_products += n_cols
             stats.axpy_updates += n_cols
 
+    # Scale by the max-abs entry before the norm: squaring a tiny entry
+    # (|v| ~ 1e-161) underflows to a subnormal, and dividing by that
+    # inexact norm leaves a column visibly off unit length.
+    scale = float(np.max(np.abs(v)))
+    if scale > 0.0:
+        v = v / scale
     norm = float(np.linalg.norm(v))
-    if norm <= deflation_tol * original_norm:
+    if scale * norm <= deflation_tol * original_norm:
         stats.deflations += 1
         return None
     stats.normalizations += 1

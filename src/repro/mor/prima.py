@@ -50,8 +50,7 @@ from repro.mor.base import (
     real_columns_per_input,
 )
 from repro.obs.health import begin_reduce_health, finish_reduce_health
-from repro.obs.tracing import traced
-from repro.perf.timers import scoped_timer
+from repro.obs.tracing import trace_span, traced
 
 __all__ = ["congruence_project", "multipoint_prima_reduce", "prima_reduce",
            "prima_store_options"]
@@ -234,7 +233,7 @@ def multipoint_prima_reduce(system, moments_per_point: int,
                                    solver=solver)
         if recycle:
             workspace.begin_shift()
-        with scoped_timer("prima.krylov", point=str(point)):
+        with trace_span("prima.krylov", point=str(point)):
             krylov = block_krylov_basis(operator, system.B,
                                         moments_per_point,
                                         deflation_tol=deflation_tol,
@@ -243,7 +242,7 @@ def multipoint_prima_reduce(system, moments_per_point: int,
         solve_counts.append(operator.solve_count)
 
     method = "PRIMA" if single else "multipoint-PRIMA"
-    with scoped_timer("prima.project"):
+    with trace_span("prima.project"):
         rom = congruence_project(
             system, workspace.basis, method=method, s0=points[0],
             n_moments=moments_per_point, reusable=True,

@@ -6,11 +6,16 @@ time go".  It has two halves:
 * :mod:`repro.obs.tracing` — a hierarchical span tracer with contextvar
   parent propagation, explicit capture/attach hand-off across
   ``SweepEngine`` thread and process workers, exception-safe closing,
-  and a near-zero-cost disabled path (gated by the ``obs_overhead``
-  perf workload);
+  and a cheap disabled path (gated by the ``obs_overhead`` perf
+  workload);
 * :mod:`repro.obs.metrics` — counters, gauges and bounded-reservoir
   histograms, including the one shared percentile implementation that
-  :mod:`repro.perf.timers` and :mod:`repro.serve.stats` both build on.
+  :mod:`repro.serve.stats` builds on.
+
+The two meet in one place: every span close, tracing on or off, observes
+its duration into the ``span.seconds`` histogram labelled
+``span=<name>``.  That histogram is the only timing aggregate; process
+workers ship it home inside their metrics snapshot.
 
 Exporters (:mod:`repro.obs.export`) render either half as Chrome
 trace-event JSON (Perfetto), Prometheus text exposition, or an indented

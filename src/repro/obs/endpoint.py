@@ -5,7 +5,8 @@ live :class:`~repro.store.server.ModelServer` (or anything else) can
 attach to:
 
 * ``GET /metrics`` — the Prometheus text exposition of the injected
-  metrics/perf snapshots, scrapeable by a real monitoring stack;
+  metrics snapshot (span timings included), scrapeable by a real
+  monitoring stack;
 * ``GET /healthz`` — the watchdog verdict as JSON, HTTP 200 while the
   injected :class:`~repro.obs.health.HealthReport` is ``ok``/``warn``
   and 503 on ``fail`` — the shape load balancers and k8s probes expect;
@@ -13,8 +14,8 @@ attach to:
 
 Data sources are injected as zero-argument callables so the endpoint
 stays decoupled (and this module stays a stdlib-only leaf): the caller
-decides which registry, which perf snapshot and which health report a
-scrape sees, and each request pulls a fresh snapshot.
+decides which registry and which health report a scrape sees, and each
+request pulls a fresh snapshot.
 
 The server binds a daemon thread; ``port=0`` picks a free port (the
 bound one is on :attr:`TelemetryServer.port`).  Use as a context manager
@@ -53,8 +54,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond_metrics(self) -> None:
         owner = self.server.owner
         metrics = owner.metrics_fn() if owner.metrics_fn else None
-        perf = owner.perf_fn() if owner.perf_fn else None
-        text = to_prometheus(metrics, perf)
+        text = to_prometheus(metrics)
         self._respond(200, "text/plain; version=0.0.4", text)
 
     def _respond_health(self) -> None:
@@ -90,9 +90,8 @@ class TelemetryServer:
     """Background HTTP server exposing ``/metrics`` and ``/healthz``."""
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 metrics_fn=None, perf_fn=None, health_fn=None) -> None:
+                 metrics_fn=None, health_fn=None) -> None:
         self.metrics_fn = metrics_fn
-        self.perf_fn = perf_fn
         self.health_fn = health_fn
         self._httpd = _TelemetryHTTPServer((host, port), _Handler)
         self._httpd.owner = self

@@ -7,8 +7,8 @@ Three output formats, matching the three audiences:
   or ``chrome://tracing`` for interactive flame-chart inspection of a
   reduce or a serve-bench run;
 * :func:`to_prometheus` — the Prometheus text exposition format, for
-  scraping counters/gauges/histograms (plus the legacy perf timers) into
-  a monitoring stack;
+  scraping counters/gauges/histograms (span timings included) into a
+  monitoring stack;
 * :func:`span_tree_report` — a human-readable indented span tree for
   terminals, the quickest "where did the time go" view.
 
@@ -110,17 +110,14 @@ def _labels_text(labels: dict) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def to_prometheus(metrics_snapshot: dict | None = None,
-                  perf_snapshot: dict | None = None) -> str:
-    """Render snapshots in the Prometheus text exposition format.
+def to_prometheus(metrics_snapshot: dict | None = None) -> str:
+    """Render a :meth:`MetricsRegistry.snapshot
+    <repro.obs.metrics.MetricsRegistry.snapshot>` dict in the Prometheus
+    text exposition format.
 
-    ``metrics_snapshot`` is a :meth:`MetricsRegistry.snapshot
-    <repro.obs.metrics.MetricsRegistry.snapshot>` dict; histograms come
-    out as summaries (quantiles + ``_sum``/``_count``).
-    ``perf_snapshot`` is a legacy :meth:`PerfRegistry.snapshot
-    <repro.perf.timers.PerfRegistry.snapshot>` dict; timers come out as
-    ``repro_timer_*{scope="..."}`` series so existing instrumentation is
-    scrapeable without renaming.
+    Histograms come out as summaries (quantiles + ``_sum``/``_count``);
+    span timings are the ``span.seconds`` histogram, so they render as
+    ``repro_span_seconds{quantile="...",span="..."}``.
     """
     lines: list[str] = []
     snapshot = metrics_snapshot or {}
@@ -156,25 +153,6 @@ def to_prometheus(metrics_snapshot: dict | None = None,
                      f" {entry.get('total', 0.0):g}")
         lines.append(f"{name}_count{_labels_text(labels)}"
                      f" {entry.get('count', 0):g}")
-
-    perf = perf_snapshot or {}
-    for scope, stat in sorted((perf.get("timers") or {}).items()):
-        labels = _labels_text({"scope": scope})
-        for suffix, kind, key in (
-                ("repro_timer_seconds_total", "counter", "total_seconds"),
-                ("repro_timer_calls_total", "counter", "count")):
-            declare(suffix, kind)
-            lines.append(f"{suffix}{labels} {stat.get(key, 0):g}")
-        for key in ("p50_seconds", "p99_seconds"):
-            if key in stat:
-                name = f"repro_timer_{key}"
-                declare(name, "gauge")
-                lines.append(f"{name}{labels} {stat[key]:g}")
-    for scope, value in sorted((perf.get("counters") or {}).items()):
-        declare("repro_counter_total", "counter")
-        lines.append(
-            f"repro_counter_total{_labels_text({'scope': scope})}"
-            f" {value:g}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

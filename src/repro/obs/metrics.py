@@ -1,9 +1,9 @@
 """Unified metrics core: counters, gauges and reservoir histograms.
 
-This module is the single home of the percentile arithmetic that used to
-be duplicated between :mod:`repro.perf.timers` (flat timers without
-percentiles at all) and :mod:`repro.serve.stats` (a per-kind latency
-window with its own interpolation code).  Both now delegate here:
+This module is the single home of the library's aggregates and of the
+percentile arithmetic :mod:`repro.serve.stats` also builds on.  Span
+timings land here too: every span close observes the ``span.seconds``
+histogram (see :mod:`repro.obs.tracing`).
 
 * :func:`percentile` — linear-interpolated percentile of a sample list,
   pinned to ``0.0`` for the empty sample (serving dashboards expect a
@@ -251,9 +251,12 @@ class MetricsRegistry:
             metric.value += amount
 
     def observe(self, name: str, value: float, **labels) -> None:
-        histogram = self.histogram(name, **labels)
+        key = (name, _label_key(labels))
         with self._lock:
-            histogram.observe(value)
+            metric = self._histograms.get(key)
+            if metric is None:
+                metric = self._histograms[key] = Histogram(name, labels)
+            metric.reservoir.observe(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         with self._lock:

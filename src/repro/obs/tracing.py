@@ -9,11 +9,17 @@ blocks produce the right tree with no plumbing.
 
 Three properties drive the design:
 
-* **Near-zero overhead when disabled.**  ``trace_span()`` checks one
-  module-global boolean and returns a shared no-op singleton — no
-  allocation, no clock read, no contextvar touch.  The ``obs_overhead``
-  perf workload gates this (disabled-tracing overhead must stay <= 3 %
-  on a cold PRIMA reduce).
+* **Every span close is aggregated.**  Tracing on or off, a closing
+  span observes its duration into the ``span.seconds`` histogram of the
+  default :class:`~repro.obs.metrics.MetricsRegistry`, labelled
+  ``span=<name>`` only (tags never become labels, so keys and shift
+  values cannot grow the label set).  That histogram is the one timing
+  record ``repro bench``, ``repro stats`` and ``/metrics`` read.
+* **Cheap when disabled.**  ``trace_span()`` then returns a small
+  slotted timer — one clock read each way and one histogram observe, no
+  contextvar touch, no buffering.  The ``obs_overhead`` perf workload
+  gates this (disabled-tracing overhead must stay <= 3 % on a cold
+  PRIMA reduce).
 * **Exception safety.**  The span context manager always closes the span
   and flags ``status="error"`` (with the exception repr) on the way out
   of a raising block; the original exception propagates untouched.
@@ -23,9 +29,11 @@ Three properties drive the design:
   the worker re-attaches with :func:`attach_context`; worker spans then
   carry the submitting span as parent.  Process workers additionally
   ship their finished spans home as dicts for :meth:`Tracer.ingest`
-  (see ``SweepEngine``).
+  and their ``span.seconds`` histograms in the metrics snapshot (see
+  ``SweepEngine``), so ingesting does not observe again.
 
-Stdlib-only; any layer of the library may import this module.
+Stdlib plus :mod:`repro.obs.metrics`; any layer of the library may
+import this module.
 """
 
 from __future__ import annotations
@@ -39,7 +47,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import default_metrics
+
 __all__ = [
+    "SPAN_SECONDS",
     "Span",
     "TraceContext",
     "Tracer",
@@ -58,6 +69,12 @@ __all__ = [
 #: Finished spans kept in a tracer buffer before the oldest are dropped.
 #: Big enough for a full serve-bench run, small enough to never matter.
 DEFAULT_SPAN_BUFFER = 65536
+
+#: Histogram every span close observes its duration into (seconds),
+#: labelled ``span=<name>``.
+SPAN_SECONDS = "span.seconds"
+
+_METRICS = default_metrics()
 
 _id_counter = itertools.count(1)
 
@@ -115,22 +132,26 @@ class Span:
                     thread=data.get("thread", ""))
 
 
-class _NoopSpan:
-    """Shared do-nothing span returned while tracing is disabled."""
+class _TimedSpan:
+    """What ``trace_span`` returns while tracing is disabled: times the
+    block into ``span.seconds`` (also when it raises), keeps no record
+    and ignores tags."""
 
-    __slots__ = ()
+    __slots__ = ("name", "_t0")
 
-    def __enter__(self) -> "_NoopSpan":
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> "_TimedSpan":
+        self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        return None
+        _METRICS.observe(SPAN_SECONDS, time.perf_counter() - self._t0,
+                         span=self.name)
 
     def set_tag(self, key: str, value) -> None:
         return None
-
-
-_NOOP_SPAN = _NoopSpan()
 
 
 @dataclass(frozen=True)
@@ -177,6 +198,7 @@ class Tracer:
             record.duration = time.perf_counter() - record._t0
             self._current.reset(token)
             self._store(record)
+            _METRICS.observe(SPAN_SECONDS, record.duration, span=name)
 
     def _store(self, record: Span) -> None:
         with self._lock:
@@ -226,7 +248,8 @@ class Tracer:
 
     def ingest(self, span_dicts) -> None:
         """Fold spans shipped home from a worker (as dicts) into the
-        buffer."""
+        buffer.  Their durations are not observed again: the worker's
+        ``span.seconds`` histogram arrives in its metrics snapshot."""
         for data in span_dicts:
             self._store(Span.from_dict(data))
 
@@ -252,7 +275,8 @@ def enable_tracing() -> None:
 
 
 def disable_tracing() -> None:
-    """Turn span recording off (``trace_span`` reverts to the no-op)."""
+    """Turn span recording off (``trace_span`` reverts to the
+    aggregate-only timer)."""
     global _TRACING_ENABLED
     _TRACING_ENABLED = False
 
@@ -263,12 +287,14 @@ def tracing_enabled() -> bool:
 
 
 def trace_span(name: str, **tags):
-    """Open a span on the default tracer — or a shared no-op when
-    tracing is disabled.  This is the one call sprinkled through hot
-    paths, so the disabled branch does no allocation and reads no clock.
+    """Open a span on the default tracer — or, while tracing is
+    disabled, an aggregate-only timer.  Either way the close observes
+    the duration into ``span.seconds{span=name}``.  This is the one call
+    sprinkled through hot paths, so the disabled branch keeps no record
+    and touches no contextvar.
     """
     if not _TRACING_ENABLED:
-        return _NOOP_SPAN
+        return _TimedSpan(name)
     return _DEFAULT_TRACER.span(name, **tags)
 
 
@@ -299,8 +325,7 @@ def drain_spans() -> list[Span]:
 def traced(name: str, **tags):
     """Decorator opening a :func:`trace_span` named ``name`` around every
     call — the idiom for root spans on public entry points
-    (``bdsm.reduce``, ``prima.reduce``, ...).  Costs one boolean check
-    per call while tracing is disabled."""
+    (``bdsm.reduce``, ``prima.reduce``, ...)."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):

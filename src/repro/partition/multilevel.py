@@ -52,8 +52,7 @@ from repro.partition.reduce import (
     _shard_basis,
     partitioned_reduce,
 )
-from repro.obs.tracing import traced
-from repro.perf.timers import scoped_timer
+from repro.obs.tracing import trace_span, traced
 
 __all__ = ["multilevel_reduce"]
 
@@ -178,15 +177,15 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
     iface_opts = interface or PartitionedOptions()
 
     start = time.perf_counter()
-    with scoped_timer("partition.partition"):
+    with trace_span("partition.partition"):
         result = GridPartitioner(k=n_parts,
                                  strategy=partitioner).partition(system)
-    with scoped_timer("partition.extract"):
+    with trace_span("partition.extract"):
         subdomains, separator = extract_subdomains(system, result)
 
     interface_basis: InterfaceBasis | None = None
     if iface_opts.reduces_interface and separator.size:
-        with scoped_timer("partition.interface_basis"):
+        with trace_span("partition.interface_basis"):
             interface_basis = interface_krylov_basis(
                 subdomains, separator, iface_opts.interface_order,
                 s0=s0, tol=iface_opts.interface_tol, solver=opts.solver)
@@ -214,18 +213,18 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
                 basis = child_rom.global_basis()
                 children[subdomain.index] = dict(child_rom.partition_info,
                                                  size=child_rom.size)
-                with scoped_timer("partition.project"):
+                with trace_span("partition.project"):
                     reduced = _project_recursive(subdomain, child_rom,
                                                  basis, interface_basis)
                 if keep_projection:
                     reduced.basis = basis
                 return reduced, child_stats
-        with scoped_timer("partition.shard_reduce"):
+        with trace_span("partition.shard_reduce"):
             basis, stats = _shard_basis(method, subdomain, n_moments, s0,
                                         opts, budget, store, result,
                                         interface=iface_opts,
                                         basis_cache=basis_cache)
-        with scoped_timer("partition.project"):
+        with trace_span("partition.project"):
             reduced = _project_subdomain(subdomain, basis,
                                          interface_basis)
         if keep_projection:
@@ -268,7 +267,7 @@ partitioned_reduce`.  For ``levels > 1`` the system is partitioned into
                     interface_order=interface_basis.order,
                     interface_tol=interface_basis.tol)
 
-    with scoped_timer("partition.assemble"):
+    with trace_span("partition.assemble"):
         rom = PartitionedROM(
             reduced_subdomains,
             C_ss=C_ss, G_ss=G_ss, B_s=B_s, L_s=L_s,

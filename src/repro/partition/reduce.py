@@ -44,8 +44,7 @@ from repro.partition.interface import (
     interface_krylov_basis,
 )
 from repro.obs.health import begin_reduce_health, finish_reduce_health
-from repro.obs.tracing import traced
-from repro.perf.timers import scoped_timer
+from repro.obs.tracing import trace_span, traced
 
 __all__ = ["partitioned_reduce", "partitioned_store_options"]
 
@@ -382,15 +381,15 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
 
     start = time.perf_counter()
     health_mark = begin_reduce_health()
-    with scoped_timer("partition.partition"):
+    with trace_span("partition.partition"):
         result = GridPartitioner(k=n_parts,
                                  strategy=partitioner).partition(system)
-    with scoped_timer("partition.extract"):
+    with trace_span("partition.extract"):
         subdomains, separator = extract_subdomains(system, result)
 
     interface_basis: InterfaceBasis | None = None
     if iface_opts.reduces_interface and separator.size:
-        with scoped_timer("partition.interface_basis"):
+        with trace_span("partition.interface_basis"):
             interface_basis = interface_krylov_basis(
                 subdomains, separator, iface_opts.interface_order,
                 s0=s0, tol=iface_opts.interface_tol, solver=opts.solver)
@@ -399,12 +398,12 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
 
     def process(subdomain: Subdomain,
                 ) -> tuple[ReducedSubdomain, OrthoStats]:
-        with scoped_timer("partition.shard_reduce"):
+        with trace_span("partition.shard_reduce"):
             basis, stats = _shard_basis(method, subdomain, n_moments, s0,
                                         opts, budget, store, result,
                                         interface=iface_opts,
                                         basis_cache=basis_cache)
-        with scoped_timer("partition.project"):
+        with trace_span("partition.project"):
             reduced = _project_subdomain(subdomain, basis,
                                          interface_basis)
         if keep_projection:
@@ -445,7 +444,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
                     interface_order=interface_basis.order,
                     interface_tol=interface_basis.tol)
 
-    with scoped_timer("partition.assemble"):
+    with trace_span("partition.assemble"):
         rom = PartitionedROM(
             reduced_subdomains,
             C_ss=C_ss, G_ss=G_ss, B_s=B_s, L_s=L_s,

@@ -1,10 +1,11 @@
-"""Performance instrumentation and regression-gated benchmarking.
+"""Performance regression-gated benchmarking.
+
+Phase timings are not kept here: every ``trace_span`` close records its
+duration into the ``span.seconds`` histogram of
+:func:`repro.obs.default_metrics`, which is what the workloads read.
 
 Contents
 --------
-``timers``
-    Lightweight scoped timers/counters (:func:`scoped_timer`,
-    :class:`PerfRegistry`) the reduction hot paths record into.
 ``bench``
     :class:`BenchmarkRunner` — times named workloads, writes
     ``benchmarks/results/*.json`` payloads, and
@@ -12,9 +13,8 @@ Contents
     baseline.
 ``workloads``
     The named reduction workloads behind the ``repro bench`` CLI
-    subcommand (imported lazily by the CLI — not re-exported here, so the
-    instrumented reducers can import :mod:`repro.perf.timers` without a
-    cycle).
+    subcommand (imported lazily by the CLI — not re-exported here, so
+    plain ``import repro.perf`` stays light).
 """
 
 from repro.perf.bench import (
@@ -23,22 +23,10 @@ from repro.perf.bench import (
     format_workloads,
     load_results,
 )
-from repro.perf.timers import (
-    PerfRegistry,
-    TimerStat,
-    default_registry,
-    increment_counter,
-    scoped_timer,
-)
 
 __all__ = [
     "BenchmarkRunner",
-    "PerfRegistry",
-    "TimerStat",
     "check_regressions",
-    "default_registry",
     "format_workloads",
-    "increment_counter",
     "load_results",
-    "scoped_timer",
 ]

@@ -97,6 +97,7 @@ from repro.linalg.orthogonalization import (
 from repro.mor.prima import multipoint_prima_reduce, prima_reduce
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import (
+    SPAN_SECONDS,
     default_tracer,
     disable_tracing,
     enable_tracing,
@@ -109,7 +110,6 @@ from repro.partition import (
     partitioned_reduce,
 )
 from repro.perf.bench import BenchmarkRunner
-from repro.perf.timers import default_registry
 from repro.validation.error_metrics import rom_agreement_report
 
 __all__ = ["WORKLOADS", "run_workloads", "workload_names"]
@@ -590,12 +590,13 @@ def _obs_overhead(runner: BenchmarkRunner, benchmark: str,
     Two quantities are recorded:
 
     * the **disabled-path overhead** — the cost of every ``trace_span``
-      call site returning the shared no-op while tracing is off.  It is
-      measured deterministically: a microbenchmark prices one no-op span
-      entry/exit, the enabled run counts how many spans one cold reduce
-      opens, and the product over the untraced reduce time bounds the
-      fraction.  The workload *asserts* this stays within
-      ``OBS_OVERHEAD_BUDGET`` (3%) — tracing must be free when off;
+      call site while tracing is off (an aggregate-only timer feeding
+      ``span.seconds``).  It is measured deterministically: a
+      microbenchmark prices one disabled span entry/exit, the enabled
+      run counts how many spans one cold reduce opens, and the product
+      over the untraced reduce time bounds the fraction.  The workload
+      *asserts* this stays within ``OBS_OVERHEAD_BUDGET`` (3%) — tracing
+      must be near free when off;
     * the **enabled/disabled wall-clock ratio** as the recorded
       ``speedup`` (enabled over disabled, ~1.0), gated against the
       baseline so a regression in either path trips the perf check.
@@ -837,12 +838,11 @@ def workload_names() -> list[str]:
 
 
 def _workload_metrics() -> dict:
-    """JSON-ready attribution snapshot of one workload's run: per-scope
-    span totals (from the default perf registry) and cache hit rates
-    (from the default metrics registry)."""
-    perf = default_registry().snapshot()
+    """JSON-ready attribution snapshot of one workload's run, all from
+    the default metrics registry: per-span totals (the ``span.seconds``
+    histogram), counters and cache hit rates."""
     metrics = default_metrics().snapshot()
-    counters: dict[str, float] = dict(perf.get("counters") or {})
+    counters: dict[str, float] = {}
     for item in metrics.get("counters", ()):
         labels = ",".join(f"{k}={v}"
                           for k, v in sorted(item["labels"].items()))
@@ -860,9 +860,10 @@ def _workload_metrics() -> dict:
 
     out = {
         "span_totals": {
-            scope: {"count": stat["count"],
-                    "total_seconds": stat["total_seconds"]}
-            for scope, stat in (perf.get("timers") or {}).items()},
+            item["labels"]["span"]: {"count": item["count"],
+                                     "total_seconds": item["total"]}
+            for item in metrics.get("histograms", ())
+            if item["name"] == SPAN_SECONDS},
         "counters": counters,
     }
     for label, name in (("factorize_cache_hit_rate", "linalg.factorize.cache"),
@@ -892,7 +893,6 @@ def run_workloads(names=None, *, benchmark: str = DEFAULT_BENCHMARK,
     for name in selected:
         # Reset the process-wide telemetry so each workload's snapshot
         # attributes cache hits and span totals to *its* run only.
-        default_registry().reset()
         default_metrics().reset()
         entry = dict(WORKLOADS[name](runner, benchmark, scale))
         entry["metrics"] = _workload_metrics()

@@ -23,8 +23,8 @@ backward-compatible facade over these layers):
     failures into :class:`~repro.serve.executor.ServeError` instead of
     dropping them.
 ``stats`` (:mod:`repro.serve.stats`)
-    Per-kind latency/queue-depth/coalescing counters replacing the legacy
-    three-field server stats.
+    Per-kind request/error counts, latency, queue depth and coalescing
+    (``ModelServer.serving_stats()``).
 ``loadgen`` (:mod:`repro.serve.loadgen`)
     Deterministic mixed-traffic load generator behind ``repro serve-bench``
     and the ``serving_load`` perf workload.

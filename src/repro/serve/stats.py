@@ -1,8 +1,8 @@
 """Serving statistics: per-kind latency, queue depth and coalescing counters.
 
-This is the observability layer of the serving stack.  The legacy
-three-field :class:`~repro.store.server.ServerStats` only counted requests,
-errors and model loads; a traffic-scale front end needs to answer
+This is the observability layer of the serving stack
+(``ModelServer.serving_stats()``; model loads are counted by the
+registry's ``warm_stats()``).  A traffic-scale front end needs to answer
 operational questions — *what is the p99 sweep latency?  how deep is the
 queue?  how much work is the coalescer actually saving?* — so every planned
 batch records, per request kind:

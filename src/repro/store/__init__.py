@@ -31,12 +31,7 @@ from repro.store.artifacts import (
     save_artifact,
 )
 from repro.store.model_store import ModelStore, StoreEntry, StoreStats
-from repro.store.server import (
-    ModelServer,
-    QueryRequest,
-    ServeError,
-    ServerStats,
-)
+from repro.store.server import ModelServer, QueryRequest, ServeError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,7 +39,6 @@ __all__ = [
     "ModelStore",
     "QueryRequest",
     "ServeError",
-    "ServerStats",
     "StoreEntry",
     "StoreStats",
     "artifact_meta",

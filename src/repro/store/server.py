@@ -26,9 +26,8 @@ Since the layered refactor, :class:`ModelServer` is a thin facade over the
   :class:`~repro.analysis.engine.SweepEngine`, and scatters results back
   outside the locks;
 * the **stats** layer (:mod:`repro.serve.stats`) records per-kind
-  latency/queue-depth/coalescing counters (:meth:`serving_stats`), while
-  :meth:`stats` keeps returning the legacy three-field
-  :class:`ServerStats`.
+  latency/queue-depth/coalescing counters (:meth:`serving_stats`); the
+  registry's :meth:`warm_stats` counts model loads and warm-set hits.
 
 Concurrency model (unchanged): queries against one model are serialized by
 its lock (BlockDiagonalROM caches assembled matrices lazily; the lock makes
@@ -39,7 +38,6 @@ heavy sweeps are delegated to the shared engine.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +54,7 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.stats import ServingStats, StatsRecorder
 from repro.store.model_store import ModelStore
 
-__all__ = ["ModelServer", "QueryRequest", "ServerStats", "ServeError"]
-
-
-@dataclass
-class ServerStats:
-    """Legacy three-field request counters of one :class:`ModelServer`.
-
-    Kept for backward compatibility; :meth:`ModelServer.serving_stats`
-    exposes the full per-kind latency/queue/coalescing breakdown.
-    """
-
-    requests: int = 0
-    errors: int = 0
-    models_loaded: int = 0
+__all__ = ["ModelServer", "QueryRequest", "ServeError"]
 
 
 class ModelServer:
@@ -102,7 +87,7 @@ class ModelServer:
         :class:`~repro.obs.endpoint.TelemetryServer` sidecar on
         ``127.0.0.1:<metrics_port>`` (0 picks a free port; read it back
         from ``server.telemetry.port``) serving ``/metrics`` (Prometheus
-        text: the default metrics registry plus the perf-timer snapshot)
+        text of the default metrics registry, span timings included)
         and ``/healthz`` (the :meth:`health` verdict as JSON, HTTP 503 on
         ``fail``).  The sidecar is closed by :meth:`close`.
     """
@@ -126,11 +111,9 @@ class ModelServer:
         self.telemetry: TelemetryServer | None = None
         if metrics_port is not None:
             from repro.obs.metrics import default_metrics
-            from repro.perf.timers import default_registry
             self.telemetry = TelemetryServer(
                 port=int(metrics_port),
                 metrics_fn=lambda: default_metrics().snapshot(),
-                perf_fn=lambda: default_registry().snapshot(),
                 health_fn=lambda: self.health().as_dict())
             self.telemetry.start()
 
@@ -245,14 +228,6 @@ class ModelServer:
                         else self.planner.coalesce):
             plan = planner.plan(requests)
             return self.executor.execute(plan)
-
-    def stats(self) -> ServerStats:
-        """Legacy request/error/load counters of this server."""
-        serving = self._recorder.snapshot()
-        registry = self.registry.stats()
-        return ServerStats(requests=serving.requests,
-                           errors=serving.errors,
-                           models_loaded=registry.loads)
 
     def serving_stats(self) -> ServingStats:
         """Per-kind latency/queue-depth/coalescing statistics."""

@@ -355,8 +355,23 @@ class TestObservabilityCLI:
         assert main(["stats", "--json-out", str(dump)]) == 0
         capsys.readouterr()
         payload = json.loads(dump.read_text())
-        assert set(payload) >= {"metrics", "perf"}
+        assert set(payload) == {"metrics"}
         assert main(["stats", "--from", str(dump)]) == 0
+
+    @pytest.mark.parametrize("document", [{}, {"perf": {"timers": {}}},
+                                          {"metrics": []}, []])
+    def test_stats_from_without_metrics_object_is_typed_error(
+            self, capsys, tmp_path, document):
+        # A ValidationError, reported as a clean exit 1 — not an empty
+        # exposition with exit 0.
+        import json
+        dump = tmp_path / "stats.json"
+        dump.write_text(json.dumps(document))
+        assert main(["stats", "--from", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --from:")
+        assert "'metrics' object" in captured.err
 
     def test_ledger_flag_records_and_obs_report_reads(self, capsys,
                                                       tmp_path):

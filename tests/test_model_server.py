@@ -63,7 +63,7 @@ class TestRegistry:
     def test_warm_names_entries(self, warm_server):
         assert warm_server.models() == ["ckt1-smoke/BDSM",
                                         "ckt1-smoke/PRIMA"]
-        assert warm_server.stats().models_loaded == 2
+        assert warm_server.warm_stats().loads == 2
 
     def test_load_by_path(self, bdsm_rom, tmp_path):
         path = save_artifact(bdsm_rom, tmp_path / "rom.npz")
@@ -155,7 +155,7 @@ class TestConcurrentServing:
         for request, result in zip(requests, results):
             direct = warm_server.transfer(request.model, s_values)
             assert np.array_equal(result, direct)
-        assert warm_server.stats().requests == len(requests)
+        assert warm_server.serving_stats().requests == len(requests)
 
     def test_many_threads_one_model(self, bdsm_rom):
         """Concurrent queries against a single model must serialize through
@@ -214,7 +214,7 @@ class TestConcurrentServing:
             QueryRequest("transfer", "nope", {"s_values": [1j]}))
         with pytest.raises(ValidationError):
             future.result()
-        assert warm_server.stats().errors == 1
+        assert warm_server.serving_stats().errors == 1
 
     def test_context_manager_closes_pool(self, bdsm_rom):
         with ModelServer() as server:

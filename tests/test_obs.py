@@ -4,9 +4,9 @@ Covers the span tracer (nesting/parent attribution, exception safety, the
 disabled no-op path, bounded buffers), explicit context propagation across
 ``SweepEngine`` thread *and* process workers (with bit-identity of the
 traced numerics), process-worker telemetry merging back into the parent
-registries, the shared Reservoir/percentile core that both
-``repro.perf.timers`` and ``repro.serve.stats`` build on, the three
-exporters (Chrome trace-event JSON, Prometheus text exposition, span-tree
+registries, the ``span.seconds`` aggregate every span close feeds
+(tracing on or off), the shared Reservoir/percentile core that
+``repro.serve.stats`` builds on, the three exporters (Chrome trace-event JSON, Prometheus text exposition, span-tree
 report), the serve-stack span topology of a coalesced batch, and the
 committed ``obs_overhead`` acceptance JSON.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,7 @@ from repro.obs import (
     traced,
     tracing_enabled,
 )
-from repro.obs.tracing import _NOOP_SPAN, attach_context
-from repro.perf.timers import PerfRegistry, TimerStat, default_registry
+from repro.obs.tracing import SPAN_SECONDS, attach_context
 from repro.serve.stats import KindStats
 
 
@@ -110,14 +110,16 @@ class TestSpans:
             pass
         assert after.parent_id is None
 
-    def test_disabled_path_is_shared_noop(self):
+    def test_disabled_path_keeps_no_record_but_times(self):
         disable_tracing()
         assert not tracing_enabled()
-        span = trace_span("ignored", tag=1)
-        assert span is _NOOP_SPAN
-        with span as s:
+        metrics = default_metrics()
+        metrics.reset()
+        with trace_span("ignored", tag=1) as s:
             s.set_tag("still", "ignored")
         assert drain_spans() == []
+        assert _span_counts(metrics) == {"ignored": 1}
+        metrics.reset()
 
     def test_traced_decorator_wraps_calls(self, tracing):
         @traced("unit.work", flavor="test")
@@ -206,34 +208,65 @@ class TestContextPropagation:
 def _instrumented_scenario(k: int) -> int:
     """Module-level (picklable) worker body carrying telemetry."""
     from repro.obs import default_metrics
-    from repro.perf import scoped_timer
 
-    with scoped_timer("worker.payload"):
+    with trace_span("worker.payload", k=k):
         default_metrics().increment("worker.calls", parity=str(k % 2))
     return k * k
 
 
+def _span_histograms(metrics) -> dict:
+    return {e["labels"]["span"]: e for e in metrics.snapshot()["histograms"]
+            if e["name"] == SPAN_SECONDS}
+
+
+def _span_counts(metrics) -> dict:
+    return {span: e["count"] for span, e in _span_histograms(metrics).items()}
+
+
 class TestWorkerTelemetryMerge:
     def test_process_worker_counters_and_timers_merge(self):
-        registry = default_registry()
         metrics = default_metrics()
-        registry.reset()
         metrics.reset()
         with SweepEngine(jobs=2, executor="process") as engine:
             out = engine.map_scenarios(_instrumented_scenario,
                                        list(range(6)))
         assert out == [k * k for k in range(6)]
-        stat = registry.timers()["worker.payload"]
-        assert stat.count == 6
-        assert stat.total_seconds > 0.0
-        assert stat.p99_seconds >= stat.p50_seconds >= 0.0
+        stat = _span_histograms(metrics)["worker.payload"]
+        assert stat["count"] == 6
+        assert stat["total"] > 0.0
+        assert stat["p99"] >= stat["p50"] >= 0.0
         counts = {tuple(sorted(e["labels"].items())): e["value"]
                   for e in metrics.snapshot()["counters"]
                   if e["name"] == "worker.calls"}
         assert counts[(("parity", "0"),)] == 3
         assert counts[(("parity", "1"),)] == 3
-        registry.reset()
         metrics.reset()
+
+    @pytest.mark.parametrize("traced_run", [False, True])
+    def test_process_fan_out_counts_each_span_once(self, traced_run):
+        # Workers ship span.seconds inside their metrics snapshot and the
+        # parent ingests their spans without observing them again, so the
+        # count is exact with tracing off and on.  The second engine's
+        # workers fork from a parent that already holds 6 observations;
+        # they must not ship those home again.
+        metrics = default_metrics()
+        metrics.reset()
+        drain_spans()
+        if traced_run:
+            enable_tracing()
+        try:
+            for expected in (6, 12):
+                with SweepEngine(jobs=2, executor="process") as engine:
+                    engine.map_scenarios(_instrumented_scenario,
+                                         list(range(6)))
+                counts = _span_counts(metrics)
+                assert counts["worker.payload"] == expected
+            spans = _by_name(drain_spans(), "worker.payload")
+            assert len(spans) == (12 if traced_run else 0)
+        finally:
+            disable_tracing()
+            drain_spans()
+            metrics.reset()
 
 
 # --------------------------------------------------------------------- #
@@ -244,6 +277,11 @@ class TestReservoir:
         assert percentile([], 50) == 0.0
         r = Reservoir()
         assert r.p50 == 0.0 and r.p99 == 0.0
+
+    def test_kind_stats_empty_percentiles_are_zero(self):
+        stats = KindStats()
+        assert stats.p50 == 0.0
+        assert stats.p99 == 0.0
 
     def test_percentile_interpolates(self):
         samples = [1.0, 2.0, 3.0, 4.0]
@@ -301,31 +339,80 @@ class TestMetricsRegistry:
         assert gauge["value"] == 7
 
 
-class TestFacades:
-    def test_timer_stat_exposes_percentiles(self):
-        stat = TimerStat()
+class TestSpanAggregate:
+    """``span.seconds``: the one timing record, fed by every span close."""
+
+    @pytest.fixture()
+    def metrics(self):
+        metrics = default_metrics()
+        metrics.reset()
+        yield metrics
+        disable_tracing()
+        drain_spans()
+        metrics.reset()
+
+    @pytest.mark.parametrize("traced_run", [False, True])
+    def test_duration_recorded_when_block_raises(self, metrics, traced_run):
+        if traced_run:
+            enable_tracing()
+        with pytest.raises(RuntimeError):
+            with trace_span("broken"):
+                raise RuntimeError("boom")
+        (entry,) = _span_histograms(metrics).values()
+        assert entry["labels"] == {"span": "broken"}
+        assert entry["count"] == 1 and entry["total"] >= 0.0
+
+    def test_counts_exact_under_threads(self, metrics):
+        def work():
+            for _ in range(200):
+                with trace_span("t"):
+                    pass
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert _span_counts(metrics) == {"t": 800}
+
+    def test_percentiles(self, metrics):
         for v in (0.1, 0.2, 0.3):
-            stat.record(v)
-        d = stat.as_dict()
-        assert d["p50_seconds"] == pytest.approx(0.2)
-        assert d["p99_seconds"] == pytest.approx(0.3, rel=0.02)
-        assert TimerStat().as_dict()["p50_seconds"] == 0.0
+            metrics.observe(SPAN_SECONDS, v, span="phase")
+        entry = _span_histograms(metrics)["phase"]
+        assert entry["p50"] == pytest.approx(0.2)
+        assert entry["p99"] == pytest.approx(0.3, rel=0.02)
 
-    def test_perf_registry_merge_snapshot(self):
-        a, b = PerfRegistry(), PerfRegistry()
-        with b.timer("phase"):
+    def test_snapshot_merge_and_reset(self, metrics):
+        with trace_span("phase"):
             pass
-        b.increment("widgets", 3)
-        a.merge_snapshot(b.snapshot(include_samples=True))
-        stat = a.timers()["phase"]
-        assert stat.count == 1
-        assert len(stat.reservoir.samples()) == 1
-        assert a.counters()["widgets"] == 3
+        snap = metrics.snapshot()
+        json.dumps(snap)  # what crosses process boundaries and --json-out
+        other = MetricsRegistry()
+        other.merge_snapshot(snap)
+        (merged,) = other.snapshot()["histograms"]
+        assert merged["count"] == 1 and len(merged["samples"]) == 1
+        metrics.reset()
+        assert metrics.snapshot() == {"counters": [], "gauges": [],
+                                      "histograms": []}
 
-    def test_kind_stats_empty_percentiles_are_zero(self):
-        stats = KindStats()
-        assert stats.p50 == 0.0
-        assert stats.p99 == 0.0
+    def test_tags_never_become_labels(self, metrics):
+        for key in ("a", "b", "c"):
+            with trace_span("store.get", key=key):
+                pass
+        enable_tracing()
+        with trace_span("store.get", key="d"):
+            pass
+        assert _span_counts(metrics) == {"store.get": 4}
+
+    def test_ingest_does_not_observe(self, metrics):
+        tracer = Tracer()
+        with tracer.span("remote"):
+            pass
+        shipped = [span.as_dict() for span in tracer.drain()]
+        metrics.reset()
+        tracer.ingest(shipped)
+        assert len(tracer.spans()) == 1
+        assert _span_counts(metrics) == {}
 
 
 # --------------------------------------------------------------------- #
@@ -360,16 +447,16 @@ class TestExporters:
         metrics.increment("store.fetch", result="hit")
         metrics.set_gauge("queue.depth", 3)
         metrics.observe("latency", 0.5)
-        perf = PerfRegistry()
-        with perf.timer("bdsm.project"):
-            pass
-        text = to_prometheus(metrics.snapshot(), perf.snapshot())
+        metrics.observe(SPAN_SECONDS, 0.25, span="bdsm.project")
+        text = to_prometheus(metrics.snapshot())
         assert '# TYPE repro_store_fetch_total counter' in text
         assert 'repro_store_fetch_total{result="hit"} 1' in text
         assert 'repro_queue_depth 3' in text
         assert 'repro_latency{quantile="0.5"} 0.5' in text
         assert 'repro_latency_count 1' in text
-        assert 'repro_timer_calls_total{scope="bdsm.project"} 1' in text
+        assert 'repro_span_seconds_count{span="bdsm.project"} 1' in text
+        assert ('repro_span_seconds{quantile="0.5",span="bdsm.project"}'
+                ' 0.25') in text
         # every sample line's metric name was TYPE-declared
         declared = {line.split()[2] for line in text.splitlines()
                     if line.startswith("# TYPE")}
@@ -401,10 +488,9 @@ class TestExporters:
         assert span_tree_report([]) == "(no spans recorded)\n"
 
     def test_prometheus_empty_snapshots_are_empty(self):
-        assert to_prometheus(None, None) == ""
-        assert to_prometheus({}, {}) == ""
-        assert to_prometheus(MetricsRegistry().snapshot(),
-                             PerfRegistry().snapshot()) == ""
+        assert to_prometheus(None) == ""
+        assert to_prometheus({}) == ""
+        assert to_prometheus(MetricsRegistry().snapshot()) == ""
 
     def test_prometheus_escapes_label_newlines(self):
         # Regression: an unescaped newline in a label value splits the

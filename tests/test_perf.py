@@ -1,96 +1,32 @@
-"""Tests for the repro.perf subsystem (timers, bench runner, workloads)."""
+"""Tests for the repro.perf subsystem (span timings, bench runner,
+workloads)."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.perf import (
-    BenchmarkRunner,
-    PerfRegistry,
-    check_regressions,
-    default_registry,
-    increment_counter,
-    load_results,
-    scoped_timer,
-)
+from repro.obs import default_metrics
+from repro.perf import BenchmarkRunner, check_regressions, load_results
 from repro.perf.bench import format_workloads, write_results
-from repro.perf.workloads import run_workloads, workload_names
+from repro.perf.workloads import _workload_metrics, run_workloads, workload_names
 
 
-class TestPerfRegistry:
-    def test_timer_records_durations(self):
-        registry = PerfRegistry()
-        with registry.timer("work"):
-            pass
-        with registry.timer("work"):
-            pass
-        stat = registry.timers()["work"]
-        assert stat.count == 2
-        assert stat.total_seconds >= 0.0
-        assert stat.min_seconds <= stat.max_seconds
-        assert stat.mean_seconds == pytest.approx(stat.total_seconds / 2)
-
-    def test_timer_records_on_exception(self):
-        registry = PerfRegistry()
-        with pytest.raises(RuntimeError):
-            with registry.timer("broken"):
-                raise RuntimeError("boom")
-        assert registry.timers()["broken"].count == 1
-
-    def test_counters(self):
-        registry = PerfRegistry()
-        registry.increment("solves")
-        registry.increment("solves", 4)
-        assert registry.counters() == {"solves": 5}
-
-    def test_snapshot_and_reset(self):
-        registry = PerfRegistry()
-        with registry.timer("t"):
-            pass
-        registry.increment("c", 2)
-        snap = registry.snapshot()
-        assert snap["timers"]["t"]["count"] == 1
-        assert snap["counters"] == {"c": 2}
-        json.dumps(snap)  # snapshot must be JSON-serialisable
-        registry.reset()
-        assert registry.snapshot() == {"timers": {}, "counters": {}}
-
-    def test_thread_safety(self):
-        registry = PerfRegistry()
-
-        def work():
-            for _ in range(200):
-                registry.increment("n")
-                registry.record_timer("t", 1e-9)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert registry.counters()["n"] == 800
-        assert registry.timers()["t"].count == 800
-
-    def test_module_level_helpers_use_default_registry(self):
-        registry = default_registry()
-        before = registry.counters().get("perf-test-counter", 0)
-        increment_counter("perf-test-counter")
-        with scoped_timer("perf-test-timer"):
-            pass
-        assert registry.counters()["perf-test-counter"] == before + 1
-        assert registry.timers()["perf-test-timer"].count >= 1
-
-    def test_reducers_record_into_default_registry(self, rc_grid_system):
+class TestSpanTimings:
+    def test_reducers_record_span_timings(self, rc_grid_system):
+        # The reducers' phase spans feed span.seconds with tracing off;
+        # the bench payload's span_totals read that histogram.
         from repro.core.bdsm import bdsm_reduce
-        registry = default_registry()
-        before = registry.timers().get("bdsm.cluster_bases")
-        before_count = before.count if before else 0
+        metrics = default_metrics()
+        metrics.reset()
         bdsm_reduce(rc_grid_system, 2)
-        after = registry.timers()["bdsm.cluster_bases"]
-        assert after.count > before_count
+        totals = _workload_metrics()["span_totals"]
+        assert totals["bdsm.cluster_bases"]["count"] >= 1
+        assert totals["bdsm.cluster_bases"]["total_seconds"] > 0.0
+        assert totals["bdsm.project"]["count"] == 1
+        assert totals["bdsm.reduce"]["count"] == 1
+        metrics.reset()
 
 
 class TestBenchmarkRunner:

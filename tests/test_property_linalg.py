@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for the linear-algebra substrate."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,12 +66,24 @@ class TestGramSchmidtProperties:
 
     @SETTINGS
     @given(candidate_matrix_pairs())
+    # A first basis built from a ~1e-161 column: its norm squared is
+    # subnormal, so an unscaled normalisation misses unit length and the
+    # second basis comes out 3.6e-6 off orthogonal.
+    @example((np.array([[2.96e-161], [0.0], [0.0], [0.0]]),
+              np.array([[1.0], [1.0], [0.0], [0.0]])))
     def test_two_stage_orthogonality(self, pair):
         first, second = pair
         basis_a, _ = modified_gram_schmidt(first)
         basis_b, _ = modified_gram_schmidt(second, initial_basis=basis_a)
         if basis_a.shape[1] and basis_b.shape[1]:
             assert np.allclose(basis_a.T @ basis_b, 0.0, atol=1e-8)
+
+
+def test_tiny_column_normalises_to_unit_norm():
+    tiny = np.array([[2.96e-161], [0.0], [0.0], [0.0]])
+    basis, stats = modified_gram_schmidt(tiny)
+    assert basis.shape == (4, 1) and stats.deflations == 0
+    assert np.linalg.norm(basis[:, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCostFormulaProperties:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,25 @@ class TestPackageSurface:
                     continue
                 offenders += [f"{path.name}: {name}" for name in names
                               if name.startswith("repro.analysis")]
+        assert offenders == []
+
+    def test_obs_imports_only_stdlib_and_itself(self):
+        # repro.obs promises to be a stdlib-only leaf every layer can
+        # import; inside it, tracing may import metrics and so on.
+        obs_dir = Path(importlib.import_module("repro.obs").__file__).parent
+        offenders = []
+        for path in sorted(obs_dir.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue  # relative imports stay inside repro.obs
+                offenders += [
+                    f"{path.name}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names
+                    and not (name + ".").startswith("repro.obs.")]
         assert offenders == []
 
     def test_public_callables_have_docstrings(self):

@@ -327,10 +327,10 @@ class TestFailureAggregation:
 
     def test_errors_counted_per_failed_request(self, warm_server):
         bad = QueryRequest("transfer", "ghost", {"s_values": S_POINTS})
-        before = warm_server.stats().errors
+        before = warm_server.serving_stats().errors
         with pytest.raises(ServeError):
             warm_server.serve([bad, bad])
-        assert warm_server.stats().errors == before + 2
+        assert warm_server.serving_stats().errors == before + 2
 
 
 # --------------------------------------------------------------------- #
@@ -358,10 +358,10 @@ class TestServingStats:
 
     def test_direct_methods_do_not_count_requests(self, warm_server):
         name = warm_server.models()[0]
-        before = warm_server.stats().requests
+        before = warm_server.serving_stats().requests
         warm_server.transfer(name, S_POINTS)
         warm_server.sweep(name, n_points=5)
-        assert warm_server.stats().requests == before
+        assert warm_server.serving_stats().requests == before
 
     def test_queue_depth_returns_to_zero(self, warm_server):
         name = warm_server.models()[0]
