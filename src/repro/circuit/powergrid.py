@@ -25,7 +25,7 @@ inputs, so the generator additionally supports *multi-domain* scenarios:
 
 :func:`make_multidomain_spec` builds a ready-made heterogeneous scenario
 (four quadrant regions with different R/C densities plus a central
-blockage) used by the partition tests, the ``partitioned_cold`` perf
+blockage) used by the partition tests, the ``partitioned_scaled`` perf
 workload and ``examples/partitioned_reduce.py``.
 """
 

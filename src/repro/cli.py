@@ -23,7 +23,10 @@ script:
     Schur-complement-aware Krylov basis spans 4 global moments on the
     interface, every shard's promoted interface inputs are compressed
     through it, and ``--levels 2`` re-partitions each shard recursively
-    (:func:`repro.partition.multilevel_reduce`).
+    (:func:`repro.partition.multilevel_reduce`, the one partitioned driver;
+    ``--levels 1`` is plain ``partitioned_reduce``).  A shard too small to
+    split again is reduced directly, and under ``--health`` that shows as a
+    ``partition.recursion_fallback`` warn.
 
 ``python -m repro sweep --benchmark ckt1 --moments 6 --output 1 --port 2``
     Print the Fig. 5 style frequency sweep (full model vs BDSM and PRIMA)

@@ -85,6 +85,10 @@ DEFAULT_THRESHOLDS: dict[str, dict] = {
     # interface-reduction SVD truncation throws away.  Thresholds are
     # passed by the call site relative to its --interface-tol.
     "interface.svd_tail": {},
+    # One check per shard a multilevel reduce could not split again and
+    # reduced directly instead (value 1): the hierarchy is shallower than
+    # asked for there, so every such fallback is a warn.
+    "partition.recursion_fallback": {"warn_at": 0.0},
     # Serving SLOs (per request kind, seconds / queue entries / rate).
     "serve.p99_seconds": {"warn_at": 0.5, "fail_at": 2.0},
     "serve.queue_depth": {"warn_at": 32, "fail_at": 256},

@@ -17,8 +17,10 @@ are preserved exactly.  The macromodel answers every
 frequency sweeps, transient, IR drop) through an interface Schur
 complement, so downstream analyses never notice the sharding.
 
-Entry point: :func:`~repro.partition.reduce.partitioned_reduce`, or the
-CLI's ``repro reduce --partitions K --partitioner NAME``.
+Entry points: :func:`~repro.partition.reduce.partitioned_reduce` and its
+recursive generalisation :func:`~repro.partition.reduce.multilevel_reduce`
+(one driver body; ``partitioned_reduce`` is the ``levels=1`` case), or the
+CLI's ``repro reduce --partitions K --partitioner NAME [--levels L]``.
 """
 
 from repro.partition.assemble import PartitionedROM, ReducedSubdomain
@@ -41,8 +43,8 @@ from repro.partition.interface import (
     compress_subdomain,
     interface_krylov_basis,
 )
-from repro.partition.multilevel import multilevel_reduce
 from repro.partition.reduce import (
+    multilevel_reduce,
     partitioned_reduce,
     partitioned_store_options,
 )

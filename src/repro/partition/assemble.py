@@ -403,9 +403,10 @@ class PartitionedROM:
         orthonormal because the blocks occupy disjoint rows.
 
         This is what lets a macromodel act as a *shard of the next level*
-        in :func:`~repro.partition.multilevel.multilevel_reduce`: the
-        parent projects its blocks with this basis exactly as it would
-        with a directly computed shard basis.
+        in :func:`~repro.partition.reduce.multilevel_reduce`: the
+        parent projects the shard's couplings, inputs and outputs with
+        this basis, as it would with a directly computed shard basis,
+        and takes the shard's reduced ``C``/``G`` from this macromodel.
 
         Requires the reduction to have been run with
         ``keep_projection=True`` (per-shard bases) and the index maps the

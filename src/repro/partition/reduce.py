@@ -1,4 +1,4 @@
-"""Partitioned hierarchical reduction driver.
+"""The partitioned reduction driver, one level or many.
 
 :func:`partitioned_reduce` is the partitioned counterpart of
 :func:`~repro.core.bdsm.bdsm_reduce`: it shards the grid with a
@@ -8,6 +8,19 @@ a PRIMA block basis), optionally fanning the per-shard reductions over a
 :class:`~repro.analysis.engine.SweepEngine` worker pool, and reassembles
 the reduced pieces into a coupled
 :class:`~repro.partition.assemble.PartitionedROM`.
+
+:func:`multilevel_reduce` applies that construction *recursively*
+(nested-dissection style): each shard large enough to split is itself
+partitioned, reduced and reassembled, and the child macromodel's global
+congruence basis
+(:meth:`~repro.partition.assemble.PartitionedROM.global_basis`) becomes
+the parent's projection basis for that shard.  Every level is a congruence
+projection with an orthonormal block-diagonal basis, so the composition is
+again a congruence projection of the full pencil and keeps the
+structure-preserving properties of one level at every depth.  Shards below
+``min_states`` stop recursing — partitioning a tiny shard would drown it
+in separator states.  :func:`partitioned_reduce` is its one-level case:
+both run the same body.
 
 Per-shard reductions can be memoized through a
 :class:`~repro.store.ModelStore`: the store key combines the shard's
@@ -43,13 +56,23 @@ from repro.partition.interface import (
     compress_subdomain,
     interface_krylov_basis,
 )
-from repro.obs.health import begin_reduce_health, finish_reduce_health
+from repro.obs.health import (
+    begin_reduce_health,
+    default_health,
+    finish_reduce_health,
+    health_enabled,
+)
 from repro.obs.tracing import trace_span, traced
 
-__all__ = ["partitioned_reduce", "partitioned_store_options"]
+__all__ = ["multilevel_reduce", "partitioned_reduce",
+           "partitioned_store_options"]
 
 #: Shard reducers accepted by :func:`partitioned_reduce`.
 _METHODS = ("bdsm", "prima")
+
+#: Shards smaller than this stop recursing and are reduced directly: the
+#: separator of a tiny shard would swallow a large fraction of its states.
+MIN_RECURSION_STATES = 256
 
 
 def partitioned_store_options(n_moments: int, *, s0: complex = 0.0,
@@ -227,9 +250,10 @@ def _merge_cluster_bases(columns: list[np.ndarray], deflation_tol: float,
     return np.ascontiguousarray(Q[:, :rank]), stats
 
 
-def _project_subdomain(subdomain: Subdomain, basis: np.ndarray,
+def _project_subdomain(subdomain: Subdomain,
+                       basis: np.ndarray | sp.spmatrix,
                        interface_basis: InterfaceBasis | None = None,
-                       ) -> ReducedSubdomain:
+                       pencil=None) -> ReducedSubdomain:
     """Congruence-project one shard and its interface couplings.
 
     Works entirely from the blocks sliced once at extraction (the shard
@@ -241,43 +265,46 @@ def _project_subdomain(subdomain: Subdomain, basis: np.ndarray,
     With a reduced separator basis ``W`` the couplings are projected on
     both sides (``V^T C[int, sep] W`` etc.), completing the global
     congruence with ``blkdiag(V_1, ..., V_k, W)``.
+
+    ``pencil`` is the ``(C, G)`` pair of a recursively reduced shard's
+    child macromodel, whose sparse ``basis`` is the child's
+    :meth:`~repro.partition.assemble.PartitionedROM.global_basis`.  The
+    child already *is* that congruence projection of the shard pencil,
+    so its blocks are used as is: re-projecting with the wide basis would
+    redo the two most expensive products of the level in non-BLAS sparse
+    kernels.  Only the thin coupling, input and output products remain.
     """
     V = basis
     q = V.shape[1]
+    if pencil is None:
+        pencil = (V.T @ (subdomain.system.C @ V),
+                  V.T @ (subdomain.system.G @ V))
+    C, G = pencil
     if interface_basis is None:
         n_s = subdomain.C_is.shape[1]
-        return ReducedSubdomain(
-            index=subdomain.index,
-            C=V.T @ (subdomain.system.C @ V),
-            G=V.T @ (subdomain.system.G @ V),
-            Ec=(subdomain.C_is.T @ V).T if n_s else np.zeros((q, 0)),
-            Eg=(subdomain.G_is.T @ V).T if n_s else np.zeros((q, 0)),
-            Fc=subdomain.C_si @ V if n_s else np.zeros((0, q)),
-            Fg=subdomain.G_si @ V if n_s else np.zeros((0, q)),
-            B=(subdomain.B_rows.T @ V).T,
-            L=subdomain.system.L @ V,
-        )
-    W = interface_basis.W
-    r_s = W.shape[1]
+        Ec = (subdomain.C_is.T @ V).T if n_s else np.zeros((q, 0))
+        Eg = (subdomain.G_is.T @ V).T if n_s else np.zeros((q, 0))
+        Fc = subdomain.C_si @ V if n_s else np.zeros((0, q))
+        Fg = subdomain.G_si @ V if n_s else np.zeros((0, q))
+    else:
+        W = interface_basis.W
+        r_s = W.shape[1]
 
-    def dense(product) -> np.ndarray:
-        # Multilevel shard bases are sparse, so coupling products can come
-        # out sparse; the two-sided projection below needs ndarrays.
-        return (product.toarray() if sp.issparse(product)
-                else np.asarray(product))
+        def dense(product) -> np.ndarray:
+            # A recursive shard basis is sparse, so coupling products can
+            # come out sparse; the two-sided projection needs ndarrays.
+            return (product.toarray() if sp.issparse(product)
+                    else np.asarray(product))
 
+        Ec = (V.T @ (subdomain.C_is @ W) if r_s else np.zeros((q, 0)))
+        Eg = (V.T @ (subdomain.G_is @ W) if r_s else np.zeros((q, 0)))
+        Fc = (W.T @ dense(subdomain.C_si @ V) if r_s
+              else np.zeros((0, q)))
+        Fg = (W.T @ dense(subdomain.G_si @ V) if r_s
+              else np.zeros((0, q)))
+    # ReducedSubdomain densifies every block, sparse products included.
     return ReducedSubdomain(
-        index=subdomain.index,
-        C=V.T @ (subdomain.system.C @ V),
-        G=V.T @ (subdomain.system.G @ V),
-        Ec=(dense(V.T @ (subdomain.C_is @ W)) if r_s
-            else np.zeros((q, 0))),
-        Eg=(dense(V.T @ (subdomain.G_is @ W)) if r_s
-            else np.zeros((q, 0))),
-        Fc=(W.T @ dense(subdomain.C_si @ V) if r_s
-            else np.zeros((0, q))),
-        Fg=(W.T @ dense(subdomain.G_si @ V) if r_s
-            else np.zeros((0, q))),
+        index=subdomain.index, C=C, G=G, Ec=Ec, Eg=Eg, Fc=Fc, Fg=Fg,
         B=(subdomain.B_rows.T @ V).T,
         L=subdomain.system.L @ V,
     )
@@ -360,6 +387,84 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         The coupled macromodel, aggregated orthonormalisation counts
         across all shards, and the wall-clock build time in seconds.
     """
+    return _reduce(system, n_moments, levels=1,
+                   min_states=MIN_RECURSION_STATES, s0=s0, n_parts=n_parts,
+                   partitioner=partitioner, method=method, options=options,
+                   interface=interface, engine=engine, n_workers=n_workers,
+                   budget=budget, store=store,
+                   keep_projection=keep_projection, recycle=recycle,
+                   basis_cache=basis_cache)
+
+
+@traced("partition.multilevel_reduce")
+def multilevel_reduce(system, n_moments: int, *, levels: int = 1,
+                      s0: complex = 0.0, n_parts: int = 4,
+                      partitioner: str = "bfs", method: str = "bdsm",
+                      options: BDSMOptions | None = None,
+                      interface: PartitionedOptions | None = None,
+                      engine: SweepEngine | None = None,
+                      n_workers: int = 1,
+                      budget: ResourceBudget | None = None,
+                      store=None, keep_projection: bool = False,
+                      min_states: int = MIN_RECURSION_STATES,
+                      recycle: bool = False,
+                      basis_cache: ShardBasisCache | None = None,
+                      ) -> tuple[PartitionedROM, OrthoStats, float]:
+    """Recursively partitioned reduction, ``levels`` deep.
+
+    ``levels=1`` is exactly :func:`partitioned_reduce`.  For ``levels > 1``
+    the system is partitioned into ``n_parts`` subdomains and each shard
+    large enough to be worth splitting (``>= min_states`` states) is
+    reduced by a recursive call one level shallower; its macromodel's
+    :meth:`~repro.partition.assemble.PartitionedROM.global_basis` is the
+    shard's projection basis at this level.  Small shards are reduced
+    directly.  A shard whose recursive call raises
+    :class:`~repro.exceptions.PartitionError` (too small or irregular to
+    split again) is reduced directly too; with the health monitors on,
+    that records a ``partition.recursion_fallback`` warn naming the shard.
+
+    All accuracy knobs (``n_moments``, ``s0``, ``interface``) apply at
+    *every* level; the worker fan-out (``engine`` / ``n_workers``) applies
+    to the top level only — recursive calls run serially inside their
+    worker so the pool is never oversubscribed.
+
+    Returns the same ``(rom, stats, seconds)`` triple as
+    :func:`partitioned_reduce`; for ``levels > 1``, ``rom.partition_info``
+    also carries ``levels`` and one summary per recursively reduced child.
+
+    With ``recycle=True`` one :class:`~repro.linalg.recycle.ShardBasisCache`
+    is shared by the whole hierarchy — sibling shards at this level and
+    every shard of every recursive call below it — so content-identical
+    shards anywhere in the tree pay for one Krylov build.
+    """
+    return _reduce(system, n_moments, levels=levels, min_states=min_states,
+                   s0=s0, n_parts=n_parts, partitioner=partitioner,
+                   method=method, options=options, interface=interface,
+                   engine=engine, n_workers=n_workers, budget=budget,
+                   store=store, keep_projection=keep_projection,
+                   recycle=recycle, basis_cache=basis_cache)
+
+
+def _reduce(system, n_moments: int, *, levels: int, min_states: int,
+            s0: complex, n_parts: int, partitioner: str, method: str,
+            options: BDSMOptions | None,
+            interface: PartitionedOptions | None,
+            engine: SweepEngine | None, n_workers: int,
+            budget: ResourceBudget | None, store, keep_projection: bool,
+            recycle: bool, basis_cache: ShardBasisCache | None,
+            ) -> tuple[PartitionedROM, OrthoStats, float]:
+    """The one partitioned driver body; see :func:`multilevel_reduce`.
+
+    Partitions, extracts, reduces the interface, fans the shards out,
+    merges their stats and assembles.  With ``levels > 1`` a shard of at
+    least ``max(min_states, 2 * n_parts)`` states is reduced by a
+    recursive :func:`multilevel_reduce` one level shallower; every other
+    shard takes the direct :func:`_shard_basis` path.
+    """
+    if levels < 1:
+        raise PartitionError("levels must be >= 1")
+    if min_states < 1:
+        raise PartitionError("min_states must be >= 1")
     if n_moments < 1:
         raise PartitionError("n_moments must be >= 1")
     method = str(method).lower()
@@ -376,8 +481,8 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
     budget = budget or ResourceBudget.unlimited()
     if basis_cache is None and recycle:
         basis_cache = ShardBasisCache()
-
     iface_opts = interface or PartitionedOptions()
+    label = f"partitioned-{method.upper()}"
 
     start = time.perf_counter()
     health_mark = begin_reduce_health()
@@ -396,16 +501,44 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
             subdomains = [compress_subdomain(sub, interface_basis)
                           for sub in subdomains]
 
+    children: list[dict | None] = [None] * len(subdomains)
+
     def process(subdomain: Subdomain,
                 ) -> tuple[ReducedSubdomain, OrthoStats]:
-        with trace_span("partition.shard_reduce"):
-            basis, stats = _shard_basis(method, subdomain, n_moments, s0,
-                                        opts, budget, store, result,
-                                        interface=iface_opts,
-                                        basis_cache=basis_cache)
+        basis = pencil = None
+        if levels > 1 and subdomain.size >= max(min_states, 2 * n_parts):
+            # Recursive calls run serially inside this worker, so the
+            # pool is never oversubscribed.
+            try:
+                child_rom, stats, _ = multilevel_reduce(
+                    subdomain.system, n_moments, levels=levels - 1, s0=s0,
+                    n_parts=n_parts, partitioner=partitioner,
+                    method=method, options=options, interface=interface,
+                    budget=budget, store=store, keep_projection=True,
+                    min_states=min_states, basis_cache=basis_cache)
+            except PartitionError as exc:
+                # The shard is too small/irregular to split again (e.g. a
+                # part swallowed whole by its separator): reduce it
+                # directly instead of failing the whole hierarchy.
+                if health_enabled():
+                    default_health().record(
+                        "partition.recursion_fallback", 1.0, method=label,
+                        detail=(f"shard {subdomain.index} ({subdomain.size}"
+                                f" states) reduced directly: {exc}"))
+            else:
+                basis = child_rom.global_basis()
+                pencil = (child_rom.C, child_rom.G)
+                children[subdomain.index] = dict(child_rom.partition_info,
+                                                 size=child_rom.size)
+        if basis is None:
+            with trace_span("partition.shard_reduce"):
+                basis, stats = _shard_basis(method, subdomain, n_moments,
+                                            s0, opts, budget, store, result,
+                                            interface=iface_opts,
+                                            basis_cache=basis_cache)
         with trace_span("partition.project"):
-            reduced = _project_subdomain(subdomain, basis,
-                                         interface_basis)
+            reduced = _project_subdomain(subdomain, basis, interface_basis,
+                                         pencil)
         if keep_projection:
             reduced.basis = basis
         return reduced, stats
@@ -429,6 +562,9 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         stats.merge(shard_stats)
 
     info = result.describe()
+    if levels > 1:
+        info["levels"] = int(levels)
+        info["children"] = [child for child in children if child is not None]
     if basis_cache is not None:
         info["shard_basis_cache"] = basis_cache.describe()
     if interface_basis is None:
@@ -444,6 +580,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
                     interface_order=interface_basis.order,
                     interface_tol=interface_basis.tol)
 
+    tag = "P" if levels == 1 else f"ML{levels}"
     with trace_span("partition.assemble"):
         rom = PartitionedROM(
             reduced_subdomains,
@@ -452,13 +589,13 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
             partition_info=info,
             original_size=int(to_csr(system.C).shape[0]),
             original_ports=int(to_csr(system.B).shape[1]),
-            name=f"{getattr(system, 'name', 'system')}-P{method.upper()}",
+            name=(f"{getattr(system, 'name', 'system')}"
+                  f"-{tag}{method.upper()}"),
             output_names=list(getattr(system, "output_names", []) or []),
             internal_indices=[sub.internal for sub in subdomains],
             interface_indices=separator.indices,
             interface_basis=(None if interface_basis is None
                              else interface_basis.W),
         )
-    finish_reduce_health(health_mark, rom, stats,
-                         method=f"partitioned-{method.upper()}")
+    finish_reduce_health(health_mark, rom, stats, method=label)
     return rom, stats, time.perf_counter() - start

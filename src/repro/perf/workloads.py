@@ -11,18 +11,6 @@ the CI gate enforces:
     MGS reference on one PRIMA-style global candidate block (``m*l``
     Krylov candidates of the grid).  The reducers always run the blocked
     kernel; column-wise MGS survives only here and as the test oracle.
-``bdsm_pooled_clusters``
-    Cold BDSM serial vs. per-cluster chunks fanned over a thread-pool
-    :class:`~repro.analysis.engine.SweepEngine`.  Recorded but never gated
-    — pool speedups depend on the runner's core count.
-``partitioned_cold``
-    Cold partitioned reduction (``repro.partition``: shard, reduce the
-    subdomains over a thread pool, reassemble) vs. the cold monolithic
-    BDSM reduction of the same heterogeneous multi-domain grid, plus the
-    partitioned-vs-monolithic transfer-function agreement.  Recorded to
-    the main results payload *and* to
-    ``benchmarks/results/partitioned_reduce.json``; never gated (pool
-    speedups and interface fractions are machine- and grid-dependent).
 ``partitioned_scaled``
     Cold interface-reduced multilevel partitioned reduction
     (:func:`~repro.partition.multilevel_reduce` with a reduced separator
@@ -76,17 +64,15 @@ the CI gate enforces:
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.engine import SweepEngine
 from repro.circuit.benchmarks import BENCHMARKS, make_benchmark
 from repro.circuit.mna import assemble_mna
 from repro.circuit.powergrid import build_power_grid, make_multidomain_spec
-from repro.core.bdsm import BDSMOptions, bdsm_reduce, multipoint_bdsm_reduce
+from repro.core.bdsm import bdsm_reduce, multipoint_bdsm_reduce
 from repro.exceptions import ValidationError
 from repro.linalg.backends import clear_default_cache
 from repro.linalg.krylov import ShiftedOperator, krylov_candidate_blocks
@@ -104,26 +90,11 @@ from repro.obs.tracing import (
     trace_span,
     tracing_enabled,
 )
-from repro.partition import (
-    PartitionedOptions,
-    multilevel_reduce,
-    partitioned_reduce,
-)
+from repro.partition import PartitionedOptions, multilevel_reduce
 from repro.perf.bench import BenchmarkRunner
 from repro.validation.error_metrics import rom_agreement_report
 
 __all__ = ["WORKLOADS", "run_workloads", "workload_names"]
-
-#: Where the partitioned-vs-monolithic trajectory is recorded (the
-#: acceptance artifact of the partitioned-reduction subsystem).
-PARTITIONED_RESULTS_PATH = Path("benchmarks/results/partitioned_reduce.json")
-
-#: Multi-domain grids of the ``partitioned_cold`` workload per scale:
-#: (rows, cols, n_ports, n_parts, n_moments).
-_PARTITIONED_GRIDS = {
-    "smoke": (32, 32, 12, 4, 3),
-    "laptop": (64, 64, 24, 4, 4),
-}
 
 #: Where the interface-reduced multilevel trajectory is recorded, merged
 #: per scale (the acceptance artifact of the interface-reduction PR).
@@ -189,97 +160,6 @@ def _ortho_blocked_vs_columnwise(runner: BenchmarkRunner, benchmark: str,
         "rank_blocked": int(rank_blocked),
         "rank_columnwise": int(rank_columnwise),
     }
-
-
-def _bdsm_pooled(runner: BenchmarkRunner, benchmark: str, scale: str) -> dict:
-    system, n_moments = _grid(benchmark, scale)
-    jobs = min(4, os.cpu_count() or 1)
-
-    serial = runner.time_callable(
-        lambda: bdsm_reduce(system, n_moments, options=BDSMOptions()),
-        setup=clear_default_cache)
-    with SweepEngine(jobs=jobs) as engine:
-        options = BDSMOptions(engine=engine)  # reducer auto-chunks
-        pooled = runner.time_callable(
-            lambda: bdsm_reduce(system, n_moments, options=options),
-            setup=clear_default_cache)
-    return {
-        "seconds": pooled,
-        "baseline_seconds": serial,
-        "speedup": serial / pooled,
-        # Pool speedups depend on the machine's core count — recorded for
-        # the trajectory, never gated.
-        "gate": False,
-        "grid": system.name,
-        "jobs": int(jobs),
-    }
-
-
-def _partitioned_cold(runner: BenchmarkRunner, benchmark: str,
-                      scale: str) -> dict:
-    """Partitioned vs. monolithic cold reduce on a multi-domain grid.
-
-    Runs on its own heterogeneous grid (four R/C domains plus a central
-    blockage void, see
-    :func:`~repro.circuit.powergrid.make_multidomain_spec`) rather than
-    the homogeneous ``benchmark`` mesh — sharding is only interesting
-    when the subdomains differ.  ``benchmark`` still labels the payload.
-    """
-    rows, cols, n_ports, n_parts, n_moments = _PARTITIONED_GRIDS.get(
-        scale, _PARTITIONED_GRIDS["laptop"])
-    spec = make_multidomain_spec(rows, cols, n_ports, seed=3,
-                                 name=f"multidomain-{rows}x{cols}-{scale}")
-    system = assemble_mna(build_power_grid(spec))
-    jobs = min(n_parts, os.cpu_count() or 1)
-
-    # The timed closures capture their last ROM so the agreement report
-    # below reuses it instead of paying a fourth reduction of each kind.
-    roms: dict[str, object] = {}
-
-    def run_monolithic():
-        roms["monolithic"] = bdsm_reduce(system, n_moments)[0]
-
-    monolithic = runner.time_callable(run_monolithic,
-                                      setup=clear_default_cache)
-    with SweepEngine(jobs=jobs) as engine:
-        def run_partitioned():
-            roms["partitioned"] = partitioned_reduce(
-                system, n_moments, n_parts=n_parts, engine=engine)[0]
-
-        partitioned = runner.time_callable(run_partitioned,
-                                           setup=clear_default_cache)
-
-    mono_rom = roms["monolithic"]
-    part_rom = roms["partitioned"]
-    agreement = rom_agreement_report(mono_rom, part_rom,
-                                     np.logspace(5, 9, 7))
-    entry = {
-        "seconds": partitioned,
-        "baseline_seconds": monolithic,
-        "speedup": monolithic / partitioned,
-        # Interface overhead vs. pool speedup is machine- and
-        # grid-dependent — recorded for the trajectory, never gated.
-        "gate": False,
-        "grid": system.name,
-        "n": int(system.size),
-        "ports": int(system.n_ports),
-        "n_moments": int(n_moments),
-        "n_parts": int(n_parts),
-        "jobs": int(jobs),
-        "partition": part_rom.partition_info,
-        "macromodel_size": int(part_rom.size),
-        "monolithic_size": int(mono_rom.size),
-        "max_rel_error_vs_monolithic": agreement["max_rel_error"],
-    }
-    payload = {
-        "schema": 1,
-        "scale": scale,
-        "workloads": {"partitioned_cold": entry},
-    }
-    PARTITIONED_RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    PARTITIONED_RESULTS_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return entry
 
 
 def _partitioned_scaled(runner: BenchmarkRunner, benchmark: str,
@@ -822,8 +702,6 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
 #: Registry of the named workloads (name -> fn(runner, benchmark, scale)).
 WORKLOADS = {
     "ortho_blocked_vs_columnwise": _ortho_blocked_vs_columnwise,
-    "bdsm_pooled_clusters": _bdsm_pooled,
-    "partitioned_cold": _partitioned_cold,
     "partitioned_scaled": _partitioned_scaled,
     "serving_load": _serving_load_recorded,
     "multipoint_recycle": _multipoint_recycle,

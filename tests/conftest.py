@@ -12,6 +12,22 @@ from repro.circuit import (
     build_power_grid,
     make_benchmark,
 )
+from repro.obs.health import (
+    default_health,
+    disable_health_monitors,
+    enable_health_monitors,
+)
+
+
+@pytest.fixture()
+def monitors():
+    """Enable health monitoring for one test, leaving the process clean."""
+    registry = default_health()
+    registry.reset()
+    enable_health_monitors()
+    yield registry
+    disable_health_monitors()
+    registry.reset()
 
 
 @pytest.fixture(scope="session")

@@ -297,6 +297,28 @@ class TestPartitionedReduceCommand:
         assert code == 1
         assert "--partitions" in capsys.readouterr().err
 
+    def test_multilevel_reduce_prints_levels(self, capsys):
+        code = main(["reduce", "--benchmark", "ckt2", "--moments", "3",
+                     "--partitions", "4", "--levels", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "4x bfs" in out
+        assert "2 levels" in out
+
+    def test_multilevel_rejects_zero_levels(self, capsys):
+        code = main(["reduce", "--benchmark", "ckt2", "--moments", "3",
+                     "--partitions", "4", "--levels", "0"])
+        assert code == 1
+        assert "error: --levels must be >= 1" in capsys.readouterr().err
+
+    def test_multilevel_requires_partitions(self, capsys):
+        code = main(["reduce", "--benchmark", "ckt2", "--moments", "3",
+                     "--levels", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --levels")
+        assert "--partitions" in err
+
 
 class TestObservabilityCLI:
     @staticmethod

@@ -40,9 +40,6 @@ from repro.obs.health import (
     HealthReport,
     begin_reduce_health,
     classify,
-    default_health,
-    disable_health_monitors,
-    enable_health_monitors,
     finish_reduce_health,
     health_enabled,
 )
@@ -53,17 +50,6 @@ from repro.obs.ledger import (
     summarize_ledger,
 )
 from repro.obs.metrics import MetricsRegistry
-
-
-@pytest.fixture()
-def monitors():
-    """Enable health monitoring for one test, leaving the process clean."""
-    registry = default_health()
-    registry.reset()
-    enable_health_monitors()
-    yield registry
-    disable_health_monitors()
-    registry.reset()
 
 
 # --------------------------------------------------------------------- #

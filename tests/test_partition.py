@@ -3,6 +3,8 @@
 interface-port promotion, the parallel shard driver, and the coupled
 :class:`~repro.partition.assemble.PartitionedROM` macromodel."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,6 +27,7 @@ from repro.partition import (
     PartitionedROM,
     available_partitioners,
     extract_subdomains,
+    multilevel_reduce,
     partitioned_reduce,
     partitioned_store_options,
     register_partitioner,
@@ -207,13 +210,20 @@ class TestPartitionedReduce:
                 partitioned_reduce(smoke_benchmark, 2, n_parts=2,
                                    engine=engine)
 
-    def test_bad_arguments(self, smoke_benchmark):
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_bad_arguments(self, smoke_benchmark, levels):
+        """The same typed error at every depth: at ``levels=2`` the shards
+        recurse, so a bad argument must be caught before any shard
+        reducer sees it."""
+        reduce = (partitioned_reduce if levels == 1 else
+                  functools.partial(multilevel_reduce, levels=levels,
+                                    min_states=16))
+        with pytest.raises(PartitionError, match="n_moments"):
+            reduce(smoke_benchmark, 0, n_parts=2)
         with pytest.raises(PartitionError):
-            partitioned_reduce(smoke_benchmark, 0, n_parts=2)
+            reduce(smoke_benchmark, 2, method="svdmor")
         with pytest.raises(PartitionError):
-            partitioned_reduce(smoke_benchmark, 2, method="svdmor")
-        with pytest.raises(PartitionError):
-            partitioned_reduce(smoke_benchmark, 2, n_parts=2, n_workers=0)
+            reduce(smoke_benchmark, 2, n_parts=2, n_workers=0)
 
     def test_store_memoizes_shards(self, smoke_benchmark, tmp_path):
         store = ModelStore(tmp_path / "store")

@@ -20,9 +20,11 @@ Four families of guarantees are enforced here:
   both hierarchy depths, an interface-reduced reduce tracks the monolithic
   BDSM ROM within the configured interface error budget.
 
-Plus the satellite regressions: edge cases of the interface-reduction
-path, partition-aware store keys (including a fresh-process reload), and
-the agreement-report densification guard.
+Plus the satellite regressions: health reports at every depth (a
+``partition.recursion_fallback`` warn per shard that could not be split
+again), edge cases of the interface-reduction path, partition-aware store
+keys (including a fresh-process reload), and the agreement-report
+densification guard.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.circuit.mna import assemble_mna
 from repro.circuit.powergrid import build_power_grid, make_multidomain_spec
 from repro.core.bdsm import bdsm_reduce
 from repro.exceptions import PartitionError
+from repro.obs.health import default_health
 from repro.partition import (
     GridPartitioner,
     InterfaceBasis,
@@ -298,6 +301,53 @@ class TestInterfaceErrorBudget:
             gram = basis.W.T @ basis.W
             assert np.allclose(gram, np.eye(basis.size), atol=1e-10)
         assert sizes == sorted(sizes)
+
+
+# --------------------------------------------------------------------------- #
+# Health monitors at every depth
+# --------------------------------------------------------------------------- #
+#: The TestInterfaceErrorBudget config in which every shard (95-110 states)
+#: is too small to split again, so the two-level reduce falls back to one.
+FALLBACK_CONFIG = dict(levels=2, n_parts=4, partitioner="natural",
+                       min_states=64,
+                       interface=PartitionedOptions(
+                           interface_order=INTERFACE_ORDER,
+                           interface_tol=INTERFACE_TOL))
+
+
+class TestMultilevelHealth:
+    def test_two_level_rom_carries_its_own_health_check(
+            self, smoke_benchmark, monitors):
+        rom, _, _ = multilevel_reduce(smoke_benchmark, 3, levels=2,
+                                      n_parts=2, min_states=16)
+        assert rom.partition_info["children"]
+        own = rom.health.checks[-1]
+        assert own.monitor == "reduce.deflation_rate"
+        assert own.labels == {"method": "partitioned-BDSM"}
+        assert f"kept={rom.size}" in own.detail
+
+    def test_recursion_fallback_warns_once_per_shard(
+            self, conformance_system, monitors):
+        rom, _, _ = multilevel_reduce(conformance_system, INTERFACE_ORDER,
+                                      **FALLBACK_CONFIG)
+        assert rom.partition_info["children"] == []
+        fallbacks = [check for check in rom.health.checks
+                     if check.monitor == "partition.recursion_fallback"]
+        assert [check.status for check in fallbacks] == ["warn"] * 4
+        assert rom.health.status == "warn"
+        details = sorted(check.detail for check in fallbacks)
+        for index, detail in enumerate(details):
+            assert detail.startswith(f"shard {index} (")
+            assert " states) reduced directly: " in detail
+
+    def test_fallback_records_nothing_with_monitors_off(
+            self, conformance_system):
+        monitors = default_health()
+        before = len(monitors)
+        rom, _, _ = multilevel_reduce(conformance_system, INTERFACE_ORDER,
+                                      **FALLBACK_CONFIG)
+        assert len(monitors) == before
+        assert not hasattr(rom, "health")
 
 
 # --------------------------------------------------------------------------- #

@@ -148,7 +148,7 @@ class TestWorkloads:
     def test_workload_names_stable(self):
         names = workload_names()
         assert "ortho_blocked_vs_columnwise" in names
-        assert "bdsm_pooled_clusters" in names
+        assert "partitioned_scaled" in names
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValidationError):
