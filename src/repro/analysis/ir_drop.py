@@ -77,6 +77,8 @@ def ir_drop_analysis(system, load_currents: np.ndarray, *,
                      solver: SolverOptions | None = None) -> IRDropResult:
     """Static IR-drop: solve ``-G x = B i_load`` and read the observed nodes.
 
+    The one-scenario case of :func:`ir_drop_batch`.
+
     Parameters
     ----------
     system:
@@ -91,19 +93,10 @@ def ir_drop_analysis(system, load_currents: np.ndarray, *,
         solve (an analysis right after a reduction at ``s0 = 0`` reuses the
         cached pencil factorisation).
     """
-    loads = np.asarray(load_currents, dtype=float).reshape(-1)
-    m = system.B.shape[1]
-    if loads.shape[0] != m:
-        raise SimulationError(
-            f"expected {m} load currents, got {loads.shape[0]}")
-    op = ShiftedOperator(system.C, system.G, s0=0.0, solver=solver)
-    rhs = system.B @ loads
-    rhs = np.asarray(rhs).reshape(-1)
-    x = np.asarray(op.solve(rhs)).reshape(-1)
-    y = np.asarray(system.L @ x).reshape(-1)
-    names = list(getattr(system, "output_names", []) or [])
-    return IRDropResult(node_names=names, voltages=y,
-                        reference_voltage=reference_voltage)
+    loads = np.asarray(load_currents, dtype=float).reshape(1, -1)
+    return ir_drop_batch(system, loads,
+                         reference_voltage=reference_voltage,
+                         solver=solver)[0]
 
 
 def ir_drop_batch(system, load_scenarios, *,
@@ -130,9 +123,12 @@ def ir_drop_batch(system, load_scenarios, *,
 
     Returns
     -------
-    One :class:`IRDropResult` per scenario, in input order; each is
-    numerically identical to running :func:`ir_drop_analysis` on that
-    scenario alone.
+    One :class:`IRDropResult` per scenario, in input order.
+
+    Raises
+    ------
+    SimulationError
+        On a wrong shape, an empty batch or non-finite load currents.
     """
     loads = np.atleast_2d(np.asarray(load_scenarios, dtype=float))
     m = system.B.shape[1]
@@ -141,6 +137,8 @@ def ir_drop_batch(system, load_scenarios, *,
             f"expected load scenarios of shape (K, {m}), got {loads.shape}")
     if loads.shape[0] == 0:
         raise SimulationError("need at least one load scenario")
+    if not np.all(np.isfinite(loads)):
+        raise SimulationError("load currents must be finite")
     op = ShiftedOperator(system.C, system.G, s0=0.0, solver=solver)
     rhs = np.asarray(system.B @ loads.T)
     X = np.asarray(op.solve(rhs))
@@ -161,37 +159,28 @@ def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
     Runs a transient simulation and reports, per observed node, the largest
     sag seen at any time point.  Because the analysis only touches the
     descriptor interface, swapping the full model for a BDSM ROM changes
-    nothing except the runtime.
+    nothing except the runtime.  The one-scenario case of
+    :func:`dynamic_ir_drop_batch`.
     """
-    transient = TransientAnalysis(t_stop=t_stop, dt=dt, method=method,
-                                  solver=solver)
-    result = transient.run(system, sources)
-    worst_deviation = result.outputs.min(axis=1)
-    names = list(getattr(system, "output_names", []) or [])
-    return IRDropResult(node_names=names, voltages=worst_deviation,
-                        reference_voltage=reference_voltage)
+    return dynamic_ir_drop_batch(system, [sources], t_stop=t_stop, dt=dt,
+                                 reference_voltage=reference_voltage,
+                                 method=method, solver=solver)[0]
 
 
 def dynamic_ir_drop_batch(system, scenario_banks, *, t_stop: float,
                           dt: float, reference_voltage: float = 1.0,
                           method: str = "backward_euler",
                           solver: SolverOptions | None = None,
-                          mode: str = "stacked",
-                          engine=None) -> list[IRDropResult]:
+                          ) -> list[IRDropResult]:
     """Worst-case dynamic IR drop for a batch of source corners.
 
     All corners share the transient stepping pencil, so the underlying
-    :meth:`~repro.analysis.transient.TransientAnalysis.run_batch` either
-    steps them together with one multi-RHS solve per time point
-    (``mode="stacked"``, default) or fans them across the worker pool of
-    ``engine`` (``mode="pooled"``).  Each returned
-    :class:`IRDropResult` matches a standalone :func:`dynamic_ir_drop` of
-    that corner.
+    :meth:`~repro.analysis.transient.TransientAnalysis.run_batch` steps
+    them together with one multi-RHS solve per time point.
     """
     transient = TransientAnalysis(t_stop=t_stop, dt=dt, method=method,
                                   solver=solver)
-    results = transient.run_batch(system, list(scenario_banks), mode=mode,
-                                  engine=engine)
+    results = transient.run_batch(system, list(scenario_banks))
     names = list(getattr(system, "output_names", []) or [])
     return [IRDropResult(node_names=names,
                          voltages=res.outputs.min(axis=1),

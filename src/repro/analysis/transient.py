@@ -155,26 +155,17 @@ class TransientAnalysis:
     def run_batch(self, system, source_banks, *,
                   x0s: list[np.ndarray | None] | None = None,
                   labels: list[str | None] | None = None,
-                  mode: str = "stacked",
-                  engine=None) -> list[TransientResult]:
+                  ) -> list[TransientResult]:
         """Simulate several source scenarios of one system in a batch.
 
         Independent scenarios (process corners, per-block load patterns,
         what-if source banks) share the stepping pencil ``(C/h - G)``, so
-        they can be simulated far cheaper together than one by one:
-
-        * ``mode="stacked"`` (default) carries one ``(n, K)`` state block
-          for all ``K`` scenarios and performs a single multi-RHS
-          triangular solve per time step — one factorisation, one block
-          solve per step, regardless of ``K``.  The block kernels
-          reassociate the sparse products, so outputs agree with
-          per-scenario :meth:`run` calls to machine precision (last-ULP
-          differences) rather than bit-for-bit;
-        * ``mode="pooled"`` fans the scenarios across the worker pool of
-          ``engine`` (a :class:`~repro.analysis.engine.SweepEngine`;
-          default serial); each worker runs the plain single-scenario
-          integrator, so results are bit-identical to :meth:`run`.
-          Preferable when ``K`` is small but each scenario is long.
+        the batch carries one ``(n, K)`` state block for all ``K``
+        scenarios and performs a single multi-RHS triangular solve per
+        time step — one factorisation, one block solve per step, regardless
+        of ``K``.  The block kernels reassociate the sparse products, so
+        outputs agree with per-scenario :meth:`run` calls to machine
+        precision (last-ULP differences) rather than bit-for-bit.
 
         Parameters
         ----------
@@ -186,6 +177,12 @@ class TransientAnalysis:
             Optional per-scenario initial states (``None`` entries mean 0).
         labels:
             Optional per-scenario labels (default ``system.name``).
+
+        Raises
+        ------
+        SimulationError
+            On an empty batch, mismatched lengths or port counts, and on
+            non-finite initial states or source samples.
         """
         banks = list(source_banks)
         if not banks:
@@ -198,38 +195,7 @@ class TransientAnalysis:
             raise SimulationError(
                 f"got {len(banks)} source banks but {len(x0s)} initial "
                 f"states and {len(labels)} labels")
-        if mode == "pooled":
-            from repro.analysis.engine import SweepEngine
-            eng = engine if engine is not None else SweepEngine(jobs=1)
-            opts = self.solver if self.solver is not None else SolverOptions()
-            if opts.use_cache and \
-                    getattr(eng, "executor", "thread") != "process":
-                # Warm the shared stepping-pencil factorization once in the
-                # parent: cache builders run outside the cache lock, so
-                # concurrently started thread workers would otherwise all
-                # miss and factorize the identical pencil, discarding all
-                # but one.  Process workers get fresh caches and can never
-                # see the parent's factor, so the warm-up is skipped there.
-                self._stepping_solver(to_csr(system.C), to_csr(system.G))
-            tasks = [(self, system, bank, x0, label)
-                     for bank, x0, label in zip(banks, x0s, labels)]
-            return eng.map_scenarios(_run_single_scenario, tasks)
-        if mode != "stacked":
-            raise SimulationError(
-                f"unknown batch mode {mode!r}; choose 'stacked' or 'pooled'")
         return self._run_stacked(system, banks, x0s, labels)
-
-    def _stepping_solver(self, C, G):
-        """Prepared solver for the stepping pencil of the chosen method.
-
-        Both the batch integrator and the pooled-mode warm-up build the
-        pencil through this one helper, so they produce the same cache key
-        and share one factorisation.
-        """
-        scale = 1.0 / self.dt if self.method == "backward_euler" \
-            else 2.0 / self.dt
-        lhs = to_csc(C.multiply(scale) - G)
-        return get_solver(lhs, options=self.solver)
 
     def _run_stacked(self, system, banks: list, x0s: list,
                      labels: list) -> list[TransientResult]:
@@ -246,35 +212,51 @@ class TransientAnalysis:
                 raise SimulationError(
                     f"source bank drives {bank.n_ports} ports but the "
                     f"system has {m}")
+        # A complex B or L (ROMBlock keeps complex blocks on purpose)
+        # must not be truncated to real samples.
+        state_dtype = np.result_type(C.dtype, G.dtype, B.dtype, float)
+        out_dtype = np.result_type(state_dtype, L.dtype)
         const = getattr(system, "const_input", None)
         const_vec = (np.zeros(n) if const is None
                      else np.asarray(const, dtype=float).reshape(-1))
         const_col = const_vec[:, np.newaxis]
 
         times = self.times
-        X = np.zeros((n, n_scen))
+        X = np.zeros((n, n_scen), dtype=state_dtype)
         for j, x0 in enumerate(x0s):
             if x0 is None:
                 continue
-            x0 = np.asarray(x0, dtype=float).reshape(-1)
+            x0 = np.asarray(x0).reshape(-1)
             if x0.shape[0] != n:
                 raise SimulationError(
                     f"initial state has length {x0.shape[0]}, expected {n}")
+            if not np.all(np.isfinite(x0)):
+                raise SimulationError(
+                    f"initial state of scenario {j} has non-finite entries")
             X[:, j] = x0
 
         def bank_values(t: float) -> np.ndarray:
-            return np.column_stack([bank(t) for bank in banks])
+            U = np.column_stack([bank(t) for bank in banks])
+            if not np.all(np.isfinite(U)):
+                raise SimulationError(
+                    f"source samples at t={t:g} are not finite")
+            return U
 
         n_steps = times.shape[0]
-        outputs = np.empty((L.shape[0], n_scen, n_steps))
-        states = (np.empty((n, n_scen, n_steps)) if self.store_states
-                  else None)
+        outputs = np.empty((L.shape[0], n_scen, n_steps), dtype=out_dtype)
+        states = (np.empty((n, n_scen, n_steps), dtype=state_dtype)
+                  if self.store_states else None)
         outputs[:, :, 0] = np.asarray(L @ X)
         if states is not None:
             states[:, :, 0] = X
 
+        # One factorisation of the stepping pencil serves every scenario
+        # and every step; for a block-diagonal ROM the sparse LU keeps its
+        # factors inside the blocks (O(m l^3) once, O(m l^2) per step).
         h = self.dt
-        factor = self._stepping_solver(C, G)
+        scale = 1.0 / h if self.method == "backward_euler" else 2.0 / h
+        lhs = to_csc(C.multiply(scale) - G).astype(state_dtype, copy=False)
+        factor = get_solver(lhs, options=self.solver)
         if self.method == "backward_euler":
             for k in range(1, n_steps):
                 U_next = bank_values(float(times[k]))
@@ -309,10 +291,3 @@ class TransientAnalysis:
                 method=self.method)
             for j in range(n_scen)
         ]
-
-
-def _run_single_scenario(task) -> TransientResult:
-    """Pool kernel for ``run_batch(mode="pooled")`` (module-level so process
-    pools can pickle it)."""
-    analysis, system, bank, x0, label = task
-    return analysis._run_stacked(system, [bank], [x0], [label])[0]

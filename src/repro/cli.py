@@ -25,7 +25,8 @@ script:
     through it, and ``--levels 2`` re-partitions each shard recursively
     (:func:`repro.partition.multilevel_reduce`, the one partitioned driver;
     ``--levels 1`` is plain ``partitioned_reduce``).  A shard too small to
-    split again is reduced directly, and under ``--health`` that shows as a
+    split again is reduced directly, the summary prints the depth actually
+    reached, and under ``--health`` that shows as a
     ``partition.recursion_fallback`` warn.
 
 ``python -m repro sweep --benchmark ckt1 --moments 6 --output 1 --port 2``
@@ -685,7 +686,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         row["partitions"] = (f"{info.get('k')}x {info.get('strategy')}, "
                              f"{iface_note}")
         if levels > 1:
-            row["partitions"] += f", {levels} levels"
+            row["partitions"] += (f", {levels} levels requested, depth "
+                                  f"{info['depth']} reached")
     print(format_table([row], title="reduction summary"))
     if args.save is not None:
         # Partitioned macromodels export through their dense equivalent —

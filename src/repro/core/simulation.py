@@ -1,115 +1,34 @@
-"""Structure-exploiting transient simulation of block-diagonal ROMs.
+"""Transient simulation of block-diagonal ROMs.
 
-The generic :class:`~repro.analysis.transient.TransientAnalysis` treats a
-BDSM ROM as one sparse system and already benefits from its sparsity through
-the sparse LU.  This module goes one step further and implements the
-simulation scheme the paper's ``O(m l^3)`` claim really refers to: because
-the reduced blocks are completely decoupled except through the shared input
-vector, each block can be stepped *independently* with its own dense ``l x l``
-factorisation, and the outputs are summed,
-
-    y(t) = sum_i  L_i z_i(t),
-    (C_i/h - G_i) z_i^{k+1} = (C_i/h) z_i^k + b_i u_i(t_{k+1}).
-
-This is embarrassingly parallel over ports; the implementation below is
-sequential but factorises each tiny block exactly once, so the per-step cost
-is ``O(m l^2)`` after an ``O(m l^3)`` setup — versus ``O((m l)^2)`` per step
-for a dense ROM.
+The paper's ``O(m l^3)`` simulation claim (Sec. III-B) needs no dedicated
+integrator.  A BDSM ROM's reduced blocks are decoupled except through the
+shared input vector, so the assembled pencil ``C_r/h - G_r`` is block
+diagonal and the sparse LU of
+:class:`~repro.analysis.transient.TransientAnalysis` keeps its factors
+inside the blocks: one ``O(m l^3)`` factorisation, then ``O(m l^2)`` work
+per step — versus ``O((m l)^2)`` per step for a dense ROM of the same
+order.  That one integrator is the structure-exploiting path, and
+:func:`simulate_blockwise` is its BDSM-typed entry point.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.sources import SourceBank
-from repro.analysis.transient import TransientResult
+from repro.analysis.transient import TransientAnalysis, TransientResult
 from repro.core.structured_rom import BlockDiagonalROM
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions, get_solver
 
 __all__ = ["simulate_blockwise"]
 
 
 def simulate_blockwise(rom: BlockDiagonalROM, sources: SourceBank, *,
                        t_stop: float, dt: float,
-                       method: str = "backward_euler",
-                       solver: SolverOptions | None = None) -> TransientResult:
-    """Fixed-step transient simulation of a BDSM ROM, block by block.
-
-    Parameters
-    ----------
-    rom:
-        The block-diagonal ROM to simulate (zero initial state).
-    sources:
-        One waveform per input port.
-    t_stop, dt:
-        Simulation horizon and fixed step size.
-    method:
-        ``"backward_euler"`` or ``"trapezoidal"``.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions`; the tiny
-        ``l x l`` stepping pencils auto-select the dense LAPACK backend.
-        By default the per-block factors are NOT cached: a realistic ROM
-        has more blocks (one per port, up to 1429 in the paper's grids)
-        than the shared LRU cache has slots, so caching them would thrash
-        the cache and evict expensive full-grid factors while hitting
-        nothing on re-simulation.  To make re-simulation skip the
-        ``O(m l^3)`` setup, pass options with caching enabled *and* size
-        the cache to at least the block count, e.g.
-        ``set_default_cache(FactorizationCache(capacity=2 * rom.n_blocks))``.
-
-    Returns
-    -------
-    TransientResult
-        Same container as the generic integrator, so results are directly
-        comparable (the tests check they agree to round-off).
-    """
+                       method: str = "backward_euler") -> TransientResult:
+    """Fixed-step transient of a BDSM ROM (zero initial state); the same
+    result as ``TransientAnalysis(t_stop=, dt=, method=).run(rom, sources)``."""
     if not isinstance(rom, BlockDiagonalROM):
         raise SimulationError(
             "simulate_blockwise only accepts a BlockDiagonalROM; use "
             "TransientAnalysis for other systems")
-    if t_stop <= 0.0 or dt <= 0.0 or dt > t_stop:
-        raise SimulationError("need 0 < dt <= t_stop")
-    if method not in ("backward_euler", "trapezoidal"):
-        raise SimulationError(f"unknown method {method!r}")
-    if sources.n_ports != rom.n_ports:
-        raise SimulationError(
-            f"source bank drives {sources.n_ports} ports but the ROM has "
-            f"{rom.n_ports}")
-
-    n_steps = int(np.floor(t_stop / dt + 1e-12)) + 1
-    times = np.arange(n_steps) * dt
-    outputs = np.zeros((rom.n_outputs, n_steps))
-
-    # Pre-factorise every block once (the O(m l^3) setup).
-    if solver is None:
-        solver = SolverOptions(use_cache=False)
-    factorisations = []
-    for block in rom.blocks:
-        if method == "backward_euler":
-            lhs = block.C / dt - block.G
-            rhs_mat = block.C / dt
-        else:
-            lhs = 2.0 * block.C / dt - block.G
-            rhs_mat = 2.0 * block.C / dt + block.G
-        factorisations.append((get_solver(lhs, options=solver), rhs_mat))
-
-    states = [np.zeros(block.order) for block in rom.blocks]
-    u_prev = sources(float(times[0]))
-    for k in range(1, n_steps):
-        u_next = sources(float(times[k]))
-        accumulated = np.zeros(rom.n_outputs)
-        for idx, block in enumerate(rom.blocks):
-            block_solver, rhs_mat = factorisations[idx]
-            if method == "backward_euler":
-                rhs = rhs_mat @ states[idx] + block.b * u_next[block.index]
-            else:
-                rhs = rhs_mat @ states[idx] + block.b * (
-                    u_prev[block.index] + u_next[block.index])
-            states[idx] = block_solver.solve(rhs)
-            accumulated += block.L @ states[idx]
-        outputs[:, k] = accumulated
-        u_prev = u_next
-
-    return TransientResult(times=times, outputs=outputs, states=None,
-                           label=rom.name, method=method)
+    return TransientAnalysis(t_stop=t_stop, dt=dt,
+                             method=method).run(rom, sources)

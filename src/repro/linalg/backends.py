@@ -362,7 +362,10 @@ class DenseSolver(LinearSolver):
 
     def solve(self, rhs) -> np.ndarray:
         dense, single = self._prepare_rhs(rhs)
-        out = scipy.linalg.lu_solve((self._lu, self._piv), dense,
+        # SciPy's ``getrs`` wrapper shifts the pivot array to 1-based in
+        # place for the call, so threads sharing this solver (the thread
+        # engine's BDSM chunks) each need their own copy of it.
+        out = scipy.linalg.lu_solve((self._lu, self._piv.copy()), dense,
                                     check_finite=False)
         if not np.all(np.isfinite(out)):
             raise SingularSystemError(

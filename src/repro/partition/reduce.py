@@ -430,7 +430,8 @@ def multilevel_reduce(system, n_moments: int, *, levels: int = 1,
 
     Returns the same ``(rom, stats, seconds)`` triple as
     :func:`partitioned_reduce`; for ``levels > 1``, ``rom.partition_info``
-    also carries ``levels`` and one summary per recursively reduced child.
+    also carries ``levels``, the ``depth`` actually reached (1 when no
+    shard recursed) and one summary per recursively reduced child.
 
     With ``recycle=True`` one :class:`~repro.linalg.recycle.ShardBasisCache`
     is shared by the whole hierarchy — sibling shards at this level and
@@ -563,8 +564,12 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
 
     info = result.describe()
     if levels > 1:
+        # The depth reached can fall short of the requested ``levels``
+        # when no shard is large enough to recurse.
         info["levels"] = int(levels)
         info["children"] = [child for child in children if child is not None]
+        info["depth"] = 1 + max((child.get("depth", 1)
+                                 for child in info["children"]), default=0)
     if basis_cache is not None:
         info["shard_basis_cache"] = basis_cache.describe()
     if interface_basis is None:

@@ -305,6 +305,14 @@ class TestPartitionedReduceCommand:
         assert "4x bfs" in out
         assert "2 levels" in out
 
+    def test_multilevel_reduce_prints_depth_reached(self, capsys):
+        """No ckt2-smoke shard reaches the recursion threshold, so a
+        two-level request is a one-level reduce and says so."""
+        code = main(["reduce", "--benchmark", "ckt2", "--moments", "3",
+                     "--partitions", "4", "--levels", "2"])
+        assert code == 0
+        assert "2 levels requested, depth 1 reached" in capsys.readouterr().out
+
     def test_multilevel_rejects_zero_levels(self, capsys):
         code = main(["reduce", "--benchmark", "ckt2", "--moments", "3",
                      "--partitions", "4", "--levels", "0"])

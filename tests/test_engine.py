@@ -296,27 +296,6 @@ class TestTransientBatch:
         for single, batched in zip(singles, batch):
             self._assert_machine_close(single.outputs, batched.outputs)
 
-    def test_pooled_batch_matches_individual_runs(self, rc_grid_system,
-                                                  banks):
-        ta = TransientAnalysis(t_stop=1e-5, dt=1e-6)
-        singles = [ta.run(rc_grid_system, bank) for bank in banks]
-        pooled = ta.run_batch(rc_grid_system, banks, mode="pooled",
-                              engine=SweepEngine(jobs=2))
-        for single, batched in zip(singles, pooled):
-            assert np.array_equal(single.outputs, batched.outputs)
-
-    def test_pooled_batch_shares_pencil_factorization(self, rc_grid_system,
-                                                      banks):
-        """The stepping pencil is factorized once (parent warm-up), not
-        once per concurrently started worker."""
-        ta = TransientAnalysis(t_stop=5e-6, dt=1e-6)
-        with temporary_default_cache(FactorizationCache(capacity=4)) as cache:
-            ta.run_batch(rc_grid_system, banks, mode="pooled",
-                         engine=SweepEngine(jobs=2))
-            stats = cache.stats()
-        assert stats.misses == 1
-        assert stats.hits >= len(banks)
-
     def test_trapezoidal_batch(self, rc_grid_system, banks):
         ta = TransientAnalysis(t_stop=1e-5, dt=1e-6, method="trapezoidal")
         singles = [ta.run(rc_grid_system, bank) for bank in banks]
@@ -349,11 +328,6 @@ class TestTransientBatch:
         ta = TransientAnalysis(t_stop=5e-6, dt=1e-6)
         with pytest.raises(SimulationError):
             ta.run_batch(rc_grid_system, banks, x0s=[None])
-
-    def test_unknown_mode_rejected(self, rc_grid_system, banks):
-        ta = TransientAnalysis(t_stop=5e-6, dt=1e-6)
-        with pytest.raises(SimulationError):
-            ta.run_batch(rc_grid_system, banks, mode="magic")
 
     def test_port_mismatch_rejected(self, rc_grid_system):
         ta = TransientAnalysis(t_stop=5e-6, dt=1e-6)
@@ -394,13 +368,9 @@ class TestIrDropBatch:
                  SourceBank.uniform(m, StepSource(2e-3))]
         stacked = dynamic_ir_drop_batch(rc_grid_system, banks,
                                         t_stop=1e-5, dt=1e-6)
-        pooled = dynamic_ir_drop_batch(rc_grid_system, banks,
-                                       t_stop=1e-5, dt=1e-6, mode="pooled")
-        for bank, st, po in zip(banks, stacked, pooled):
+        for bank, st in zip(banks, stacked):
             single = dynamic_ir_drop(rc_grid_system, bank,
                                      t_stop=1e-5, dt=1e-6)
-            # pooled runs the plain integrator: bit-identical
-            assert np.array_equal(po.voltages, single.voltages)
             scale = max(float(np.max(np.abs(single.voltages))), 1e-300)
             assert np.allclose(st.voltages, single.voltages,
                                rtol=1e-12, atol=1e-12 * scale)

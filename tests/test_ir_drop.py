@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import IRDropResult, ir_drop_analysis
-from repro.analysis.ir_drop import dynamic_ir_drop
+from repro.analysis.ir_drop import dynamic_ir_drop, ir_drop_batch
 from repro.analysis.sources import SourceBank, StepSource
 from repro.circuit import Netlist, assemble_mna
 from repro.core import bdsm_reduce
@@ -44,6 +44,15 @@ class TestStaticIrDrop:
     def test_wrong_load_vector_length(self, rc_grid_system):
         with pytest.raises(SimulationError):
             ir_drop_analysis(rc_grid_system, np.ones(3))
+
+    def test_non_finite_loads_rejected(self, rc_grid_system):
+        loads = np.full(rc_grid_system.n_ports, 1e-3)
+        loads[0] = np.nan
+        with pytest.raises(SimulationError, match="finite"):
+            ir_drop_analysis(rc_grid_system, loads)
+        with pytest.raises(SimulationError, match="finite"):
+            ir_drop_batch(rc_grid_system,
+                          np.vstack([np.full_like(loads, 1e-3), loads]))
 
     def test_table_rows(self, rc_grid_system):
         m = rc_grid_system.n_ports

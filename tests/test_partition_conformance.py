@@ -321,6 +321,7 @@ class TestMultilevelHealth:
         rom, _, _ = multilevel_reduce(smoke_benchmark, 3, levels=2,
                                       n_parts=2, min_states=16)
         assert rom.partition_info["children"]
+        assert rom.partition_info["depth"] == 2
         own = rom.health.checks[-1]
         assert own.monitor == "reduce.deflation_rate"
         assert own.labels == {"method": "partitioned-BDSM"}
@@ -331,6 +332,7 @@ class TestMultilevelHealth:
         rom, _, _ = multilevel_reduce(conformance_system, INTERFACE_ORDER,
                                       **FALLBACK_CONFIG)
         assert rom.partition_info["children"] == []
+        assert rom.partition_info["depth"] == 1
         fallbacks = [check for check in rom.health.checks
                      if check.monitor == "partition.recursion_fallback"]
         assert [check.status for check in fallbacks] == ["warn"] * 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -102,6 +104,22 @@ class TestBackendBehaviour:
         A = np.zeros((3, 3))
         with pytest.raises(SingularSystemError):
             DenseSolver(A, SolverOptions()).solve(np.ones(3))
+
+    def test_dense_solver_shared_across_threads(self):
+        # The thread engine's BDSM chunks share one solver per expansion
+        # point; concurrent solves must match a serial one bit for bit.
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((300, 300)) + 10.0 * np.eye(300)
+        B = rng.standard_normal((300, 8))
+        solver = DenseSolver(A, SolverOptions())
+        expected = solver.solve(B)
+
+        def work(_):
+            return [solver.solve(B) for _ in range(50)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [x for batch in pool.map(work, range(8)) for x in batch]
+        assert all(np.array_equal(x, expected) for x in results)
 
     def test_non_square_rejected(self):
         with pytest.raises(SolverBackendError):
@@ -253,38 +271,6 @@ class TestLibraryWiring:
             options=BDSMOptions(solver=SolverOptions(backend="dense")))
         for blk_a, blk_b in zip(base.blocks, alt.blocks):
             assert np.allclose(blk_a.G, blk_b.G, rtol=1e-8, atol=1e-12)
-
-    def test_blockwise_simulation_default_leaves_cache_alone(
-            self, smoke_benchmark):
-        from repro import BDSMOptions, bdsm_reduce
-        from repro.analysis.sources import SourceBank, StepSource
-        from repro.core.simulation import simulate_blockwise
-        rom, _, _ = bdsm_reduce(smoke_benchmark, 2, options=BDSMOptions())
-        sources = SourceBank.uniform(rom.n_ports, StepSource(1e-3))
-        with temporary_default_cache(FactorizationCache(capacity=4)) as cache:
-            simulate_blockwise(rom, sources, t_stop=1e-5, dt=1e-6)
-            # ROMs can have far more blocks than the cache has slots, so
-            # per-block factors stay out of the shared cache by default.
-            assert len(cache) == 0
-
-    def test_blockwise_simulation_opt_in_cache(self, smoke_benchmark):
-        from repro import BDSMOptions, bdsm_reduce
-        from repro.analysis.sources import SourceBank, StepSource
-        from repro.core.simulation import simulate_blockwise
-        rom, _, _ = bdsm_reduce(smoke_benchmark, 2, options=BDSMOptions())
-        sources = SourceBank.uniform(rom.n_ports, StepSource(1e-3))
-        opts = SolverOptions()
-        with temporary_default_cache(
-                FactorizationCache(capacity=2 * rom.n_blocks)) as cache:
-            cold = simulate_blockwise(rom, sources, t_stop=1e-5, dt=1e-6,
-                                      solver=opts)
-            misses_cold = cache.stats().misses
-            warm = simulate_blockwise(rom, sources, t_stop=1e-5, dt=1e-6,
-                                      solver=opts)
-            stats = cache.stats()
-        assert misses_cold == rom.n_blocks
-        assert stats.hits == rom.n_blocks
-        assert np.array_equal(cold.outputs, warm.outputs)
 
     def test_ir_drop_solver_options(self, rc_grid_system):
         from repro import ir_drop_analysis

@@ -88,6 +88,22 @@ class TestTransientInterface:
             ta.run(rc_grid_system, SourceBank(rc_grid_system.n_ports),
                    x0=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_initial_state_rejected(self, rc_grid_system, bad):
+        ta = TransientAnalysis(t_stop=1e-9, dt=1e-10)
+        x0 = np.zeros(rc_grid_system.size)
+        x0[3] = bad
+        with pytest.raises(SimulationError, match="non-finite"):
+            ta.run(rc_grid_system, SourceBank(rc_grid_system.n_ports),
+                   x0=x0)
+
+    def test_non_finite_source_rejected(self, rc_grid_system):
+        ta = TransientAnalysis(t_stop=1e-9, dt=1e-10)
+        bank = SourceBank(rc_grid_system.n_ports)
+        bank.assign(1, StepSource(np.nan, t0=5e-10))
+        with pytest.raises(SimulationError, match="not finite"):
+            ta.run_batch(rc_grid_system, [SourceBank(bank.n_ports), bank])
+
     def test_error_metrics_between_results(self, rc_grid_system):
         ta = TransientAnalysis(t_stop=1e-9, dt=1e-10)
         bank = SourceBank.uniform(rc_grid_system.n_ports,
