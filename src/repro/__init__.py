@@ -94,6 +94,7 @@ from repro.mor import (
     ReducedSystem,
     ReductionSummary,
     ResourceBudget,
+    StructuredROM,
     eks_reduce,
     multipoint_prima_reduce,
     pmtbr_reduce,
@@ -167,6 +168,7 @@ __all__ = [
     "SourceBank",
     "StampingError",
     "StoreStats",
+    "StructuredROM",
     "SweepEngine",
     "TransientAnalysis",
     "TransientResult",

@@ -690,10 +690,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                                   f"{info['depth']} reached")
     print(format_table([row], title="reduction summary"))
     if args.save is not None:
-        # Partitioned macromodels export through their dense equivalent —
-        # the artifact layer's ReducedSystem container round-trips it.
-        exportable = rom.to_reduced_system() if partitions > 1 else rom
-        path = save_artifact(exportable, args.save)
+        path = save_artifact(rom, args.save)
         print(f"ROM artifact saved to {path}")
     if store is not None:
         _print_store_summary(store)

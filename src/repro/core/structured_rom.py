@@ -8,108 +8,34 @@ A BDSM ROM consists of ``m`` independent blocks, one per input port:
   the otherwise-zero block-row ``i`` of ``B_r``;
 * ``L_ir = L V(i)`` — the ``p x l`` slice of ``L_r``.
 
-The class below stores exactly those pieces, assembles the sparse global
-matrices on demand (for generic analyses and the Fig. 4 structure report),
-and evaluates the transfer matrix block by block, which is where the
-``O(m l^3)`` vs ``O(m^3 l^3)`` simulation advantage comes from.
+:class:`BlockDiagonalROM` is the :class:`~repro.mor.base.StructuredROM`
+whose block ``i`` is driven by port ``i`` alone: the shared evaluator then
+solves one ``l x l`` block per column (all blocks of equal order in one
+stacked solve), which is where the ``O(m l^3)`` vs ``O(m^3 l^3)``
+simulation advantage comes from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ReductionError
-from repro.linalg.blockdiag import (
-    BlockLayout,
-    block_diag_sparse,
-    stack_block_columns,
-)
-from repro.linalg.sparse_utils import nnz_density
-from repro.mor.base import ReducedSystem, ReductionSummary
+from repro.linalg.blockdiag import BlockLayout
+from repro.mor.base import ROMBlock, StructuredROM
 
 __all__ = ["ROMBlock", "BlockDiagonalROM"]
 
 
-@dataclass
-class ROMBlock:
-    """One per-port block of a BDSM ROM.
-
-    Attributes
-    ----------
-    index:
-        Input-port index ``i`` this block belongs to.
-    C, G:
-        ``l_i x l_i`` reduced descriptor blocks.
-    b:
-        Length-``l_i`` reduced input vector ``V(i)^T b_i``.
-    L:
-        ``p x l_i`` reduced output slice ``L V(i)``.
-    basis:
-        Optional ``n x l_i`` projection basis ``V(i)`` (kept only when the
-        caller asked for state reconstruction).
-    """
-
-    index: int
-    C: np.ndarray
-    G: np.ndarray
-    b: np.ndarray
-    L: np.ndarray
-    basis: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        # Preserve complexness (int inputs still become float): a grid
-        # observed through a complex output matrix must not have the
-        # imaginary part of its reduced ``L`` silently discarded — the
-        # same coercion bug class ReducedSystem._dense fixed.
-        def cast(arr):
-            arr = np.asarray(arr)
-            dtype = complex if np.iscomplexobj(arr) else float
-            return arr.astype(dtype, copy=False)
-
-        self.C = cast(self.C)
-        self.G = cast(self.G)
-        self.b = cast(self.b).reshape(-1)
-        self.L = np.atleast_2d(cast(self.L))
-        l = self.C.shape[0]
-        if self.C.shape != (l, l) or self.G.shape != (l, l):
-            raise ReductionError(
-                f"block {self.index}: C and G must be square and equal-sized")
-        if self.b.shape[0] != l:
-            raise ReductionError(
-                f"block {self.index}: b has length {self.b.shape[0]}, "
-                f"expected {l}")
-        if self.L.shape[1] != l:
-            raise ReductionError(
-                f"block {self.index}: L has {self.L.shape[1]} columns, "
-                f"expected {l}")
-
-    @property
-    def order(self) -> int:
-        """Size ``l_i`` of this block."""
-        return int(self.C.shape[0])
-
-    def transfer_column(self, s: complex) -> np.ndarray:
-        """Column ``i`` of the ROM transfer matrix: ``L_i (sC_i - G_i)^{-1} b_i``."""
-        pencil = s * self.C - self.G
-        try:
-            x = np.linalg.solve(pencil, self.b.astype(complex))
-        except np.linalg.LinAlgError as exc:
-            raise ReductionError(
-                f"block {self.index}: reduced pencil singular at s={s}: {exc}"
-            ) from exc
-        return self.L @ x
-
-
-class BlockDiagonalROM:
+class BlockDiagonalROM(StructuredROM):
     """Block-diagonal structured ROM produced by BDSM (paper Eq. 14).
 
     Parameters
     ----------
     blocks:
-        One :class:`ROMBlock` per input port, in port order.
+        One :class:`~repro.mor.base.ROMBlock` per input port, in port
+        order (block ``i`` is driven by port ``i``).
     n_outputs:
         Number of outputs ``p`` (checked against every block's ``L``).
     s0:
@@ -126,139 +52,18 @@ class BlockDiagonalROM:
                  s0: complex | list[complex] = 0.0, n_moments: int = 0,
                  original_size: int = 0, original_ports: int = 0,
                  name: str = "bdsm-rom") -> None:
-        if not blocks:
-            raise ReductionError("a BlockDiagonalROM needs at least one block")
-        for block in blocks:
-            if block.L.shape[0] != n_outputs:
-                raise ReductionError(
-                    f"block {block.index} has {block.L.shape[0]} output rows, "
-                    f"expected {n_outputs}")
-        self.blocks = list(blocks)
-        self.layout = BlockLayout(tuple(b.order for b in self.blocks))
-        self.n_outputs_ = int(n_outputs)
-        self.s0 = s0
-        self.n_moments = int(n_moments)
-        self.original_size = int(original_size)
-        self.original_ports = int(original_ports)
-        self.name = name
-        self.method = "BDSM"
-        self.reusable = True
-        self._cache: dict[str, sp.spmatrix] = {}
-        self._reduced_system: ReducedSystem | None = None
+        for pos, block in enumerate(blocks):
+            if block.ports is None:
+                block.ports = np.array([pos], dtype=np.int64)
+        super().__init__(blocks, n_ports=len(blocks), n_outputs=n_outputs,
+                         method="BDSM", s0=s0, n_moments=n_moments,
+                         original_size=original_size,
+                         original_ports=original_ports, name=name)
 
-    # ------------------------------------------------------------------ #
-    # Dimensions
-    # ------------------------------------------------------------------ #
-    @property
-    def size(self) -> int:
-        """Total reduced order (``m*l`` when no deflation occurred)."""
-        return self.layout.total
-
-    @property
-    def n_blocks(self) -> int:
-        """Number of diagonal blocks (= number of input ports)."""
-        return self.layout.n_blocks
-
-    @property
-    def n_ports(self) -> int:
-        """Number of input ports ``m``."""
-        return self.layout.n_blocks
-
-    @property
-    def n_outputs(self) -> int:
-        """Number of outputs ``p``."""
-        return self.n_outputs_
-
-    # ------------------------------------------------------------------ #
-    # Assembled global matrices (sparse), cached
-    # ------------------------------------------------------------------ #
-    @property
-    def C(self) -> sp.spmatrix:
-        """Global block-diagonal ``C_r`` (sparse CSR)."""
-        if "C" not in self._cache:
-            self._cache["C"] = block_diag_sparse([b.C for b in self.blocks])
-        return self._cache["C"]
-
-    @property
-    def G(self) -> sp.spmatrix:
-        """Global block-diagonal ``G_r`` (sparse CSR)."""
-        if "G" not in self._cache:
-            self._cache["G"] = block_diag_sparse([b.G for b in self.blocks])
-        return self._cache["G"]
-
-    @property
-    def B(self) -> sp.spmatrix:
-        """Global ``B_r``: block-row ``i`` holds ``V(i)^T b_i`` in column ``i``."""
-        if "B" not in self._cache:
-            self._cache["B"] = stack_block_columns(
-                [b.b for b in self.blocks], self.layout, self.n_ports)
-        return self._cache["B"]
-
-    @property
-    def L(self) -> sp.spmatrix:
-        """Global ``L_r = [L V(1), ..., L V(m)]`` (sparse CSR of a dense array)."""
-        if "L" not in self._cache:
-            self._cache["L"] = sp.csr_matrix(
-                np.hstack([b.L for b in self.blocks]))
-        return self._cache["L"]
-
-    @property
-    def nnz(self) -> int:
-        """Stored non-zeros in ``C_r``, ``G_r`` and ``B_r`` (paper: ``m l^2``)."""
-        return int(self.C.nnz + self.G.nnz + self.B.nnz)
-
-    def density(self) -> dict[str, float]:
-        """Per-matrix non-zero density (the Fig. 4 numbers)."""
-        return {
-            "C": nnz_density(self.C),
-            "G": nnz_density(self.G),
-            "B": nnz_density(self.B),
-            "L": nnz_density(self.L),
-        }
-
-    # ------------------------------------------------------------------ #
-    # Transfer-function evaluation (block-wise, the fast path)
-    # ------------------------------------------------------------------ #
-    def transfer_function(self, s: complex) -> np.ndarray:
-        """Evaluate the full ``p x m`` transfer matrix column by column.
-
-        Each column costs one ``l x l`` dense solve, so the total is
-        ``O(m l^3)`` — the simulation-cost advantage of Sec. III-B.
-        """
-        H = np.zeros((self.n_outputs, self.n_ports), dtype=complex)
-        for col, block in enumerate(self.blocks):
-            H[:, col] = block.transfer_column(s)
-        return H
-
-    def transfer_entry(self, s: complex, output: int, port: int) -> complex:
-        """Evaluate a single transfer-matrix entry using only block ``port``."""
-        if not 0 <= port < self.n_ports:
-            raise ReductionError(f"port {port} out of range")
-        column = self.blocks[port].transfer_column(s)
-        return complex(column[output])
-
-    # ------------------------------------------------------------------ #
-    # Conversions and reports
-    # ------------------------------------------------------------------ #
-    def to_reduced_system(self) -> ReducedSystem:
-        """Densify into a :class:`~repro.mor.base.ReducedSystem`.
-
-        Useful for feeding the BDSM ROM to code that expects dense matrices
-        (e.g. the PMTBR comparison); it deliberately gives up the structure,
-        so only do this for small ROMs.  The dense conversion is cached on
-        the ROM (the blocks are immutable after construction), so repeated
-        queries — a model server densifying per request, the Table I/II
-        harness re-measuring — pay the ``toarray`` churn once.
-        """
-        if self._reduced_system is None:
-            self._reduced_system = ReducedSystem(
-                C=self.C.toarray(), G=self.G.toarray(), B=self.B.toarray(),
-                L=self.L.toarray(), method="BDSM", s0=self._scalar_s0(),
-                n_moments=self.n_moments, reusable=True,
-                original_size=self.original_size,
-                original_ports=self.original_ports,
-                name=self.name)
-        return self._reduced_system
+    @cached_property
+    def layout(self) -> BlockLayout:
+        """Where each diagonal block sits in ``C_r`` / ``G_r``."""
+        return BlockLayout(tuple(b.order for b in self.blocks))
 
     def reconstruct_state(self, z: np.ndarray) -> np.ndarray:
         """Lift a reduced state back to original coordinates (needs bases)."""
@@ -270,35 +75,6 @@ class BlockDiagonalROM:
             raise ReductionError(
                 "this ROM was built without keep_projection=True")
         x = np.zeros(self.original_size)
-        for block, sl in zip(self.blocks,
-                             (self.layout.block_slice(i)
-                              for i in range(self.n_blocks))):
-            x += block.basis @ z[sl]
+        for i, block in enumerate(self.blocks):
+            x += block.basis @ z[self.layout.block_slice(i)]
         return x
-
-    def summary(self, *, mor_seconds: float | None = None,
-                ortho_stats=None) -> ReductionSummary:
-        """Build the Table II record for this ROM."""
-        return ReductionSummary(
-            method="BDSM",
-            benchmark=self.name,
-            original_size=self.original_size,
-            original_ports=self.original_ports,
-            rom_size=self.size,
-            rom_nnz=self.nnz,
-            matched_moments=self.n_moments,
-            reusable=True,
-            mor_seconds=mor_seconds,
-            ortho_inner_products=(ortho_stats.inner_products
-                                  if ortho_stats else None),
-            status="ok",
-        )
-
-    def _scalar_s0(self) -> complex:
-        if isinstance(self.s0, (list, tuple)):
-            return complex(self.s0[0]) if self.s0 else 0.0
-        return complex(self.s0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"BlockDiagonalROM(blocks={self.n_blocks}, q={self.size}, "
-                f"p={self.n_outputs}, nnz={self.nnz})")

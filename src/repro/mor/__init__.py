@@ -3,7 +3,9 @@
 Contents
 --------
 ``base``
-    Common :class:`ReducedSystem` container, the :class:`ResourceBudget`
+    The one ROM type :class:`StructuredROM` (diagonal blocks plus an
+    optional border) and its dense one-block constructor
+    :class:`ReducedSystem`, the :class:`ResourceBudget`
     guard reproducing the "break down" entries of Table II, and the
     :class:`ReductionSummary` record used by the benchmark harness.
 ``prima``
@@ -26,6 +28,7 @@ from repro.mor.base import (
     ReducedSystem,
     ReductionSummary,
     ResourceBudget,
+    StructuredROM,
 )
 from repro.mor.btrunc import pmtbr_reduce
 from repro.mor.eks import eks_reduce
@@ -40,6 +43,7 @@ __all__ = [
     "ReducedSystem",
     "ReductionSummary",
     "ResourceBudget",
+    "StructuredROM",
     "eks_reduce",
     "multipoint_prima_reduce",
     "pmtbr_reduce",

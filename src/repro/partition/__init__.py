@@ -12,10 +12,11 @@ reduced independently — optionally fanned over a
 :class:`~repro.store.ModelStore` memoization — and the reduced pieces are
 reassembled into a coupled
 :class:`~repro.partition.assemble.PartitionedROM` whose interface states
-are preserved exactly.  The macromodel answers every
-:class:`~repro.mor.base.ReducedSystem`-style query (transfer function,
-frequency sweeps, transient, IR drop) through an interface Schur
-complement, so downstream analyses never notice the sharding.
+are preserved exactly.  The macromodel is a
+:class:`~repro.mor.base.StructuredROM` with a border, so it answers every
+ROM query (transfer function, frequency sweeps, transient, IR drop) — the
+transfer samples through the interface Schur complement — and downstream
+analyses never notice the sharding.
 
 Entry points: :func:`~repro.partition.reduce.partitioned_reduce` and its
 recursive generalisation :func:`~repro.partition.reduce.multilevel_reduce`

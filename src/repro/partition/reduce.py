@@ -369,8 +369,8 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         then memoized across processes under partition-aware keys (see
         :func:`partitioned_store_options`).
     keep_projection:
-        Keep each shard's merged basis on its
-        :class:`~repro.partition.assemble.ReducedSubdomain` record.
+        Keep each shard's merged basis on its block
+        (:class:`~repro.mor.base.ROMBlock`) of the macromodel.
     recycle:
         Share shard projection bases between content-identical shards
         through a :class:`~repro.linalg.recycle.ShardBasisCache`:

@@ -111,7 +111,8 @@ def descriptor_to_state_space(C, G, B, L) -> StateSpaceModel:
 
 
 def rom_block_to_state_space(block) -> StateSpaceModel:
-    """Convert one :class:`~repro.core.structured_rom.ROMBlock` to state space."""
+    """Convert one one-port (BDSM) :class:`~repro.mor.base.ROMBlock` to
+    state space."""
     return descriptor_to_state_space(block.C, block.G,
                                      block.b.reshape(-1, 1), block.L)
 

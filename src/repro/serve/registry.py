@@ -115,9 +115,19 @@ class ModelRegistry:
     # ------------------------------------------------------------------ #
     def register(self, name: str, model) -> None:
         """Pin ``model`` under ``name`` (replaces any previous entry;
-        pinned entries are never evicted)."""
+        pinned entries are never evicted).
+
+        A ROM whose reducer reported ``rom.health.status == "fail"`` is
+        refused; ``warn`` is accepted.  Loaded artifacts carry no health
+        (it is not persisted), so only in-process ROMs are screened.
+        """
         if not name:
             raise ValidationError("model name must be non-empty")
+        health = getattr(model, "health", None)
+        if health is not None and health.status == "fail":
+            failed = ", ".join(c.monitor for c in health.failed())
+            raise ValidationError(f"refusing to serve {name!r}: its "
+                                  f"reduction failed health checks ({failed})")
         with self._lock:
             self._drop_warm(name)
             self._pinned[name] = model

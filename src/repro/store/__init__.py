@@ -4,11 +4,11 @@ This subsystem turns the library's reduce-once/reuse-forever story into an
 actual cross-process service:
 
 ``artifacts``
-    Versioned, fingerprinted ``.npz`` serialization of
-    :class:`~repro.mor.base.ReducedSystem`,
-    :class:`~repro.core.structured_rom.BlockDiagonalROM` and
-    :class:`~repro.mor.base.ReductionSummary` (schema-version field,
-    dtype/sparsity-preserving encoding, integrity check on load).
+    Versioned, fingerprinted ``.npz`` serialization: one codec for every
+    ROM (a :class:`~repro.mor.base.StructuredROM`, whichever constructor
+    built it) plus :class:`~repro.mor.base.ReductionSummary` records
+    (schema-version field, dtype-preserving encoding, integrity check on
+    load).
 ``model_store``
     :class:`ModelStore` — a directory cache keyed on (system fingerprint,
     method, reduction options) with atomic writes, LRU eviction by size

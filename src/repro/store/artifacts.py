@@ -16,12 +16,18 @@ pyMOR's persistence layer and SHARPy's on-disk case artifacts):
   on load, so truncated or corrupted artifacts are rejected instead of
   silently producing a wrong model.
 
-Three model kinds round-trip: :class:`~repro.mor.base.ReducedSystem`,
-:class:`~repro.core.structured_rom.BlockDiagonalROM` (block by block,
-including optional projection bases) and
-:class:`~repro.mor.base.ReductionSummary`.  All writes are atomic (tempfile
-in the target directory + ``os.replace``) so a concurrent reader never
-observes a half-written artifact.
+Every ROM round-trips through one codec: a
+:class:`~repro.mor.base.StructuredROM` — whichever constructor built it,
+:class:`~repro.mor.base.ReducedSystem`,
+:class:`~repro.core.structured_rom.BlockDiagonalROM` or
+:class:`~repro.partition.assemble.PartitionedROM` — is stored as its block
+fields concatenated over the blocks, its port maps, optional projection
+bases and border, and the constructor class, which a load restores.
+:class:`~repro.mor.base.ReductionSummary` records have their own small
+codec.  ``rom.health`` is not stored.  Schema 2 introduced this layout;
+schema-1 artifacts are rejected (regenerate them).  All writes are atomic
+(tempfile in the target directory + ``os.replace``) so a concurrent
+reader never observes a half-written artifact.
 """
 
 from __future__ import annotations
@@ -36,9 +42,15 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
+from repro.core.structured_rom import BlockDiagonalROM
 from repro.exceptions import ValidationError
-from repro.mor.base import ReducedSystem, ReductionSummary
+from repro.mor.base import (
+    ReducedSystem,
+    ReductionSummary,
+    ROMBlock,
+    StructuredROM,
+)
+from repro.partition.assemble import PartitionedROM
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,14 +63,13 @@ __all__ = [
 #: Version of the artifact container layout.  Bump on any incompatible
 #: change to the array naming scheme or the metadata record; loaders reject
 #: other versions with a :class:`~repro.exceptions.ValidationError`.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Metadata key of the embedded JSON record.
 _META_KEY = "__meta__"
 
 #: ``meta["kind"]`` values understood by :func:`load_artifact`.
-_KIND_REDUCED = "reduced_system"
-_KIND_BDSM = "bdsm_rom"
+_KIND_ROM = "structured_rom"
 _KIND_SUMMARY = "reduction_summary"
 
 
@@ -154,107 +165,108 @@ def _payload_fingerprint(arrays: dict, meta: dict) -> str:
 # --------------------------------------------------------------------------- #
 # Encoders (model -> arrays + meta)
 # --------------------------------------------------------------------------- #
-def _encode_reduced_system(model: ReducedSystem) -> tuple[dict, dict]:
+#: The constructor classes a ROM artifact can name.
+_ROM_CLASSES = {cls.__name__: cls for cls in
+                (StructuredROM, ReducedSystem, BlockDiagonalROM,
+                 PartitionedROM)}
+
+#: Per-block fields, each stored as one array concatenated over the blocks.
+_BLOCK_FIELDS = ("C", "G", "B", "L", "basis", "ports",
+                 "Ec", "Eg", "Fc", "Fg")
+
+
+def _encode_rom(rom: StructuredROM) -> tuple[dict, dict]:
+    """Every ROM in one layout: each block field raveled and concatenated
+    over the blocks (``shapes`` gives the pieces back, ``None`` for an
+    absent basis, port map or border), the interface blocks as matrices,
+    and the constructor's extras.  ``rom.health`` is not stored."""
     arrays: dict[str, np.ndarray] = {}
     formats: dict[str, str] = {}
-    for name in ("C", "G", "B", "L"):
-        _encode_matrix(arrays, formats, name, getattr(model, name))
-    if model.projection is not None:
-        _encode_matrix(arrays, formats, "projection", model.projection)
-    if model.const_input is not None:
-        arrays["const_input"] = np.asarray(model.const_input)
+    shapes: dict[str, list] = {}
+
+    def pack(name: str, parts: list) -> None:
+        parts = [p.toarray() if sp.issparse(p) else p for p in parts]
+        present = [np.ravel(p) for p in parts if p is not None]
+        if present:
+            arrays[name] = (present[0] if len(present) == 1
+                            else np.concatenate(present))
+        shapes[name] = [None if p is None else list(np.shape(p))
+                        for p in parts]
+
+    for name in _BLOCK_FIELDS:
+        pack(name, [getattr(b, name) for b in rom.blocks])
+    if rom.C_ss is not None:
+        for name in ("C_ss", "G_ss", "B_s", "L_s"):
+            _encode_matrix(arrays, formats, name, getattr(rom, name))
+    extras: dict[str, object] = {}
+    for name in rom._extras:
+        value = getattr(rom, name)
+        if isinstance(value, dict):
+            extras[name] = value
+            continue
+        listed = isinstance(value, list)
+        pack(f"x_{name}", value if listed else [value])
+        extras[name] = "list" if listed else "array"
     meta = {
-        "kind": _KIND_REDUCED,
+        "kind": _KIND_ROM,
+        "class": type(rom).__name__,
         "formats": formats,
-        "method": model.method,
-        "s0": _encode_s0(model.s0),
-        "n_moments": int(model.n_moments),
-        "reusable": bool(model.reusable),
-        "original_size": int(model.original_size),
-        "original_ports": int(model.original_ports),
-        "name": model.name,
-    }
-    return arrays, meta
-
-
-def _decode_reduced_system(data, meta: dict) -> ReducedSystem:
-    formats = meta["formats"]
-    return ReducedSystem(
-        C=_decode_matrix(data, formats, "C"),
-        G=_decode_matrix(data, formats, "G"),
-        B=_decode_matrix(data, formats, "B"),
-        L=_decode_matrix(data, formats, "L"),
-        projection=(_decode_matrix(data, formats, "projection")
-                    if "projection" in formats else None),
-        const_input=(data["const_input"]
-                     if "const_input" in data else None),
-        method=str(meta["method"]),
-        s0=_decode_s0(meta["s0"]),
-        n_moments=int(meta["n_moments"]),
-        reusable=bool(meta["reusable"]),
-        original_size=int(meta["original_size"]),
-        original_ports=int(meta["original_ports"]),
-        name=str(meta["name"]),
-    )
-
-
-def _encode_bdsm_rom(rom: BlockDiagonalROM) -> tuple[dict, dict]:
-    arrays: dict[str, np.ndarray] = {}
-    formats: dict[str, str] = {}
-    block_indices: list[int] = []
-    has_basis: list[bool] = []
-    for pos, block in enumerate(rom.blocks):
-        prefix = f"block{pos}"
-        arrays[f"{prefix}_C"] = block.C
-        arrays[f"{prefix}_G"] = block.G
-        arrays[f"{prefix}_b"] = block.b
-        arrays[f"{prefix}_L"] = block.L
-        if block.basis is not None:
-            _encode_matrix(arrays, formats, f"{prefix}_basis", block.basis)
-        block_indices.append(int(block.index))
-        has_basis.append(block.basis is not None)
-    meta = {
-        "kind": _KIND_BDSM,
-        "formats": formats,
-        "n_blocks": len(rom.blocks),
-        "block_indices": block_indices,
-        "has_basis": has_basis,
+        "shapes": shapes,
+        "indices": [b.index for b in rom.blocks],
+        "extras": extras,
+        "n_ports": int(rom.n_ports),
         "n_outputs": int(rom.n_outputs),
+        "method": rom.method,
         "s0": _encode_s0(rom.s0),
         "n_moments": int(rom.n_moments),
+        "reusable": bool(rom.reusable),
         "original_size": int(rom.original_size),
         "original_ports": int(rom.original_ports),
         "name": rom.name,
+        "output_names": list(rom.output_names),
     }
     return arrays, meta
 
 
-def _decode_bdsm_rom(data, meta: dict) -> BlockDiagonalROM:
+def _decode_rom(data, meta: dict) -> StructuredROM:
+    cls = _ROM_CLASSES.get(meta["class"])
+    if cls is None:
+        raise ValidationError(f"unknown ROM class {meta['class']!r}")
+
+    def unpack(name: str) -> list:
+        parts, offset = [], 0
+        for shape in meta["shapes"][name]:
+            size = 0 if shape is None else int(np.prod(shape))
+            parts.append(None if shape is None else
+                         data[name][offset:offset + size].reshape(shape))
+            offset += size
+        return parts
+
+    fields = {name: unpack(name) for name in _BLOCK_FIELDS}
+    blocks = [ROMBlock(index, **{name: parts[k]
+                                 for name, parts in fields.items()})
+              for k, index in enumerate(meta["indices"])]
     formats = meta["formats"]
-    blocks: list[ROMBlock] = []
-    for pos in range(int(meta["n_blocks"])):
-        prefix = f"block{pos}"
-        basis = None
-        if meta["has_basis"][pos]:
-            basis = _decode_matrix(data, formats, f"{prefix}_basis")
-            if sp.issparse(basis):
-                basis = basis.toarray()
-        blocks.append(ROMBlock(
-            index=int(meta["block_indices"][pos]),
-            C=data[f"{prefix}_C"],
-            G=data[f"{prefix}_G"],
-            b=data[f"{prefix}_b"],
-            L=data[f"{prefix}_L"],
-            basis=basis))
-    return BlockDiagonalROM(
-        blocks,
-        n_outputs=int(meta["n_outputs"]),
-        s0=_decode_s0(meta["s0"]),
-        n_moments=int(meta["n_moments"]),
+    interface = None
+    if "C_ss" in formats:
+        interface = tuple(_decode_matrix(data, formats, name)
+                          for name in ("C_ss", "G_ss", "B_s", "L_s"))
+    extras = {}
+    for name, how in meta["extras"].items():
+        if how == "list":
+            extras[name] = unpack(f"x_{name}")
+        elif how == "array":
+            extras[name] = unpack(f"x_{name}")[0]
+        else:
+            extras[name] = how
+    return cls._restore(
+        blocks, extras, n_ports=int(meta["n_ports"]),
+        n_outputs=int(meta["n_outputs"]), interface=interface,
+        method=str(meta["method"]), s0=_decode_s0(meta["s0"]),
+        n_moments=int(meta["n_moments"]), reusable=bool(meta["reusable"]),
         original_size=int(meta["original_size"]),
-        original_ports=int(meta["original_ports"]),
-        name=str(meta["name"]),
-    )
+        original_ports=int(meta["original_ports"]), name=str(meta["name"]),
+        output_names=meta["output_names"])
 
 
 def _encode_summary(summary: ReductionSummary) -> tuple[dict, dict]:
@@ -287,14 +299,12 @@ def _decode_summary(data, meta: dict) -> ReductionSummary:
 
 
 _ENCODERS = (
-    (BlockDiagonalROM, _encode_bdsm_rom),
-    (ReducedSystem, _encode_reduced_system),
+    (StructuredROM, _encode_rom),
     (ReductionSummary, _encode_summary),
 )
 
 _DECODERS = {
-    _KIND_REDUCED: _decode_reduced_system,
-    _KIND_BDSM: _decode_bdsm_rom,
+    _KIND_ROM: _decode_rom,
     _KIND_SUMMARY: _decode_summary,
 }
 
@@ -305,8 +315,10 @@ _DECODERS = {
 def save_artifact(model, path: str | Path) -> Path:
     """Save a ROM (or summary) to a versioned ``.npz`` artifact.
 
-    Supported types: :class:`~repro.mor.base.ReducedSystem`,
-    :class:`~repro.core.structured_rom.BlockDiagonalROM` and
+    Supported types: every :class:`~repro.mor.base.StructuredROM`
+    (:class:`~repro.mor.base.ReducedSystem`,
+    :class:`~repro.core.structured_rom.BlockDiagonalROM`,
+    :class:`~repro.partition.assemble.PartitionedROM`) and
     :class:`~repro.mor.base.ReductionSummary`.  The write is atomic: the
     container is assembled in a temporary file next to ``path`` and moved
     into place with ``os.replace``, so concurrent readers never see a
@@ -319,7 +331,7 @@ def save_artifact(model, path: str | Path) -> Path:
     else:
         raise ValidationError(
             f"cannot serialize {type(model).__name__}; supported kinds are "
-            "ReducedSystem, BlockDiagonalROM and ReductionSummary")
+            "StructuredROM (every ROM) and ReductionSummary")
     meta["schema"] = SCHEMA_VERSION
     meta["fingerprint"] = _payload_fingerprint(arrays, meta)
     path = Path(path)

@@ -30,9 +30,9 @@ Since the layered refactor, :class:`ModelServer` is a thin facade over the
   registry's :meth:`warm_stats` counts model loads and warm-set hits.
 
 Concurrency model (unchanged): queries against one model are serialized by
-its lock (BlockDiagonalROM caches assembled matrices lazily; the lock makes
-that safe) while queries against different models run in parallel, and
-heavy sweeps are delegated to the shared engine.
+its lock (every ROM caches assembled matrices and solve groups lazily;
+the lock makes that safe) while queries against different models run in
+parallel, and heavy sweeps are delegated to the shared engine.
 """
 
 from __future__ import annotations

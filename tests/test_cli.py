@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -268,6 +269,33 @@ class TestPartitionedReduceCommand:
         assert code == 0
         model = load_artifact(target)
         assert model.method == "P-BDSM"
+
+    def test_partitioned_save_stores_macromodel(self, capsys, tmp_path,
+                                                monkeypatch):
+        """``--partitions K --save`` stores the bordered macromodel itself,
+        not a densified copy."""
+        import repro.cli as cli
+        from repro import PartitionedROM
+        from repro.store import load_artifact
+        saved, real_save = [], cli.save_artifact
+
+        def capture(model, path):
+            saved.append(model)
+            return real_save(model, path)
+
+        monkeypatch.setattr(cli, "save_artifact", capture)
+        target = tmp_path / "macromodel.npz"
+        assert main(["reduce", "--benchmark", "ckt2", "--moments", "3",
+                     "--partitions", "4", "--save", str(target)]) == 0
+        rom, = saved
+        loaded = load_artifact(target)
+        assert isinstance(loaded, PartitionedROM)
+        assert loaded.size == rom.size
+        assert loaded.nnz == rom.nnz
+        assert loaded.partition_info == rom.partition_info
+        for s in (0.0, 1j * 1e7, 1j * 1e9):
+            assert np.array_equal(loaded.transfer_function(s),
+                                  rom.transfer_function(s))
 
     def test_partitioned_store_hits_per_shard(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store")

@@ -173,7 +173,7 @@ class TestFaultInjection:
     def test_healthy_reduce_attaches_ok_report(self, monitors):
         system = make_benchmark("ckt1", "laptop")
         rom, _, _ = bdsm_reduce(system, 4)
-        assert hasattr(rom, "health")
+        assert rom.health is not None
         assert rom.health.status in ("ok", "warn")
         monitored = {c.monitor for c in rom.health.checks}
         assert "reduce.deflation_rate" in monitored

@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.analysis.sources import SourceBank, StepSource
 from repro.exceptions import ValidationError
+from repro.store import ServeError
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,18 @@ def warm_server(system, bdsm_rom, tmp_path):
 
 
 class TestRegistry:
+    def test_failed_health_rom_refused(self, bdsm_rom):
+        from repro.core.structured_rom import BlockDiagonalROM
+        from repro.obs.health import HealthCheck, HealthReport
+        rom = BlockDiagonalROM(bdsm_rom.blocks, n_outputs=bdsm_rom.n_outputs)
+        server = ModelServer()
+        rom.health = HealthReport([HealthCheck("ortho.loss", 1.0, "warn")])
+        server.register("warned", rom)
+        rom.health = HealthReport([HealthCheck("ortho.loss", 1.0, "fail")])
+        with pytest.raises(ValidationError, match="ortho.loss"):
+            server.register("failed", rom)
+        assert server.models() == ["warned"]
+
     def test_register_and_models(self, bdsm_rom):
         server = ModelServer()
         server.register("rom", bdsm_rom)
@@ -223,3 +236,18 @@ class TestConcurrentServing:
                 QueryRequest("transfer", "rom", {"s_values": [1j * 1e6]}))
             assert future.result().shape == (1, bdsm_rom.n_outputs,
                                              bdsm_rom.n_ports)
+
+
+@pytest.mark.parametrize("method", ["bdsm", "prima"])
+def test_served_entry_sweep_rejects_negative_index(system, method):
+    """A served entry sweep with a negative index comes back as a
+    :class:`ServeError` instead of a sweep labelled with that index."""
+    reduce = {"bdsm": bdsm_reduce, "prima": prima_reduce}[method]
+    rom, _, _ = reduce(system, 2)
+    with ModelServer() as server:
+        server.register("rom", rom)
+        for output, port in ((-1, 0), (0, -1)):
+            request = QueryRequest("sweep", "rom", {
+                "output": output, "port": port, "n_points": 4})
+            with pytest.raises(ServeError):
+                server.serve([request])

@@ -145,3 +145,38 @@ class TestReductionSummary:
         assert row["status"] == "break down"
         assert row["ROM size"] is None
         assert row["MOR time (s)"] is None
+
+
+class TestOneEvaluator:
+    """Index and singularity checks of the evaluator every ROM shares."""
+
+    @staticmethod
+    def _rom(kind):
+        from repro import bdsm_reduce, make_benchmark, partitioned_reduce
+        from repro.mor.prima import prima_reduce
+        system = make_benchmark("ckt1", scale="smoke")
+        reducer = {"bdsm": lambda: bdsm_reduce(system, 2),
+                   "prima": lambda: prima_reduce(system, 2),
+                   "partitioned": lambda: partitioned_reduce(
+                       system, 2, n_parts=2)}[kind]
+        return reducer()[0]
+
+    @pytest.mark.parametrize("kind", ["bdsm", "prima", "partitioned"])
+    def test_out_of_range_indices_rejected(self, kind):
+        from repro.exceptions import PartitionError
+        rom = self._rom(kind)
+        error = PartitionError if kind == "partitioned" else ReductionError
+        p, m = rom.n_outputs, rom.n_ports
+        for output, port in ((-1, 0), (0, -1), (p, 0), (0, m)):
+            with pytest.raises(error):
+                rom.transfer_entry(1j * 1e8, output, port)
+        assert rom.transfer_entry(1j * 1e8, p - 1, m - 1) == pytest.approx(
+            rom.transfer_function(1j * 1e8)[p - 1, m - 1], rel=1e-12)
+
+    def test_singular_pencil_raises_reduction_error(self):
+        rom = ReducedSystem(C=np.zeros((2, 2)), G=np.zeros((2, 2)),
+                            B=np.ones((2, 1)), L=np.ones((1, 2)))
+        with pytest.raises(ReductionError):
+            rom.transfer_entry(1j, 0, 0)
+        with pytest.raises(ReductionError):
+            rom.transfer_function(1j)

@@ -349,7 +349,7 @@ class TestMultilevelHealth:
         rom, _, _ = multilevel_reduce(conformance_system, INTERFACE_ORDER,
                                       **FALLBACK_CONFIG)
         assert len(monitors) == before
-        assert not hasattr(rom, "health")
+        assert rom.health is None
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,8 @@ from repro.linalg.backends import (
     available_backends,
     default_cache,
     get_solver,
+    ilu_preconditioner,
+    jacobi_preconditioner,
     select_backend,
     solve,
     temporary_default_cache,
@@ -282,3 +284,114 @@ class TestLibraryWiring:
                                  preconditioner="ilu"))
         assert np.allclose(base.voltages, alt.voltages,
                            rtol=1e-8, atol=1e-12)
+
+
+class TestPreconditioners:
+    def test_jacobi_inverts_diagonal(self, rc_grid_system):
+        A = -rc_grid_system.G
+        M = jacobi_preconditioner(A)
+        v = np.ones(A.shape[0])
+        assert np.allclose(M @ v, 1.0 / A.diagonal())
+
+    def test_jacobi_tolerates_zero_diagonal(self):
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+        M = jacobi_preconditioner(A)
+        v = np.array([3.0, 4.0])
+        # Zero-diagonal rows pass through with unit scale; the rest invert.
+        assert np.allclose(M @ v, [3.0, 2.0])
+
+    def test_jacobi_empty_matrix(self):
+        M = jacobi_preconditioner(sp.csr_matrix((0, 0)))
+        assert (M @ np.zeros(0)).shape == (0,)
+
+    def test_jacobi_on_grid_with_zero_conductance_node(self):
+        """A cap-only node has a zero G diagonal; jacobi must stay defined."""
+        from repro.circuit import Netlist, assemble_mna
+        net = Netlist(title="zero-conductance-node")
+        net.add_resistor("R1", "n1", "0", 1.0)
+        net.add_resistor("R2", "n1", "n2", 2.0)
+        net.add_capacitor("C1", "n2", "n3", 1e-6)  # n3 only sees this cap
+        net.add_capacitor("C2", "n3", "0", 1e-6)
+        net.add_current_source("I1", "n1", "0", 1e-3)
+        net.set_output_nodes(["n1"])
+        system = assemble_mna(net)
+        A = -system.G
+        diag = np.asarray(A.diagonal())
+        assert np.any(diag == 0.0), "test grid must have a zero-G-diag node"
+        M = jacobi_preconditioner(A)
+        v = np.ones(A.shape[0])
+        out = M @ v
+        assert np.all(np.isfinite(out))
+        nz = diag != 0.0
+        assert np.allclose(out[nz], 1.0 / diag[nz])
+        assert np.allclose(out[~nz], 1.0)
+
+    def test_ilu_approximates_inverse(self, rc_grid_system):
+        A = -rc_grid_system.G
+        M = ilu_preconditioner(A, drop_tol=0.0)
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=A.shape[0])
+        x = M @ b
+        assert np.allclose(A @ x, b, rtol=1e-6, atol=1e-9)
+
+
+class TestIterativeGridSolves:
+    """The DC grid solve ``-G x = B u`` through the iterative backends:
+    CG on a symmetric RC grid, GMRES on an RLC grid's branch rows."""
+
+    @staticmethod
+    def _rhs(system, loads=None) -> np.ndarray:
+        loads = np.ones(system.n_ports) if loads is None else loads
+        return np.asarray(system.B @ loads).reshape(-1)
+
+    @staticmethod
+    def _iterative(system, preconditioner: str = "jacobi", **kwargs):
+        A = -system.G
+        options = SolverOptions(backend="iterative", use_cache=False,
+                                tol=1e-10, preconditioner=preconditioner,
+                                **kwargs)
+        return A, get_solver(A, options=options)
+
+    @pytest.mark.parametrize("preconditioner", ["jacobi", "ilu", "none"])
+    def test_matches_direct_solve(self, rc_grid_system, preconditioner):
+        loads = np.linspace(1e-3, 2e-3, rc_grid_system.n_ports)
+        rhs = self._rhs(rc_grid_system, loads)
+        direct = ShiftedOperator(rc_grid_system.C, rc_grid_system.G,
+                                 s0=0.0).solve(rhs)
+        A, solver = self._iterative(rc_grid_system, preconditioner)
+        x = solver.solve(rhs)
+        assert np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs) < 1e-8
+        assert np.allclose(x, direct, rtol=1e-6, atol=1e-12)
+
+    def test_symmetric_grid_uses_cg(self, rc_grid_system):
+        A, solver = self._iterative(rc_grid_system)
+        assert solver.name == "cg"
+        rhs = self._rhs(rc_grid_system)
+        assert np.linalg.norm(rhs - A @ solver.solve(rhs)) \
+            <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_rlc_grid_uses_gmres(self, rlc_grid_system):
+        A, solver = self._iterative(rlc_grid_system, "ilu")
+        assert solver.name == "gmres"
+        rhs = self._rhs(rlc_grid_system)
+        assert np.linalg.norm(rhs - A @ solver.solve(rhs)) \
+            < 1e-8 * np.linalg.norm(rhs)
+
+    def test_rlc_grid_jacobi_handles_branch_rows(self, rlc_grid_system):
+        """RLC branch rows have zero G diagonal; jacobi used to raise here."""
+        A, solver = self._iterative(rlc_grid_system, "jacobi",
+                                    max_iterations=20000)
+        rhs = self._rhs(rlc_grid_system)
+        assert np.linalg.norm(rhs - A @ solver.solve(rhs)) \
+            < 1e-8 * np.linalg.norm(rhs)
+
+    def test_wrong_rhs_length(self, rc_grid_system):
+        _, solver = self._iterative(rc_grid_system)
+        with pytest.raises(SolverBackendError):
+            solver.solve(np.ones(3))
+
+    def test_unknown_backend(self, rc_grid_system):
+        with pytest.raises(SolverBackendError):
+            get_solver(-rc_grid_system.G,
+                       options=SolverOptions(backend="magic",
+                                             use_cache=False))

@@ -23,7 +23,8 @@ class TestROMBlock:
         s = 1j * 2.0
         expected = block.L @ np.linalg.solve(s * block.C - block.G,
                                              block.b.astype(complex))
-        assert np.allclose(block.transfer_column(s), expected)
+        rom = BlockDiagonalROM([block], n_outputs=3)
+        assert np.allclose(rom.transfer_function(s)[:, 0], expected.ravel())
 
     def test_shape_validation(self):
         with pytest.raises(ReductionError):
