@@ -1,8 +1,10 @@
 """Simulation substrate: frequency sweeps, transient integration, IR drop.
 
-These analyses operate uniformly on any object exposing the descriptor
-quadruple ``(C, G, B, L)`` — the full MNA model, a dense PRIMA/SVDMOR/EKS
-ROM, or a BDSM :class:`~repro.core.structured_rom.BlockDiagonalROM` — so the
+These analyses operate uniformly on the full MNA model, a dense
+PRIMA/SVDMOR/EKS ROM, or a BDSM
+:class:`~repro.core.structured_rom.BlockDiagonalROM` — transient and IR-drop
+analyses read the descriptor quadruple ``(C, G, B, L)``, frequency sweeps
+call the model's own ``transfer_function`` / ``transfer_entry`` — so the
 benchmark harness can compare "simulate the full model" against "simulate
 the ROM" without special cases.
 """

@@ -1,22 +1,22 @@
-"""Parallel batched sweep engine for the analysis layer.
+"""Parallel sweep engine for the analysis layer.
 
 A frequency sweep, a bank of transient corners and a set of IR-drop load
 scenarios share one computational shape: many *independent* evaluation
-points, each dominated by a pencil factorisation and a handful of
-triangular solves.  :class:`SweepEngine` exploits that shape twice over:
+points, each an evaluation of the model's own pencil.  :class:`SweepEngine`
+runs those points and nothing else — the pencil solve belongs to the model
+(``transfer_function`` / ``transfer_entry`` of a
+:class:`~repro.mor.base.StructuredROM`, a
+:class:`~repro.circuit.mna.DescriptorSystem` or any other model that
+provides them):
 
-* **multi-RHS batching** — every right-hand side touching one factorized
-  pencil is solved in a single ``(n, k)`` block call (the paper's
-  ``O(m l^3)`` block-simulation argument), instead of column-by-column;
 * **point parallelism** — evaluation points are split into contiguous,
-  deterministic chunks and fanned across a thread pool (SciPy's SuperLU
-  releases the GIL during factor and solve) or a process pool.  Parallel
-  workers solve generic pencils *uncached* — a sweep touches each shifted
-  pencil exactly once, so a cache could never hit, and skipping it keeps
-  the shared default :class:`~repro.linalg.backends.FactorizationCache`
-  free of worker traffic; serial sweeps keep consulting the default
-  cache, so the documented ``set_default_cache`` reuse recipe for
-  repeated sweeps is unaffected;
+  deterministic chunks and fanned across a thread pool (SciPy's SuperLU and
+  LAPACK release the GIL during factor and solve), or run by the serial
+  loop at ``jobs=1``.  A ``solver`` is forwarded unchanged to an evaluator
+  that accepts one; :class:`~repro.circuit.mna.DescriptorSystem`'s default
+  is uncached per-frequency factors, so a sweep leaves the shared
+  :class:`~repro.linalg.backends.FactorizationCache` alone unless the
+  caller passes caching options;
 * **adaptive refinement** — :func:`SweepEngine.adaptive_entry_sweep`
   evaluates a coarse subset of the frequency grid, bisects intervals whose
   interpolated relative-error estimate is uncertain or near the target,
@@ -35,24 +35,14 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions, process_worker_init
-from repro.linalg.krylov import ShiftedOperator
-from repro.obs.metrics import default_metrics
-from repro.obs.tracing import (
-    attach_context,
-    capture_context,
-    default_tracer,
-    disable_tracing,
-    drain_spans,
-    enable_tracing,
-    trace_span,
-)
+from repro.linalg.backends import SolverOptions
+from repro.obs.tracing import attach_context, capture_context, trace_span
 
 __all__ = ["SweepEngine", "AdaptiveSweepResult"]
 
@@ -61,7 +51,7 @@ _ERROR_FLOOR = 1e-300
 
 
 # --------------------------------------------------------------------------- #
-# Signature probing (memoized — satellite fix: probed once per function)
+# Signature probing (memoized — probed once per function)
 # --------------------------------------------------------------------------- #
 @functools.lru_cache(maxsize=256)
 def _accepts_solver_uncached(fn) -> bool:
@@ -83,7 +73,7 @@ def _accepts_solver(fn) -> bool:
 
 
 def _call_transfer(fn, args: tuple, solver: SolverOptions | None):
-    """Invoke a system's own transfer evaluator, forwarding ``solver``.
+    """Invoke a model's own transfer evaluator, forwarding ``solver``.
 
     The signature is inspected (memoized) rather than catching ``TypeError``
     so a genuine evaluator bug is never masked or re-executed.
@@ -93,48 +83,14 @@ def _call_transfer(fn, args: tuple, solver: SolverOptions | None):
     return fn(*args)
 
 
-def _dense_rhs(system) -> np.ndarray:
-    """Densify ``system.B`` once per sweep (not once per frequency point)."""
-    B = system.B
-    return B.toarray() if hasattr(B, "toarray") else np.asarray(B)
+def _require_evaluator(system) -> None:
+    """Reject a model without its own ``transfer_function`` up front."""
+    if not hasattr(system, "transfer_function"):
+        raise SimulationError(
+            f"{type(system).__name__} has no transfer_function; the sweep "
+            "engine evaluates a model through its own evaluator")
 
 
-def _dense_rhs_column(system, port: int) -> np.ndarray:
-    """One dense ``(n, 1)`` column of ``system.B``, built once per sweep.
-
-    Sparse inputs go through CSR first so non-subscriptable formats
-    (e.g. COO) keep working, exactly like the full-matrix path.
-    """
-    B = system.B
-    if hasattr(B, "tocsr"):
-        return B.tocsr()[:, [port]].toarray()
-    if hasattr(B, "toarray"):
-        return B.toarray()[:, [port]]
-    return np.asarray(B)[:, [port]]
-
-
-def _effective_options(solver: SolverOptions | None,
-                       parallel: bool) -> SolverOptions:
-    """Solver options for a chunk's generic pencil solves.
-
-    A sweep touches each shifted pencil exactly once, so a cache can never
-    hit *within* the sweep; parallel workers therefore solve uncached,
-    which both skips the per-pencil fingerprinting cost and keeps the
-    shared default cache free of worker traffic.  Serial execution keeps
-    the caller's caching choice so repeated sweeps of the same grid reuse
-    factors from the process-wide default cache (the documented
-    ``set_default_cache`` workflow).  Caching never changes results, so
-    parallel stays bit-identical to serial either way.
-    """
-    opts = solver if solver is not None else SolverOptions(use_cache=False)
-    if parallel and opts.use_cache:
-        opts = replace(opts, use_cache=False)
-    return opts
-
-
-# --------------------------------------------------------------------------- #
-# Worker-side wrappers: trace-context hand-off and telemetry collection
-# --------------------------------------------------------------------------- #
 def _thread_chunk_call(kernel, task, ctx):
     """Run one chunk on a pool thread under the submitter's trace context.
 
@@ -150,98 +106,33 @@ def _thread_chunk_call(kernel, task, ctx):
             return kernel(task)
 
 
-def _process_chunk_call(payload):
-    """Run one chunk in a worker process and ship its telemetry home.
-
-    Process workers accumulate metrics (span timings included) into
-    *their own* process-local default registry, which would otherwise die
-    with the pool.  This wrapper snapshots (and resets) that registry and
-    drains the worker's finished spans after the kernel runs, returning
-    ``(result, {"metrics", "spans"})`` so the parent can merge them — and,
-    when tracing is on, re-attaches the submitter's span context so
-    worker spans land under the dispatching span.
-    """
-    kernel, task, ctx = payload
-    if ctx is not None and ctx.enabled:
-        enable_tracing()
-    else:
-        disable_tracing()
-    with attach_context(ctx):
-        with trace_span("engine.chunk", executor="process",
-                        kernel=getattr(kernel, "__name__", str(kernel))):
-            result = kernel(task)
-    metrics = default_metrics()
-    telemetry = {
-        "metrics": metrics.snapshot(),
-        "spans": [span.as_dict() for span in drain_spans()],
-    }
-    metrics.reset()
-    return result, telemetry
-
-
-def _process_worker_init(capacity: int) -> None:
-    """Pool initializer: a fresh solver cache, and telemetry cleared of
-    whatever a forked worker inherited from the parent (shipping that
-    home would count the parent's spans twice)."""
-    process_worker_init(capacity)
-    default_metrics().reset()
-    drain_spans()
-
-
 # --------------------------------------------------------------------------- #
-# Per-chunk kernels (module-level so process pools can pickle them)
+# Per-chunk kernels
 # --------------------------------------------------------------------------- #
 def _evaluate_matrix_chunk(task) -> np.ndarray:
-    """Evaluate the full ``p x m`` transfer matrix at each point of a chunk.
-
-    One multi-RHS solve per factorized pencil: all ``m`` columns of ``B``
-    are pushed through ``(sC - G)^{-1}`` in a single block call.
-    """
-    system, s_chunk, solver, rhs, parallel = task
-    if hasattr(system, "transfer_function"):
-        return np.stack(
-            [np.asarray(_call_transfer(system.transfer_function, (s,), solver))
-             for s in s_chunk], axis=0)
-    opts = _effective_options(solver, parallel)
-    L = system.L
-    samples = []
-    for s in s_chunk:
-        op = ShiftedOperator(system.C, system.G, s0=s, solver=opts)
-        X = op.solve(rhs)
-        samples.append(np.asarray(L @ X))
-    return np.stack(samples, axis=0)
+    """Evaluate the full ``p x m`` transfer matrix at each point of a chunk."""
+    system, s_chunk, solver = task
+    return np.stack(
+        [np.asarray(_call_transfer(system.transfer_function, (s,), solver))
+         for s in s_chunk], axis=0)
 
 
 def _evaluate_entry_chunk(task) -> np.ndarray:
     """Evaluate a single transfer-matrix entry at each point of a chunk.
 
-    The generic fallback solves only the one ``B`` column and applies the
-    one ``L`` row the entry needs — not the full ``p x m`` matrix.
+    Uses the model's ``transfer_entry`` when it has one, else the
+    ``(output, port)`` entry of its ``transfer_function``.
     """
-    system, s_chunk, output, port, solver, rhs, parallel = task
+    system, s_chunk, output, port, solver = task
     values = np.empty(len(s_chunk), dtype=complex)
     if hasattr(system, "transfer_entry"):
         for k, s in enumerate(s_chunk):
             values[k] = _call_transfer(system.transfer_entry,
                                        (s, output, port), solver)
         return values
-    if hasattr(system, "transfer_function"):
-        for k, s in enumerate(s_chunk):
-            values[k] = np.asarray(_call_transfer(
-                system.transfer_function, (s,), solver))[output, port]
-        return values
-    opts = _effective_options(solver, parallel)
-    L = system.L
-    if hasattr(L, "tocsr"):
-        row = L.tocsr()[output, :].toarray().reshape(-1)
-    elif hasattr(L, "toarray"):
-        row = L.toarray()[output, :]
-    else:
-        row = np.asarray(L)[output, :]
     for k, s in enumerate(s_chunk):
-        op = ShiftedOperator(system.C, system.G, s0=s, solver=opts)
-        x = op.solve(rhs)
-        values[k] = complex(row @ np.asarray(x).reshape(-1))
+        values[k] = np.asarray(_call_transfer(
+            system.transfer_function, (s,), solver))[output, port]
     return values
 
 
@@ -298,57 +189,36 @@ class AdaptiveSweepResult:
 
 @dataclass
 class SweepEngine:
-    """Distributes independent sweep points over a worker pool.
+    """Distributes independent sweep points over a thread pool.
 
     Parameters
     ----------
     jobs:
-        Number of workers.  ``1`` (default) evaluates serially on the
-        calling thread; ``0`` resolves to ``os.cpu_count()``.
-    executor:
-        ``"thread"`` (default; SciPy's factor/solve kernels release the GIL)
-        or ``"process"`` for pools of separate interpreters.  Process
-        workers receive a fresh default
-        :class:`~repro.linalg.backends.FactorizationCache` through
-        :func:`~repro.linalg.backends.process_worker_init`, and every task
-        payload (system matrices, :class:`SolverOptions`) is pickled.
+        Number of worker threads.  ``1`` (default) evaluates serially on
+        the calling thread; ``0`` resolves to ``os.cpu_count()``.
     solver:
         Default :class:`~repro.linalg.backends.SolverOptions` applied when
-        a sampling call does not pass its own.
-    worker_cache_capacity:
-        Capacity of the fresh default
-        :class:`~repro.linalg.backends.FactorizationCache` installed in
-        each process-pool worker by
-        :func:`~repro.linalg.backends.process_worker_init`.
+        a sampling call does not pass its own; forwarded unchanged to every
+        model evaluator that takes a ``solver`` keyword.
 
     Notes
     -----
-    Results are bit-identical across ``jobs`` values: chunk boundaries are
-    deterministic, each worker runs the exact serial per-point kernel, and
-    chunks are reassembled by index.  Parallel workers solve generic
-    pencils uncached (each sweep pencil is touched once, so a cache could
-    never hit) while serial execution keeps the caller's caching choice;
-    caching only changes *when* a factorisation happens, never its result.
+    Every sampled model must have its own ``transfer_function`` (and may
+    have ``transfer_entry``); a model without one is rejected with
+    :class:`~repro.exceptions.SimulationError` before any work is
+    dispatched.  Results are bit-identical across ``jobs`` values: chunk
+    boundaries are deterministic, each worker runs the exact serial
+    per-point kernel, and chunks are reassembled by index.
     """
 
     jobs: int = 1
-    executor: str = "thread"
     solver: SolverOptions | None = None
-    worker_cache_capacity: int = 16
     _pool: object = field(default=None, init=False, repr=False,
                           compare=False)
-
-    _EXECUTORS = ("thread", "process")
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
             raise SimulationError("jobs must be >= 0 (0 = one per CPU)")
-        if self.executor not in self._EXECUTORS:
-            raise SimulationError(
-                f"unknown executor {self.executor!r}; "
-                f"choose from {self._EXECUTORS}")
-        if self.worker_cache_capacity < 0:
-            raise SimulationError("worker_cache_capacity must be >= 0")
 
     # ------------------------------------------------------------------ #
     # Pool plumbing
@@ -363,25 +233,17 @@ class SweepEngine:
         ``n_chunks + 1``)."""
         return np.linspace(0, n_items, n_chunks + 1).astype(int)
 
-    def _get_pool(self):
-        """The engine's persistent worker pool, created on first parallel
+    def _get_pool(self) -> ThreadPoolExecutor:
+        """The engine's persistent thread pool, created on first parallel
         dispatch.
 
         Keeping one executor alive across dispatches means adaptive
-        refinement rounds and repeated sweeps reuse the same workers
-        instead of paying pool spawn (and, for process pools, interpreter
-        startup plus :func:`~repro.linalg.backends.process_worker_init`)
-        per call.  Released by :meth:`close` / context-manager exit.
+        refinement rounds and repeated sweeps reuse the same threads
+        instead of paying pool spawn per call.  Released by :meth:`close`
+        / context-manager exit.
         """
         if self._pool is None:
-            if self.executor == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.resolved_jobs(),
-                    initializer=_process_worker_init,
-                    initargs=(max(self.worker_cache_capacity, 1),))
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.resolved_jobs())
+            self._pool = ThreadPoolExecutor(max_workers=self.resolved_jobs())
         return self._pool
 
     def close(self) -> None:
@@ -410,29 +272,13 @@ class SweepEngine:
         """Run ``kernel`` over ``tasks``, preserving task order.
 
         Parallel dispatches capture the submitting trace context so
-        worker spans re-attach to the dispatching span (threads *and*
-        processes); process dispatches additionally merge each worker's
-        metrics snapshot and finished spans back into the parent's
-        default registry and tracer, so per-chunk telemetry survives the
-        pool.
+        worker spans re-attach to the dispatching span.
         """
         workers = min(self.resolved_jobs(), len(tasks))
         if workers <= 1:
             return [kernel(task) for task in tasks]
         ctx = capture_context()
-        pool = self._get_pool()
-        if self.executor == "process":
-            payloads = [(kernel, task, ctx) for task in tasks]
-            outcomes = list(pool.map(_process_chunk_call, payloads))
-            metrics = default_metrics()
-            tracer = default_tracer()
-            results = []
-            for result, telemetry in outcomes:
-                results.append(result)
-                metrics.merge_snapshot(telemetry["metrics"])
-                tracer.ingest(telemetry["spans"])
-            return results
-        return list(pool.map(
+        return list(self._get_pool().map(
             lambda task: _thread_chunk_call(kernel, task, ctx), tasks))
 
     def _split(self, values: np.ndarray) -> list[np.ndarray]:
@@ -446,32 +292,19 @@ class SweepEngine:
     def _solver_for(self, solver: SolverOptions | None) -> SolverOptions | None:
         return solver if solver is not None else self.solver
 
-    def _parallel_dispatch(self, n_tasks: int) -> bool:
-        """Whether a dispatch of ``n_tasks`` chunks actually runs in
-        parallel (see :func:`_effective_options` for what that implies)."""
-        return min(self.resolved_jobs(), n_tasks) > 1
-
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
     def sample_matrix(self, system, s_values, *,
                       solver: SolverOptions | None = None) -> np.ndarray:
         """Sample the full transfer matrix at each ``s``; shape
-        ``(k, p, m)``.
-
-        The dense right-hand-side block is built once per sweep and every
-        pencil is hit with a single multi-RHS solve.
-        """
+        ``(k, p, m)``."""
         s_values = np.asarray(s_values, dtype=complex)
         if s_values.size == 0:
             raise SimulationError("sample_matrix needs at least one point")
+        _require_evaluator(system)
         opts = self._solver_for(solver)
-        rhs = None
-        if not hasattr(system, "transfer_function"):
-            rhs = _dense_rhs(system)
-        chunks = self._split(s_values)
-        parallel = self._parallel_dispatch(len(chunks))
-        tasks = [(system, chunk, opts, rhs, parallel) for chunk in chunks]
+        tasks = [(system, chunk, opts) for chunk in self._split(s_values)]
         pieces = self._execute(_evaluate_matrix_chunk, tasks)
         return np.concatenate(pieces, axis=0)
 
@@ -481,15 +314,10 @@ class SweepEngine:
         s_values = np.asarray(s_values, dtype=complex)
         if s_values.size == 0:
             raise SimulationError("sample_entry needs at least one point")
+        _require_evaluator(system)
         opts = self._solver_for(solver)
-        rhs = None
-        if not (hasattr(system, "transfer_entry")
-                or hasattr(system, "transfer_function")):
-            rhs = _dense_rhs_column(system, port)
-        chunks = self._split(s_values)
-        parallel = self._parallel_dispatch(len(chunks))
-        tasks = [(system, chunk, output, port, opts, rhs, parallel)
-                 for chunk in chunks]
+        tasks = [(system, chunk, output, port, opts)
+                 for chunk in self._split(s_values)]
         pieces = self._execute(_evaluate_entry_chunk, tasks)
         return np.concatenate(pieces, axis=0)
 
@@ -497,8 +325,8 @@ class SweepEngine:
         """Run ``fn(scenario)`` for each scenario across the pool, in
         order.
 
-        The generic fan-out used for independent transient corners and
-        IR-drop scenarios; ``fn`` must be picklable for process pools.
+        The generic fan-out used for independent transient corners,
+        IR-drop scenarios and per-model sweeps.
         """
         return self._execute(fn, list(scenarios))
 
@@ -537,11 +365,8 @@ class SweepEngine:
         opts = self._solver_for(solver)
         models = [ref_vals] + [cand_vals[label] for label in labels]
         systems = [reference] + [candidates[label] for label in labels]
-        rhs_blocks = [
-            None if (hasattr(system, "transfer_entry")
-                     or hasattr(system, "transfer_function"))
-            else _dense_rhs_column(system, port)
-            for system in systems]
+        for system in systems:
+            _require_evaluator(system)
 
         def _evaluate_at(indices: np.ndarray) -> None:
             # One pool dispatch per refinement round, chunked both across
@@ -549,10 +374,8 @@ class SweepEngine:
             # used even when there are more jobs than models.
             s_vals = 1j * omegas[indices]
             chunks = self._split(s_vals)
-            parallel = self._parallel_dispatch(len(systems) * len(chunks))
-            tasks = [(system, chunk, output, port, opts, rhs, parallel)
-                     for system, rhs in zip(systems, rhs_blocks)
-                     for chunk in chunks]
+            tasks = [(system, chunk, output, port, opts)
+                     for system in systems for chunk in chunks]
             results = self._execute(_evaluate_entry_chunk, tasks)
             for j, store in enumerate(models):
                 pieces = results[j * len(chunks):(j + 1) * len(chunks)]

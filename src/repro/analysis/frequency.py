@@ -5,9 +5,10 @@ curves ``|H(j*omega)[output, port]|`` over a log-spaced frequency band, for
 the full model and for each ROM, plus the relative-error curves between
 them.
 
-Any object exposing ``C, G, B, L`` works; block-diagonal ROMs additionally
-expose a fast per-block solve that :class:`FrequencyAnalysis` uses
-automatically when present (duck-typed through ``transfer_function``).
+Any model with its own ``transfer_function`` works (and its
+``transfer_entry``, when it has one, serves single-entry sweeps): the
+full MNA model, every ROM — whose evaluator exploits the block
+structure — and a state-space model.
 
 Point evaluation is delegated to the
 :class:`~repro.analysis.engine.SweepEngine`: the default engine runs
@@ -22,13 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# _accepts_solver is re-exported for back-compat; the memoized signature
-# probe lives in the engine module now.
-from repro.analysis.engine import (  # noqa: F401
-    SweepEngine,
-    _accepts_solver,
-    _call_transfer,
-)
+from repro.analysis.engine import SweepEngine
 from repro.exceptions import SimulationError
 from repro.linalg.backends import SolverOptions
 
@@ -108,30 +103,22 @@ class FrequencyAnalysis:
     n_points:
         Number of frequency samples.
     solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the
-        per-frequency pencil solves on systems without their own
-        ``transfer_function``.  When left ``None``, per-frequency factors
-        are NOT cached: a default sweep touches ``n_points`` distinct
+        Optional :class:`~repro.linalg.backends.SolverOptions`, forwarded
+        unchanged to every model evaluator that takes a ``solver`` keyword
+        (the full MNA model does; ROMs solve their small blocks directly).
+        :class:`~repro.circuit.mna.DescriptorSystem`'s default is uncached
+        per-frequency factors: a sweep touches ``n_points`` distinct
         pencils, which would thrash the shared LRU cache and evict factors
-        other analyses still need.  To reuse factorisations across repeated
-        sweeps of the same grid, pass options with caching enabled and give
-        the process cache room for them, e.g. ``set_default_cache(
-        FactorizationCache(capacity=2 * n_points))``.
+        other analyses still need.  To reuse factorisations across
+        repeated sweeps of the same grid, pass options with caching enabled
+        and give the process cache room for them, e.g.
+        ``set_default_cache(FactorizationCache(capacity=2 * n_points))``.
     engine:
         Optional :class:`~repro.analysis.engine.SweepEngine`.  ``None``
         (default) evaluates serially; an engine with ``jobs >= 2`` fans the
-        frequency points across its worker pool with bit-identical results.
-        *Parallel* generic pencil solves (systems without their own
-        ``transfer_function``) run uncached — a sweep touches each pencil
-        once, so a cache could never hit — which means a cache installed
-        via :func:`~repro.linalg.backends.set_default_cache` is neither
-        consulted nor polluted by concurrent workers; serial sweeps keep
-        consulting the default cache, so the ``set_default_cache`` reuse
-        recipe above still applies.  Systems that provide their own
-        ``transfer_function`` (e.g. the full MNA model, whose default is
-        uncached per-frequency factors) keep their own caching policy, and
-        process-pool workers always start from a fresh default cache
-        installed by :func:`~repro.linalg.backends.process_worker_init`.
+        frequency points across its thread pool with bit-identical results.
+        The ``solver`` above reaches the model's evaluator the same way in
+        either case.
     """
 
     omega_min: float = 1e5
@@ -166,11 +153,9 @@ class FrequencyAnalysis:
               ) -> FrequencySweepResult:
         """Sample the full ``p x m`` transfer matrix over the band.
 
-        Uses the system's own ``transfer_function`` when available (which for
-        a :class:`~repro.core.structured_rom.BlockDiagonalROM` exploits the
-        block structure); otherwise falls back to a generic sparse solve
-        whose dense right-hand-side block is built once for the whole sweep
-        and solved with one multi-RHS call per frequency pencil.
+        Evaluated by the system's own ``transfer_function`` (which for a
+        ROM exploits the block structure and for the full MNA model is one
+        multi-RHS sparse solve per frequency pencil).
         """
         values = self._engine().sample_matrix(
             system, 1j * self._omegas, solver=self.solver)
@@ -270,21 +255,8 @@ class FrequencyAnalysis:
         }
         return report
 
-    # ------------------------------------------------------------------ #
-    # Internals (kept for backward compatibility; the engine kernels are
-    # the canonical implementation)
-    # ------------------------------------------------------------------ #
-    def _call_transfer(self, fn, *args):
-        """Invoke a system's own transfer evaluator, forwarding the solver."""
-        return _call_transfer(fn, args, self.solver)
-
-    def _evaluate(self, system, s: complex) -> np.ndarray:
-        return self._engine().sample_matrix(system, [s],
-                                            solver=self.solver)[0]
-
 
 def _sweep_one_model(task) -> FrequencySweepResult:
-    """Pool kernel for :meth:`FrequencyAnalysis.sweep_many` (module-level so
-    process pools can pickle it)."""
+    """Pool kernel for :meth:`FrequencyAnalysis.sweep_many`."""
     analysis, system, label = task
     return analysis.sweep(system, label=label)

@@ -159,8 +159,15 @@ class DescriptorSystem:
         """Evaluate a single transfer-matrix entry ``H(s)[output, port]``.
 
         Cheaper than :meth:`transfer_function` when only one column is
-        needed (e.g. the port-(1,2) curve of Fig. 5).
+        needed (e.g. the port-(1,2) curve of Fig. 5).  A negative or
+        out-of-range ``output``/``port`` raises :class:`StampingError`.
         """
+        if not 0 <= port < self.n_ports:
+            raise StampingError(f"port {port} out of range [0, "
+                                f"{self.n_ports})")
+        if not 0 <= output < self.n_outputs:
+            raise StampingError(f"output {output} out of range [0, "
+                                f"{self.n_outputs})")
         op = ShiftedOperator(self.C, self.G, s0=s,
                              solver=solver or _UNCACHED_SOLVER)
         b_col = self.B[:, port].toarray().reshape(-1)

@@ -235,10 +235,6 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     p = L.shape[0]
     if opts.n_workers < 1:
         raise ReductionError("n_workers must be >= 1")
-    if opts.engine is not None and opts.engine.executor != "thread":
-        raise ReductionError(
-            "BDSM chunk fan-out needs a thread-pool SweepEngine: the "
-            "chunks share one in-process pencil factorisation per point")
     workers = (opts.engine.resolved_jobs() if opts.engine is not None
                else opts.n_workers)
     if opts.port_chunk_size is None:

@@ -8,6 +8,22 @@ single ``except`` clause while still letting programming errors (``TypeError``,
 
 from __future__ import annotations
 
+__all__ = [
+    "CircuitError",
+    "DeflationError",
+    "NetlistParseError",
+    "PartitionError",
+    "PassivityError",
+    "ReductionError",
+    "ReproError",
+    "ResourceBudgetExceeded",
+    "SimulationError",
+    "SingularSystemError",
+    "SolverBackendError",
+    "StampingError",
+    "ValidationError",
+]
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""

@@ -23,7 +23,7 @@ Contents
     against a basis carried across expansion points) and fingerprint-keyed
     shard-basis reuse.
 ``blockdiag``
-    Assembly and bookkeeping of block-diagonal sparse matrices.
+    The layout (block sizes and offsets) of a block-diagonal matrix.
 ``sparse_utils``
     Sparsity statistics, symmetry checks, and safe sparse factorisations.
 ``moments``
@@ -40,18 +40,12 @@ from repro.linalg.backends import (
     default_cache,
     get_solver,
     matrix_fingerprint,
-    process_worker_init,
     select_backend,
     set_default_cache,
     solve,
     temporary_default_cache,
 )
-from repro.linalg.blockdiag import (
-    BlockLayout,
-    block_diag_sparse,
-    block_view,
-    blocks_from_matrix,
-)
+from repro.linalg.blockdiag import BlockLayout
 from repro.linalg.krylov import (
     KrylovResult,
     ShiftedOperator,
@@ -96,11 +90,8 @@ __all__ = [
     "SolverOptions",
     "SparsityInfo",
     "available_backends",
-    "block_diag_sparse",
     "block_krylov_basis",
     "block_orthonormalize",
-    "block_view",
-    "blocks_from_matrix",
     "clear_default_cache",
     "column_clustered_krylov_bases",
     "default_cache",
@@ -110,7 +101,6 @@ __all__ = [
     "modified_gram_schmidt",
     "nnz_density",
     "orthonormalize_against",
-    "process_worker_init",
     "select_backend",
     "set_default_cache",
     "solve",

@@ -82,7 +82,6 @@ __all__ = [
     "set_default_cache",
     "temporary_default_cache",
     "clear_default_cache",
-    "process_worker_init",
 ]
 
 
@@ -684,20 +683,6 @@ def clear_default_cache() -> None:
     """Drop all entries of the process-wide cache and zero its counters."""
     _DEFAULT_CACHE.clear()
     _DEFAULT_CACHE.reset_stats()
-
-
-def process_worker_init(capacity: int = 32) -> None:
-    """Install a fresh default cache in a worker process.
-
-    Run by the ``initializer`` of a ``ProcessPoolExecutor`` (e.g. by
-    :class:`repro.analysis.engine.SweepEngine`) so each worker process gets
-    its own empty :class:`FactorizationCache` instead of a fork-copied
-    snapshot of the parent's: solver objects hold SuperLU handles that must
-    not be shared across a fork, and a private cache keeps per-worker
-    hit/miss accounting meaningful.  :class:`SolverOptions` instances are
-    plain frozen dataclasses of scalars, so task payloads pickle safely.
-    """
-    set_default_cache(FactorizationCache(capacity=max(int(capacity), 1)))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,30 +1,21 @@
-"""Block-diagonal matrix assembly and bookkeeping.
+"""Block-diagonal matrix bookkeeping.
 
 BDSM's reduced matrices ``C_r`` and ``G_r`` are block-diagonal with one
 ``l x l`` block per input port (paper Eq. 14).  This module provides the
-layout object that records where each block lives, assembly of the sparse
-block-diagonal matrix, and the inverse operation of slicing blocks back out —
-all of which the structured-ROM simulator and the Fig. 4 structure report
-rely on.
+layout object that records where each block lives (see
+``BlockDiagonalROM.layout``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 
-__all__ = [
-    "BlockLayout",
-    "block_diag_sparse",
-    "block_view",
-    "blocks_from_matrix",
-    "stack_block_columns",
-]
+__all__ = ["BlockLayout"]
 
 
 @dataclass(frozen=True)
@@ -103,79 +94,3 @@ class BlockLayout:
 
     def __iter__(self):
         return iter(self.sizes)
-
-
-def block_diag_sparse(blocks: Iterable[np.ndarray],
-                      fmt: str = "csr") -> sp.spmatrix:
-    """Assemble a sparse block-diagonal matrix from dense/sparse blocks.
-
-    Equivalent to the MATLAB ``blkdiag`` call the paper's Eq. (14) uses, but
-    returning a scipy sparse matrix so that the ``1/m`` sparsity of the BDSM
-    ROM is actually realised in storage.
-    """
-    block_list = [
-        b if sp.issparse(b) else np.atleast_2d(np.asarray(b, dtype=float))
-        for b in blocks
-    ]
-    if not block_list:
-        raise ValidationError("cannot build a block-diagonal matrix from "
-                              "an empty block list")
-    return sp.block_diag(block_list, format=fmt)
-
-
-def blocks_from_matrix(matrix, layout: BlockLayout) -> list[np.ndarray]:
-    """Slice the diagonal blocks of ``matrix`` according to ``layout``."""
-    n = layout.total
-    if matrix.shape != (n, n):
-        raise ValidationError(
-            f"matrix shape {matrix.shape} does not match layout total {n}"
-        )
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    return [np.array(dense[layout.block_slice(i), layout.block_slice(i)])
-            for i in range(layout.n_blocks)]
-
-
-def block_view(matrix, layout: BlockLayout, row: int, col: int) -> np.ndarray:
-    """Return the dense ``(row, col)`` block of ``matrix`` under ``layout``."""
-    r = layout.block_slice(row)
-    c = layout.block_slice(col)
-    if sp.issparse(matrix):
-        return matrix.tocsr()[r, c].toarray()
-    return np.asarray(matrix)[r, c]
-
-
-def stack_block_columns(columns: Sequence[np.ndarray],
-                        layout: BlockLayout,
-                        n_cols: int) -> sp.csr_matrix:
-    """Build the block-structured input matrix ``B_r`` of Eq. (14).
-
-    ``columns[i]`` is the length-``l_i`` vector ``(V^(i))^T b_i``; the result
-    is an ``(Σ l_i) x n_cols`` sparse matrix whose block-row ``i`` contains
-    that vector in column ``i`` and zeros elsewhere.
-    """
-    if len(columns) != layout.n_blocks:
-        raise ValidationError(
-            f"{len(columns)} column vectors for {layout.n_blocks} blocks"
-        )
-    if n_cols < layout.n_blocks:
-        raise ValidationError(
-            "n_cols must be at least the number of blocks"
-        )
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, vec in enumerate(columns):
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        if v.shape[0] != layout.sizes[i]:
-            raise ValidationError(
-                f"column vector {i} has length {v.shape[0]}, expected "
-                f"{layout.sizes[i]}"
-            )
-        offset = layout.offsets[i]
-        for k, value in enumerate(v):
-            if value != 0.0:
-                rows.append(offset + k)
-                cols.append(i)
-                data.append(float(value))
-    return sp.csr_matrix((data, (rows, cols)),
-                         shape=(layout.total, n_cols))

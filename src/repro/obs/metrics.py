@@ -12,9 +12,8 @@ histogram (see :mod:`repro.obs.tracing`).
   ``p50``/``p99`` accessors built on :func:`percentile`;
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — the classic
   metric trio, keyed by name + label tuple;
-* :class:`MetricsRegistry` — a thread-safe bag of the above with
-  ``snapshot()`` / ``merge_snapshot()`` so worker-process metrics can be
-  shipped back to the parent (see ``SweepEngine``).
+* :class:`MetricsRegistry` — a thread-safe bag of the above with a
+  plain-dict ``snapshot()`` for the exporters and ``--json-out``.
 
 Everything here is stdlib-only so any layer of the library can import it
 without cycles.
@@ -204,11 +203,8 @@ class MetricsRegistry:
     """Thread-safe bag of counters, gauges and histograms.
 
     Metrics are identified by ``(name, sorted label items)``; the helpers
-    create on first touch.  ``snapshot()`` returns a plain picklable dict
-    (what crosses process boundaries) and ``merge_snapshot()`` folds such
-    a dict back in — counters and histogram lifetimes add, gauges take
-    the incoming value (last writer wins, which is the only sane merge
-    for a point-in-time reading).
+    create on first touch.  ``snapshot()`` returns a plain
+    JSON-serialisable dict of every metric.
     """
 
     def __init__(self) -> None:
@@ -268,7 +264,7 @@ class MetricsRegistry:
 
     # -- read side ----------------------------------------------------- #
     def snapshot(self) -> dict:
-        """Picklable point-in-time view of every metric."""
+        """Plain-dict point-in-time view of every metric."""
         with self._lock:
             return {
                 "counters": [
@@ -288,40 +284,6 @@ class MetricsRegistry:
                     for h in self._histograms.values()
                 ],
             }
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` dict (e.g. from a worker process) in."""
-        with self._lock:
-            for entry in snapshot.get("counters", ()):
-                key = (entry["name"], _label_key(entry.get("labels")))
-                metric = self._counters.get(key)
-                if metric is None:
-                    metric = self._counters[key] = Counter(
-                        entry["name"], dict(entry.get("labels") or {}))
-                metric.value += entry["value"]
-            for entry in snapshot.get("gauges", ()):
-                key = (entry["name"], _label_key(entry.get("labels")))
-                metric = self._gauges.get(key)
-                if metric is None:
-                    metric = self._gauges[key] = Gauge(
-                        entry["name"], dict(entry.get("labels") or {}))
-                metric.value = entry["value"]
-            for entry in snapshot.get("histograms", ()):
-                key = (entry["name"], _label_key(entry.get("labels")))
-                metric = self._histograms.get(key)
-                if metric is None:
-                    metric = self._histograms[key] = Histogram(
-                        entry["name"], dict(entry.get("labels") or {}))
-                incoming = Reservoir(maxlen=metric.reservoir.maxlen,
-                                     samples=entry.get("samples") or ())
-                # Lifetime stats come from the snapshot, not the window
-                # replay (the window may have rolled off observations).
-                incoming.count = entry.get("count", incoming.count)
-                incoming.total = entry.get("total", incoming.total)
-                if incoming.count:
-                    incoming.min = entry.get("min", incoming.min)
-                    incoming.max = entry.get("max", incoming.max)
-                metric.reservoir.merge(incoming)
 
     def reset(self) -> None:
         with self._lock:

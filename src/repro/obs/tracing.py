@@ -1,4 +1,4 @@
-"""Hierarchical span tracer with cross-thread/process propagation.
+"""Hierarchical span tracer with cross-thread propagation.
 
 A *span* is a named, timed section of work with a parent: PRIMA's Krylov
 phase is a child of the reduce call that ran it, a solver factorization
@@ -23,14 +23,11 @@ Three properties drive the design:
 * **Exception safety.**  The span context manager always closes the span
   and flags ``status="error"`` (with the exception repr) on the way out
   of a raising block; the original exception propagates untouched.
-* **Explicit cross-worker propagation.**  Contextvars do not follow work
-  onto pool threads or worker processes, so the submitting side calls
-  :func:`capture_context` (a tiny picklable :class:`TraceContext`) and
-  the worker re-attaches with :func:`attach_context`; worker spans then
-  carry the submitting span as parent.  Process workers additionally
-  ship their finished spans home as dicts for :meth:`Tracer.ingest`
-  and their ``span.seconds`` histograms in the metrics snapshot (see
-  ``SweepEngine``), so ingesting does not observe again.
+* **Explicit cross-thread propagation.**  Contextvars do not follow work
+  onto pool threads, so the submitting side calls
+  :func:`capture_context` (a tiny :class:`TraceContext`) and the worker
+  thread re-attaches with :func:`attach_context`; worker spans then carry
+  the submitting span as parent (see ``SweepEngine``).
 
 Stdlib plus :mod:`repro.obs.metrics`; any layer of the library may
 import this module.
@@ -156,11 +153,10 @@ class _TimedSpan:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Picklable handle to the current span, for cross-worker hand-off."""
+    """Handle to the current span, for cross-thread hand-off."""
 
     trace_id: str | None = None
     span_id: str | None = None
-    enabled: bool = False
 
 
 class Tracer:
@@ -214,9 +210,8 @@ class Tracer:
     def capture_context(self) -> TraceContext:
         span = self._current.get()
         if span is None:
-            return TraceContext(enabled=tracing_enabled())
-        return TraceContext(trace_id=span.trace_id, span_id=span.span_id,
-                            enabled=tracing_enabled())
+            return TraceContext()
+        return TraceContext(trace_id=span.trace_id, span_id=span.span_id)
 
     @contextmanager
     def attach(self, context: TraceContext | None):
@@ -245,13 +240,6 @@ class Tracer:
         """Finished spans without clearing the buffer."""
         with self._lock:
             return list(self._finished)
-
-    def ingest(self, span_dicts) -> None:
-        """Fold spans shipped home from a worker (as dicts) into the
-        buffer.  Their durations are not observed again: the worker's
-        ``span.seconds`` histogram arrives in its metrics snapshot."""
-        for data in span_dicts:
-            self._store(Span.from_dict(data))
 
     def reset(self) -> None:
         with self._lock:
@@ -304,16 +292,13 @@ def current_span() -> Span | None:
 
 
 def capture_context() -> TraceContext:
-    """Picklable handle to the current span (for worker hand-off)."""
+    """Handle to the current span (for worker-thread hand-off)."""
     return _DEFAULT_TRACER.capture_context()
 
 
 def attach_context(context: TraceContext | None):
     """Context manager re-parenting spans in the block under
-    ``context`` (captured on the submitting side).  Also re-enables
-    tracing inside a worker process when the submitter had it on."""
-    if context is not None and context.enabled and not _TRACING_ENABLED:
-        enable_tracing()
+    ``context`` (captured on the submitting side)."""
     return _DEFAULT_TRACER.attach(context)
 
 

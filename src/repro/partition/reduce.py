@@ -355,9 +355,9 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         ``W`` images before reduction.  Default/``None`` preserves the
         interface exactly (the original behaviour).
     engine:
-        Optional thread-pool :class:`~repro.analysis.engine.SweepEngine`
-        whose workers reduce the shards concurrently (shards are
-        independent once extracted).  Takes precedence over ``n_workers``.
+        Optional :class:`~repro.analysis.engine.SweepEngine` whose worker
+        threads reduce the shards concurrently (shards are independent
+        once extracted).  Takes precedence over ``n_workers``.
     n_workers:
         Convenience worker count; values above 1 create a transient
         thread-pool engine for the shard fan-out.
@@ -474,10 +474,6 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
             f"unknown partitioned method {method!r}; choose from {_METHODS}")
     if n_workers < 1:
         raise PartitionError("n_workers must be >= 1")
-    if engine is not None and engine.executor != "thread":
-        raise PartitionError(
-            "partitioned shard fan-out needs a thread-pool SweepEngine: "
-            "the shards share the in-process store and solver caches")
     opts = options or BDSMOptions()
     budget = budget or ResourceBudget.unlimited()
     if basis_cache is None and recycle:

@@ -92,8 +92,6 @@ class ModelServer:
         ``fail``).  The sidecar is closed by :meth:`close`.
     """
 
-    _KINDS = ("transfer", "sweep", "transient", "ir_drop")
-
     def __init__(self, store: ModelStore | None = None, *,
                  engine: SweepEngine | None = None,
                  max_workers: int = 4,

@@ -2,16 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
-from repro.linalg.blockdiag import (
-    BlockLayout,
-    block_diag_sparse,
-    block_view,
-    blocks_from_matrix,
-    stack_block_columns,
-)
+from repro.linalg.blockdiag import BlockLayout
 
 
 class TestBlockLayout:
@@ -56,82 +49,3 @@ class TestBlockLayout:
 
     def test_iter(self):
         assert list(BlockLayout((1, 2, 3))) == [1, 2, 3]
-
-
-class TestBlockDiagSparse:
-    def test_matches_scipy_block_diag(self, rng):
-        blocks = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
-        result = block_diag_sparse(blocks)
-        expected = sp.block_diag(blocks).toarray()
-        assert np.allclose(result.toarray(), expected)
-        assert result.format == "csr"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            block_diag_sparse([])
-
-    def test_roundtrip_with_blocks_from_matrix(self, rng):
-        blocks = [rng.normal(size=(k, k)) for k in (2, 4, 1)]
-        layout = BlockLayout.from_blocks(blocks)
-        matrix = block_diag_sparse(blocks)
-        recovered = blocks_from_matrix(matrix, layout)
-        for original, back in zip(blocks, recovered):
-            assert np.allclose(original, back)
-
-    def test_blocks_from_matrix_shape_check(self):
-        with pytest.raises(ValidationError):
-            blocks_from_matrix(np.eye(4), BlockLayout((2, 3)))
-
-
-class TestBlockView:
-    def test_diagonal_and_off_diagonal(self, rng):
-        blocks = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
-        layout = BlockLayout.from_blocks(blocks)
-        matrix = block_diag_sparse(blocks)
-        assert np.allclose(block_view(matrix, layout, 0, 0), blocks[0])
-        assert np.allclose(block_view(matrix, layout, 0, 1), 0.0)
-
-    def test_dense_input(self, rng):
-        blocks = [rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]
-        layout = BlockLayout.from_blocks(blocks)
-        dense = block_diag_sparse(blocks).toarray()
-        assert np.allclose(block_view(dense, layout, 1, 1), blocks[1])
-
-
-class TestStackBlockColumns:
-    def test_structure_of_br(self):
-        layout = BlockLayout.uniform(3, 2)
-        columns = [np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                   np.array([5.0, 6.0])]
-        B = stack_block_columns(columns, layout, n_cols=3)
-        assert B.shape == (6, 3)
-        dense = B.toarray()
-        assert np.allclose(dense[0:2, 0], [1.0, 2.0])
-        assert np.allclose(dense[2:4, 1], [3.0, 4.0])
-        assert np.allclose(dense[4:6, 2], [5.0, 6.0])
-        # everything off the block diagonal pattern is zero
-        assert B.nnz == 6
-
-    def test_sparsity_matches_paper_claim(self):
-        # B_r stores m*l non-zeros out of (m*l)*m entries -> density 1/m.
-        m, l = 8, 3
-        layout = BlockLayout.uniform(m, l)
-        columns = [np.ones(l) for _ in range(m)]
-        B = stack_block_columns(columns, layout, n_cols=m)
-        assert B.nnz == m * l
-        assert B.nnz / (B.shape[0] * B.shape[1]) == pytest.approx(1 / m)
-
-    def test_wrong_number_of_columns(self):
-        layout = BlockLayout.uniform(2, 2)
-        with pytest.raises(ValidationError):
-            stack_block_columns([np.ones(2)], layout, n_cols=2)
-
-    def test_wrong_vector_length(self):
-        layout = BlockLayout.uniform(2, 2)
-        with pytest.raises(ValidationError):
-            stack_block_columns([np.ones(2), np.ones(3)], layout, n_cols=2)
-
-    def test_n_cols_smaller_than_blocks(self):
-        layout = BlockLayout.uniform(3, 1)
-        with pytest.raises(ValidationError):
-            stack_block_columns([np.ones(1)] * 3, layout, n_cols=2)

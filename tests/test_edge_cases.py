@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis import FrequencyAnalysis
-from repro.analysis.sources import ConstantSource, SourceBank, Waveform
+from repro.analysis.sources import SourceBank, Waveform
 from repro.analysis.transient import TransientAnalysis
 from repro.circuit import Netlist, assemble_mna
 from repro.core import bdsm_reduce
@@ -17,23 +16,6 @@ from repro.core.cost_model import compare_costs
 from repro.linalg.moments import system_moments
 from repro.linalg.sparse_utils import as_dense, frobenius_norm
 from repro.mor.base import ReducedSystem
-
-
-class TestFrequencyAnalysisFallback:
-    def test_generic_evaluation_without_transfer_function(self,
-                                                          rc_ladder_system):
-        """Systems exposing only raw matrices are swept via the fallback."""
-
-        class BareSystem:
-            C = rc_ladder_system.C
-            G = rc_ladder_system.G
-            B = rc_ladder_system.B
-            L = rc_ladder_system.L
-
-        fa = FrequencyAnalysis(omega_min=1e4, omega_max=1e7, n_points=3)
-        bare = fa.sweep(BareSystem())
-        reference = fa.sweep(rc_ladder_system)
-        assert np.allclose(bare.values, reference.values)
 
 
 class TestTransientWithVddSources:

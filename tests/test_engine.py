@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -24,9 +25,6 @@ from repro.exceptions import SimulationError
 from repro.linalg.backends import (
     FactorizationCache,
     SolverOptions,
-    default_cache,
-    process_worker_init,
-    set_default_cache,
     temporary_default_cache,
 )
 
@@ -41,8 +39,10 @@ class TestSweepEngineConfig:
     def test_defaults_are_serial_threads(self):
         engine = SweepEngine()
         assert engine.jobs == 1
-        assert engine.executor == "thread"
         assert engine.resolved_jobs() == 1
+        settable = [f.name for f in dataclasses.fields(SweepEngine)
+                    if f.init]
+        assert settable == ["jobs", "solver"]
 
     def test_jobs_zero_resolves_to_cpu_count(self):
         import os
@@ -51,14 +51,6 @@ class TestSweepEngineConfig:
     def test_negative_jobs_rejected(self):
         with pytest.raises(SimulationError):
             SweepEngine(jobs=-1)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(SimulationError):
-            SweepEngine(executor="fiber")
-
-    def test_negative_cache_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            SweepEngine(worker_cache_capacity=-1)
 
     def test_chunk_bounds_cover_range_contiguously(self):
         bounds = SweepEngine._chunk_bounds(13, 4)
@@ -106,13 +98,6 @@ class TestParallelBitIdentity:
                 serial.sweep_entry(system, 0, 1).values,
                 parallel.sweep_entry(system, 0, 1).values)
 
-    def test_full_matrix_sweep_processes(self, smoke_benchmark):
-        serial = FrequencyAnalysis(n_points=6)
-        parallel = FrequencyAnalysis(
-            n_points=6, engine=SweepEngine(jobs=2, executor="process"))
-        assert np.array_equal(serial.sweep(smoke_benchmark).values,
-                              parallel.sweep(smoke_benchmark).values)
-
     def test_more_jobs_than_points(self, rc_grid_system):
         serial = FrequencyAnalysis(n_points=3)
         parallel = FrequencyAnalysis(n_points=3,
@@ -120,86 +105,46 @@ class TestParallelBitIdentity:
         assert np.array_equal(serial.sweep(rc_grid_system).values,
                               parallel.sweep(rc_grid_system).values)
 
-    def test_generic_path_without_transfer_function(self, rc_grid_system):
-        """Systems exposing only C/G/B/L go through the batched solve."""
-        class Bare:
-            pass
-
-        bare = Bare()
-        bare.C, bare.G = rc_grid_system.C, rc_grid_system.G
-        bare.B, bare.L = rc_grid_system.B, rc_grid_system.L
-        serial = FrequencyAnalysis(n_points=8).sweep(bare).values
-        parallel = FrequencyAnalysis(
-            n_points=8, engine=SweepEngine(jobs=3)).sweep(bare).values
-        assert np.array_equal(serial, parallel)
-        # and the generic path agrees with the system's own evaluator
-        own = FrequencyAnalysis(n_points=8).sweep(rc_grid_system).values
-        assert np.allclose(serial, own, rtol=1e-9)
-        # the generic entry sweep (single-column solve) agrees too
-        entry_serial = FrequencyAnalysis(
-            n_points=8).sweep_entry(bare, 0, 1).values
-        entry_parallel = FrequencyAnalysis(
-            n_points=8, engine=SweepEngine(jobs=3)).sweep_entry(
-                bare, 0, 1).values
-        assert np.array_equal(entry_serial, entry_parallel)
-        assert np.allclose(entry_serial, serial[:, 0, 1], rtol=1e-9)
-
-    def test_generic_entry_sweep_accepts_coo_matrices(self, rc_grid_system):
-        """Duck-typed systems may carry non-subscriptable sparse formats
-        (COO); the single-column entry path must handle them like the old
-        full-densify path did."""
-        import scipy.sparse as sp
-
-        class Bare:
-            pass
-
-        bare = Bare()
-        bare.C = sp.coo_matrix(rc_grid_system.C)
-        bare.G = sp.coo_matrix(rc_grid_system.G)
-        bare.B = sp.coo_matrix(rc_grid_system.B)
-        bare.L = sp.coo_matrix(rc_grid_system.L)
-        fa = FrequencyAnalysis(n_points=4)
-        entry = fa.sweep_entry(bare, 0, 1).values
-        full = fa.sweep(bare).values
-        assert np.allclose(entry, full[:, 0, 1], rtol=1e-12)
-
-    def test_worker_caches_leave_default_cache_alone(self, rc_grid_system):
-        """Parallel generic-path workers use per-worker caches, not the
-        default."""
-        class Bare:
-            pass
-
-        bare = Bare()
-        bare.C, bare.G = rc_grid_system.C, rc_grid_system.G
-        bare.B, bare.L = rc_grid_system.B, rc_grid_system.L
-        fa = FrequencyAnalysis(
-            n_points=6, solver=SolverOptions(backend="splu"),
-            engine=SweepEngine(jobs=2))
-        with temporary_default_cache(FactorizationCache(capacity=8)) as cache:
-            fa.sweep(bare)
-            stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
-
     def test_serial_sweep_reuses_default_cache(self, rc_grid_system):
-        """Serial sweeps keep the documented ``set_default_cache`` reuse
-        workflow: a repeated sweep of the same grid hits the cache."""
-        class Bare:
-            pass
-
-        bare = Bare()
-        bare.C, bare.G = rc_grid_system.C, rc_grid_system.G
-        bare.B, bare.L = rc_grid_system.B, rc_grid_system.L
+        """The documented ``set_default_cache`` workflow: the solver
+        options reach the model's own evaluator unchanged, so a repeated
+        serial sweep of the same grid hits the cache."""
         fa = FrequencyAnalysis(n_points=5,
                                solver=SolverOptions(backend="splu"))
         with temporary_default_cache(
                 FactorizationCache(capacity=16)) as cache:
-            first = fa.sweep(bare)
+            first = fa.sweep(rc_grid_system)
             assert cache.stats().misses == 5
-            second = fa.sweep(bare)
+            second = fa.sweep(rc_grid_system)
             stats = cache.stats()
         assert stats.hits == 5
         assert stats.misses == 5
         assert np.array_equal(first.values, second.values)
+
+
+class TestModelEvaluatorRequired:
+    def test_model_without_transfer_function_rejected(self, rc_grid_system):
+        """An object carrying only ``C/G/B/L`` is bad input for every
+        sampling entry point, serial or pooled."""
+        class Bare:
+            pass
+
+        bare = Bare()
+        bare.C, bare.G = rc_grid_system.C, rc_grid_system.G
+        bare.B, bare.L = rc_grid_system.B, rc_grid_system.L
+        omegas = np.logspace(5, 9, 6)
+        for engine in (SweepEngine(), SweepEngine(jobs=2)):
+            with engine:
+                with pytest.raises(SimulationError,
+                                   match="no transfer_function"):
+                    engine.sample_matrix(bare, 1j * omegas)
+                with pytest.raises(SimulationError,
+                                   match="no transfer_function"):
+                    engine.sample_entry(bare, 1j * omegas, 0, 1)
+                with pytest.raises(SimulationError,
+                                   match="no transfer_function"):
+                    engine.adaptive_entry_sweep(
+                        rc_grid_system, {"bare": bare}, omegas, 0, 1)
 
 
 class TestMapScenarios:
@@ -382,17 +327,6 @@ class TestProcessWorkerPlumbing:
                              preconditioner="ilu", use_cache=False)
         clone = pickle.loads(pickle.dumps(opts))
         assert clone == opts
-
-    def test_process_worker_init_installs_fresh_cache(self):
-        before = default_cache()
-        try:
-            process_worker_init(capacity=5)
-            installed = default_cache()
-            assert installed is not before
-            assert installed.capacity == 5
-            assert len(installed) == 0
-        finally:
-            set_default_cache(before)
 
     def test_accepts_solver_memoized_per_function(self):
         def probe(x, *, solver=None):

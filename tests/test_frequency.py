@@ -139,27 +139,3 @@ class TestHotPathRegressions:
         fa.sweep_entry(rc_grid_system, 0, 0)
         # one probe per distinct evaluator function, not one per point
         assert calls["n"] <= 2
-
-    def test_rhs_densified_once_per_sweep(self, rc_grid_system):
-        """The generic sweep path converts ``B`` to dense once, not once
-        per frequency point."""
-        calls = {"n": 0}
-        dense_B = rc_grid_system.B.toarray()
-
-        class CountingB:
-            shape = rc_grid_system.B.shape
-
-            def toarray(self):
-                calls["n"] += 1
-                return dense_B.copy()
-
-        class Bare:
-            C = rc_grid_system.C
-            G = rc_grid_system.G
-            L = rc_grid_system.L
-            B = CountingB()
-
-        fa = FrequencyAnalysis(omega_min=1e6, omega_max=1e10, n_points=7)
-        sweep = fa.sweep(Bare())
-        assert sweep.values.shape[0] == 7
-        assert calls["n"] == 1

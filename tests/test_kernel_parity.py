@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from repro.analysis.engine import SweepEngine
 from repro.core.bdsm import BDSMOptions, bdsm_reduce
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
-from repro.exceptions import DeflationError, ReductionError
+from repro.exceptions import DeflationError
 from repro.linalg.krylov import (
     ShiftedOperator,
     block_krylov_basis,
@@ -231,10 +231,3 @@ class TestPooledClusterParity:
         for blk_s, blk_p in zip(serial.blocks, pooled.blocks):
             assert np.array_equal(blk_s.C, blk_p.C)
             assert np.array_equal(blk_s.G, blk_p.G)
-
-    def test_process_engine_rejected(self, rc_grid_system):
-        engine = SweepEngine(jobs=2, executor="process")
-        with pytest.raises(ReductionError, match="thread"):
-            bdsm_reduce(rc_grid_system, 2,
-                        options=BDSMOptions(port_chunk_size=2,
-                                            engine=engine))

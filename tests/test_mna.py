@@ -91,6 +91,13 @@ class TestStampingValues:
         entry = rc_grid_system.transfer_entry(s, 2, 3)
         assert entry == pytest.approx(H[2, 3])
 
+    @pytest.mark.parametrize("output, port", [(-1, 0), (0, -1), (0, 999),
+                                              (999, 0)])
+    def test_transfer_entry_rejects_bad_index(self, rc_grid_system, output,
+                                              port):
+        with pytest.raises(StampingError, match="out of range"):
+            rc_grid_system.transfer_entry(1j * 1e8, output, port)
+
 
 class TestDescriptorSystemInterface:
     def test_nnz_and_structure_report(self, rc_grid_system):

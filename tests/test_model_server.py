@@ -238,14 +238,18 @@ class TestConcurrentServing:
                                              bdsm_rom.n_ports)
 
 
-@pytest.mark.parametrize("method", ["bdsm", "prima"])
+@pytest.mark.parametrize("method", ["bdsm", "prima", "full"])
 def test_served_entry_sweep_rejects_negative_index(system, method):
-    """A served entry sweep with a negative index comes back as a
-    :class:`ServeError` instead of a sweep labelled with that index."""
-    reduce = {"bdsm": bdsm_reduce, "prima": prima_reduce}[method]
-    rom, _, _ = reduce(system, 2)
+    """A served entry sweep with a negative index, on a ROM or on the
+    registered full model, comes back as a :class:`ServeError` instead of
+    a sweep labelled with that index."""
+    if method == "full":
+        model = system
+    else:
+        reduce = {"bdsm": bdsm_reduce, "prima": prima_reduce}[method]
+        model, _, _ = reduce(system, 2)
     with ModelServer() as server:
-        server.register("rom", rom)
+        server.register("rom", model)
         for output, port in ((-1, 0), (0, -1)):
             request = QueryRequest("sweep", "rom", {
                 "output": output, "port": port, "n_points": 4})

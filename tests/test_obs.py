@@ -1,20 +1,19 @@
 """Tests for the unified observability layer (repro.obs).
 
 Covers the span tracer (nesting/parent attribution, exception safety, the
-disabled no-op path, bounded buffers), explicit context propagation across
-``SweepEngine`` thread *and* process workers (with bit-identity of the
-traced numerics), process-worker telemetry merging back into the parent
-registries, the ``span.seconds`` aggregate every span close feeds
+disabled no-op path, bounded buffers), explicit context propagation onto
+``SweepEngine`` worker threads (with bit-identity of the traced
+numerics), the ``span.seconds`` aggregate every span close feeds
 (tracing on or off), the shared Reservoir/percentile core that
-``repro.serve.stats`` builds on, the three exporters (Chrome trace-event JSON, Prometheus text exposition, span-tree
-report), the serve-stack span topology of a coalesced batch, and the
-committed ``obs_overhead`` acceptance JSON.
+``repro.serve.stats`` builds on, the three exporters (Chrome trace-event
+JSON, Prometheus text exposition, span-tree report), the serve-stack
+span topology of a coalesced batch, and the committed ``obs_overhead``
+acceptance JSON.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 
@@ -185,33 +184,10 @@ class TestContextPropagation:
         assert all(c.parent_id == root.span_id for c in chunks)
         assert {c.tags["executor"] for c in chunks} == {"thread"}
 
-    def test_process_workers_ship_spans_home(
-            self, tracing, smoke_benchmark):
-        serial = FrequencyAnalysis(n_points=6).sweep(smoke_benchmark)
-        drain_spans()
-        with trace_span("sweep.root") as root:
-            with SweepEngine(jobs=2, executor="process") as engine:
-                parallel = FrequencyAnalysis(
-                    n_points=6, engine=engine).sweep(smoke_benchmark)
-        assert np.array_equal(serial.values, parallel.values)
-        chunks = _by_name(drain_spans(), "engine.chunk")
-        assert len(chunks) >= 2
-        assert all(c.parent_id == root.span_id for c in chunks)
-        assert all(c.pid != os.getpid() for c in chunks)
-
     def test_serial_engine_never_wraps(self, tracing, smoke_benchmark):
         FrequencyAnalysis(n_points=5,
                           engine=SweepEngine(jobs=1)).sweep(smoke_benchmark)
         assert _by_name(drain_spans(), "engine.chunk") == []
-
-
-def _instrumented_scenario(k: int) -> int:
-    """Module-level (picklable) worker body carrying telemetry."""
-    from repro.obs import default_metrics
-
-    with trace_span("worker.payload", k=k):
-        default_metrics().increment("worker.calls", parity=str(k % 2))
-    return k * k
 
 
 def _span_histograms(metrics) -> dict:
@@ -221,52 +197,6 @@ def _span_histograms(metrics) -> dict:
 
 def _span_counts(metrics) -> dict:
     return {span: e["count"] for span, e in _span_histograms(metrics).items()}
-
-
-class TestWorkerTelemetryMerge:
-    def test_process_worker_counters_and_timers_merge(self):
-        metrics = default_metrics()
-        metrics.reset()
-        with SweepEngine(jobs=2, executor="process") as engine:
-            out = engine.map_scenarios(_instrumented_scenario,
-                                       list(range(6)))
-        assert out == [k * k for k in range(6)]
-        stat = _span_histograms(metrics)["worker.payload"]
-        assert stat["count"] == 6
-        assert stat["total"] > 0.0
-        assert stat["p99"] >= stat["p50"] >= 0.0
-        counts = {tuple(sorted(e["labels"].items())): e["value"]
-                  for e in metrics.snapshot()["counters"]
-                  if e["name"] == "worker.calls"}
-        assert counts[(("parity", "0"),)] == 3
-        assert counts[(("parity", "1"),)] == 3
-        metrics.reset()
-
-    @pytest.mark.parametrize("traced_run", [False, True])
-    def test_process_fan_out_counts_each_span_once(self, traced_run):
-        # Workers ship span.seconds inside their metrics snapshot and the
-        # parent ingests their spans without observing them again, so the
-        # count is exact with tracing off and on.  The second engine's
-        # workers fork from a parent that already holds 6 observations;
-        # they must not ship those home again.
-        metrics = default_metrics()
-        metrics.reset()
-        drain_spans()
-        if traced_run:
-            enable_tracing()
-        try:
-            for expected in (6, 12):
-                with SweepEngine(jobs=2, executor="process") as engine:
-                    engine.map_scenarios(_instrumented_scenario,
-                                         list(range(6)))
-                counts = _span_counts(metrics)
-                assert counts["worker.payload"] == expected
-            spans = _by_name(drain_spans(), "worker.payload")
-            assert len(spans) == (12 if traced_run else 0)
-        finally:
-            disable_tracing()
-            drain_spans()
-            metrics.reset()
 
 
 # --------------------------------------------------------------------- #
@@ -324,20 +254,6 @@ class TestMetricsRegistry:
         assert snap[(("kind", "a"),)] == 2
         assert snap[(("kind", "b"),)] == 1
 
-    def test_merge_snapshot_adds_counters_and_replays_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.increment("n")
-        b.increment("n", 4)
-        b.observe("lat", 0.25)
-        b.set_gauge("depth", 7)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"][0]["value"] == 5
-        (hist,) = snap["histograms"]
-        assert hist["count"] == 1 and hist["p50"] == pytest.approx(0.25)
-        (gauge,) = snap["gauges"]
-        assert gauge["value"] == 7
-
 
 class TestSpanAggregate:
     """``span.seconds``: the one timing record, fed by every span close."""
@@ -385,12 +301,9 @@ class TestSpanAggregate:
     def test_snapshot_merge_and_reset(self, metrics):
         with trace_span("phase"):
             pass
-        snap = metrics.snapshot()
-        json.dumps(snap)  # what crosses process boundaries and --json-out
-        other = MetricsRegistry()
-        other.merge_snapshot(snap)
-        (merged,) = other.snapshot()["histograms"]
-        assert merged["count"] == 1 and len(merged["samples"]) == 1
+        snap = json.loads(json.dumps(metrics.snapshot()))  # --json-out
+        (entry,) = snap["histograms"]
+        assert entry["count"] == 1 and len(entry["samples"]) == 1
         metrics.reset()
         assert metrics.snapshot() == {"counters": [], "gauges": [],
                                       "histograms": []}
@@ -403,16 +316,6 @@ class TestSpanAggregate:
         with trace_span("store.get", key="d"):
             pass
         assert _span_counts(metrics) == {"store.get": 4}
-
-    def test_ingest_does_not_observe(self, metrics):
-        tracer = Tracer()
-        with tracer.span("remote"):
-            pass
-        shipped = [span.as_dict() for span in tracer.drain()]
-        metrics.reset()
-        tracer.ingest(shipped)
-        assert len(tracer.spans()) == 1
-        assert _span_counts(metrics) == {}
 
 
 # --------------------------------------------------------------------- #

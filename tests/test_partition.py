@@ -204,12 +204,6 @@ class TestPartitionedReduce:
                                    serial.transfer_function(s),
                                    rtol=1e-12, atol=1e-300)
 
-    def test_process_engine_rejected(self, smoke_benchmark):
-        with SweepEngine(jobs=2, executor="process") as engine:
-            with pytest.raises(PartitionError):
-                partitioned_reduce(smoke_benchmark, 2, n_parts=2,
-                                   engine=engine)
-
     @pytest.mark.parametrize("levels", [1, 2])
     def test_bad_arguments(self, smoke_benchmark, levels):
         """The same typed error at every depth: at ``levels=2`` the shards

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linalg.blockdiag import BlockLayout, block_diag_sparse
+from repro.linalg.blockdiag import BlockLayout
 from repro.linalg.orthogonalization import (
     modified_gram_schmidt,
     theoretical_inner_products,
@@ -124,13 +124,3 @@ class TestBlockLayoutProperties:
         block = layout.block_of_index(index)
         sl = layout.block_slice(block)
         assert sl.start <= index < sl.stop
-
-    @SETTINGS
-    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
-                    max_size=5), st.integers(min_value=0, max_value=1000))
-    def test_block_diag_nnz_is_sum_of_block_areas(self, sizes, seed):
-        rng = np.random.default_rng(seed)
-        blocks = [rng.uniform(0.5, 1.0, size=(k, k)) for k in sizes]
-        matrix = block_diag_sparse(blocks)
-        assert matrix.nnz == sum(k * k for k in sizes)
-        assert matrix.shape == (sum(sizes), sum(sizes))

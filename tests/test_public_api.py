@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -26,10 +27,28 @@ class TestPackageSurface:
     @pytest.mark.parametrize("module", [
         "repro.circuit", "repro.core", "repro.mor", "repro.analysis",
         "repro.linalg", "repro.passivity", "repro.validation", "repro.io",
-        "repro.cli", "repro.perf", "repro.perf.workloads",
+        "repro.cli", "repro.perf", "repro.perf.workloads", "repro.obs",
+        "repro.serve", "repro.store", "repro.partition",
     ])
     def test_subpackages_import_cleanly(self, module):
         assert importlib.import_module(module) is not None
+
+    def test_every_module_exports_resolve(self):
+        # A stale export (a deleted helper still listed in ``__all__``)
+        # fails here rather than only in the lint job.  ``__main__`` is
+        # the ``python -m repro`` entry script, not an import surface.
+        problems = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.rsplit(".", 1)[-1] == "__main__":
+                continue
+            module = importlib.import_module(info.name)
+            exported = getattr(module, "__all__", None)
+            if exported is None:
+                problems.append(f"{info.name}: no __all__")
+                continue
+            problems += [f"{info.name}: {name}" for name in exported
+                         if not hasattr(module, name)]
+        assert problems == []
 
     def test_linalg_does_not_import_analysis(self):
         # linalg is the substrate every other subpackage builds on; an
