@@ -17,6 +17,7 @@ __all__ = [
     "ReductionError",
     "ReproError",
     "ResourceBudgetExceeded",
+    "ServeError",
     "SimulationError",
     "SingularSystemError",
     "SolverBackendError",
@@ -92,6 +93,31 @@ class PassivityError(ReproError):
 
 class ValidationError(ReproError):
     """Raised by validation helpers when inputs are inconsistent."""
+
+
+class ServeError(ReproError):
+    """One or more requests of a served batch failed.
+
+    Attributes
+    ----------
+    failures:
+        ``{request_index: exception}`` for every failed request.
+    failed_indices:
+        The failed request indices, sorted.
+    results:
+        The full batch's results with ``None`` at failed indices, so
+        callers can keep the work that did succeed.
+    """
+
+    def __init__(self, failures: dict[int, Exception],
+                 results: list | None = None) -> None:
+        self.failures = dict(failures)
+        self.failed_indices = sorted(self.failures)
+        self.results = results
+        first = self.failures[self.failed_indices[0]]
+        super().__init__(
+            f"{len(self.failed_indices)} of the batch's requests failed "
+            f"(indices {self.failed_indices}); first error: {first}")
 
 
 class ResourceBudgetExceeded(ReductionError):

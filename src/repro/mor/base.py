@@ -32,6 +32,7 @@ Expansion-point helpers
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -524,6 +525,8 @@ class StructuredROM:
     def _evaluate(self, s: complex, port: int | None = None) -> np.ndarray:
         """Outputs ``L_r (s C_r - G_r)^{-1} B_r[:, cols]`` for every port
         (``port=None``) or the one column ``port``."""
+        if not cmath.isfinite(s):
+            raise self._error(f"frequency point s={s} is not finite")
         border = self.C_ss is not None
         y = np.zeros((self.n_outputs, self.n_ports if port is None else 1),
                      dtype=complex)

@@ -5,17 +5,17 @@ time go".  It has two halves:
 
 * :mod:`repro.obs.tracing` — a hierarchical span tracer with contextvar
   parent propagation, explicit capture/attach hand-off across
-  ``SweepEngine`` thread and process workers, exception-safe closing,
-  and a cheap disabled path (gated by the ``obs_overhead`` perf
+  ``SweepEngine`` and ``ModelServer`` worker threads, exception-safe
+  closing, and a cheap disabled path (gated by the ``obs_overhead`` perf
   workload);
 * :mod:`repro.obs.metrics` — counters, gauges and bounded-reservoir
-  histograms, including the one shared percentile implementation that
-  :mod:`repro.serve.stats` builds on.
+  histograms with the one shared percentile implementation; a
+  ``ModelServer`` records its serving counters, latency and queue depth
+  here too (read back by :mod:`repro.serve.stats`).
 
 The two meet in one place: every span close, tracing on or off, observes
 its duration into the ``span.seconds`` histogram labelled
-``span=<name>``.  That histogram is the only timing aggregate; process
-workers ship it home inside their metrics snapshot.
+``span=<name>``.  That histogram is the only timing aggregate.
 
 Exporters (:mod:`repro.obs.export`) render either half as Chrome
 trace-event JSON (Perfetto), Prometheus text exposition, or an indented

@@ -1,9 +1,10 @@
 """Unified metrics core: counters, gauges and reservoir histograms.
 
 This module is the single home of the library's aggregates and of the
-percentile arithmetic :mod:`repro.serve.stats` also builds on.  Span
-timings land here too: every span close observes the ``span.seconds``
-histogram (see :mod:`repro.obs.tracing`).
+percentile arithmetic.  Span timings land here (every span close
+observes the ``span.seconds`` histogram, see :mod:`repro.obs.tracing`),
+and so do a ``ModelServer``'s serving counters, latency histogram and
+queue-depth gauges (read back by :mod:`repro.serve.stats`).
 
 * :func:`percentile` — linear-interpolated percentile of a sample list,
   pinned to ``0.0`` for the empty sample (serving dashboards expect a
@@ -11,7 +12,8 @@ histogram (see :mod:`repro.obs.tracing`).
 * :class:`Reservoir` — a bounded sliding window of observations with
   ``p50``/``p99`` accessors built on :func:`percentile`;
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — the classic
-  metric trio, keyed by name + label tuple;
+  metric trio, keyed by name + label tuple (plain records: only the
+  registry mutates them, under its lock);
 * :class:`MetricsRegistry` — a thread-safe bag of the above with a
   plain-dict ``snapshot()`` for the exporters and ``--json-out``.
 
@@ -68,16 +70,12 @@ class Reservoir:
 
     __slots__ = ("_window", "count", "total", "min", "max")
 
-    def __init__(self, maxlen: int = DEFAULT_RESERVOIR_SIZE,
-                 samples=None) -> None:
+    def __init__(self, maxlen: int = DEFAULT_RESERVOIR_SIZE) -> None:
         self._window = deque(maxlen=maxlen)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = 0.0
-        if samples:
-            for value in samples:
-                self.observe(value)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -108,36 +106,6 @@ class Reservoir:
         """The current window, oldest first."""
         return list(self._window)
 
-    @property
-    def maxlen(self) -> int:
-        return self._window.maxlen
-
-    def copy(self) -> "Reservoir":
-        dup = Reservoir(maxlen=self._window.maxlen)
-        dup._window.extend(self._window)
-        dup.count = self.count
-        dup.total = self.total
-        dup.min = self.min
-        dup.max = self.max
-        return dup
-
-    def extend_window(self, samples) -> None:
-        """Append ``samples`` to the percentile window only — lifetime
-        count/total/min/max are untouched (used when scalars were merged
-        separately from a snapshot)."""
-        self._window.extend(float(v) for v in samples)
-
-    def merge(self, other: "Reservoir") -> None:
-        """Fold ``other`` into this reservoir (window + lifetime stats)."""
-        self._window.extend(other._window)
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            if other.min < self.min:
-                self.min = other.min
-            if other.max > self.max:
-                self.max = other.max
-
     def as_dict(self) -> dict:
         return {
             "count": self.count,
@@ -162,9 +130,6 @@ class Counter:
     labels: dict = field(default_factory=dict)
     value: float = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 @dataclass
 class Gauge:
@@ -174,29 +139,16 @@ class Gauge:
     labels: dict = field(default_factory=dict)
     value: float = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Reservoir-backed distribution metric (one name, one label set)."""
 
     __slots__ = ("name", "labels", "reservoir")
 
-    def __init__(self, name: str, labels: dict | None = None,
-                 maxlen: int = DEFAULT_RESERVOIR_SIZE) -> None:
+    def __init__(self, name: str, labels: dict | None = None) -> None:
         self.name = name
         self.labels = dict(labels or {})
-        self.reservoir = Reservoir(maxlen=maxlen)
-
-    def observe(self, value: float) -> None:
-        self.reservoir.observe(value)
+        self.reservoir = Reservoir()
 
 
 class MetricsRegistry:
@@ -213,75 +165,72 @@ class MetricsRegistry:
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
 
-    # -- write side ---------------------------------------------------- #
-    def counter(self, name: str, **labels) -> Counter:
+    # -- write side (every mutation holds the registry lock) ----------- #
+    @staticmethod
+    def _series(table: dict, factory, name: str, labels: dict):
+        """The series ``name{labels}`` of ``table``, created on first
+        touch (the caller holds the lock)."""
         key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._counters.get(key)
-            if metric is None:
-                metric = self._counters[key] = Counter(name, dict(labels))
-        return metric
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._gauges.get(key)
-            if metric is None:
-                metric = self._gauges[key] = Gauge(name, dict(labels))
-        return metric
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(name, dict(labels))
+        metric = table.get(key)
+        if metric is None:
+            metric = table[key] = factory(name, dict(labels))
         return metric
 
     def increment(self, name: str, amount: float = 1.0, **labels) -> None:
         with self._lock:
-            key = (name, _label_key(labels))
-            metric = self._counters.get(key)
-            if metric is None:
-                metric = self._counters[key] = Counter(name, dict(labels))
-            metric.value += amount
+            counter = self._series(self._counters, Counter, name, labels)
+            counter.value += amount
 
     def observe(self, name: str, value: float, **labels) -> None:
-        key = (name, _label_key(labels))
         with self._lock:
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(name, labels)
-            metric.reservoir.observe(value)
+            histogram = self._series(self._histograms, Histogram, name,
+                                     labels)
+            histogram.reservoir.observe(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         with self._lock:
-            key = (name, _label_key(labels))
-            metric = self._gauges.get(key)
-            if metric is None:
-                metric = self._gauges[key] = Gauge(name, dict(labels))
-            metric.value = float(value)
+            gauge = self._series(self._gauges, Gauge, name, labels)
+            gauge.value = float(value)
+
+    def add_gauge(self, name: str, amount: float, *, peak: str | None = None,
+                  **labels) -> None:
+        """Add ``amount`` to a gauge; with ``peak``, raise the gauge named
+        ``peak`` (same labels) to the new value in the same locked step,
+        so a depth and its high-water mark never disagree."""
+        with self._lock:
+            gauge = self._series(self._gauges, Gauge, name, labels)
+            gauge.value += amount
+            if peak is not None:
+                high = self._series(self._gauges, Gauge, peak, labels)
+                high.value = max(high.value, gauge.value)
 
     # -- read side ----------------------------------------------------- #
-    def snapshot(self) -> dict:
-        """Plain-dict point-in-time view of every metric."""
+    def snapshot(self, **labels) -> dict:
+        """Plain-dict point-in-time view of every metric — or, given
+        ``labels``, of the series whose labels include every one of
+        them (one server's serving series, say)."""
+        match = labels.items()
+
+        def selected(table: dict) -> list:
+            return [m for m in table.values() if match <= m.labels.items()]
+
         with self._lock:
             return {
                 "counters": [
                     {"name": c.name, "labels": dict(c.labels),
                      "value": c.value}
-                    for c in self._counters.values()
+                    for c in selected(self._counters)
                 ],
                 "gauges": [
                     {"name": g.name, "labels": dict(g.labels),
                      "value": g.value}
-                    for g in self._gauges.values()
+                    for g in selected(self._gauges)
                 ],
                 "histograms": [
                     {"name": h.name, "labels": dict(h.labels),
                      **h.reservoir.as_dict(),
                      "samples": h.reservoir.samples()}
-                    for h in self._histograms.values()
+                    for h in selected(self._histograms)
                 ],
             }
 

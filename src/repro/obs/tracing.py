@@ -131,10 +131,10 @@ class Span:
 
 class _TimedSpan:
     """What ``trace_span`` returns while tracing is disabled: times the
-    block into ``span.seconds`` (also when it raises), keeps no record
-    and ignores tags."""
+    block into ``span.seconds`` (also when it raises) and into its own
+    ``duration``, keeps no record and ignores tags."""
 
-    __slots__ = ("name", "_t0")
+    __slots__ = ("name", "_t0", "duration")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -144,8 +144,8 @@ class _TimedSpan:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _METRICS.observe(SPAN_SECONDS, time.perf_counter() - self._t0,
-                         span=self.name)
+        self.duration = time.perf_counter() - self._t0
+        _METRICS.observe(SPAN_SECONDS, self.duration, span=self.name)
 
     def set_tag(self, key: str, value) -> None:
         return None
@@ -277,9 +277,10 @@ def tracing_enabled() -> bool:
 def trace_span(name: str, **tags):
     """Open a span on the default tracer — or, while tracing is
     disabled, an aggregate-only timer.  Either way the close observes
-    the duration into ``span.seconds{span=name}``.  This is the one call
-    sprinkled through hot paths, so the disabled branch keeps no record
-    and touches no contextvar.
+    the duration into ``span.seconds{span=name}`` and leaves it on the
+    yielded object's ``duration``.  This is the one call sprinkled
+    through hot paths, so the disabled branch keeps no record and
+    touches no contextvar.
     """
     if not _TRACING_ENABLED:
         return _TimedSpan(name)

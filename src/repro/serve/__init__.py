@@ -1,8 +1,7 @@
-"""Layered model-serving stack: planner, registry/admission, executor.
+"""Serving layers under :class:`~repro.store.server.ModelServer`.
 
-This package is the traffic-scale decomposition of the monolithic
-:class:`~repro.store.server.ModelServer` (which remains as a thin
-backward-compatible facade over these layers):
+The server plans, runs and records every request itself; this package
+holds the layers it builds on:
 
 ``planner`` (:mod:`repro.serve.planner`)
     Normalizes and validates :class:`~repro.serve.planner.QueryRequest`
@@ -16,21 +15,20 @@ backward-compatible facade over these layers):
     warm set backed by :class:`~repro.store.model_store.ModelStore`:
     cold misses load on demand, eviction drops models back to
     store-resident, and hit/miss/eviction statistics are kept.
-``executor`` (:mod:`repro.serve.executor`)
-    Owns the worker pool and the per-model lock table, runs plans on the
-    shared :class:`~repro.analysis.engine.SweepEngine` with lock scope
-    narrowed to the numerical evaluation, and aggregates per-request
-    failures into :class:`~repro.serve.executor.ServeError` instead of
-    dropping them.
 ``stats`` (:mod:`repro.serve.stats`)
-    Per-kind request/error counts, latency, queue depth and coalescing
-    (``ModelServer.serving_stats()``).
+    The names of the serving series a server records into the metrics
+    registry (per-kind request/error/evaluation/coalescing counters,
+    latency, queue depth) and :class:`~repro.serve.stats.ServingStats`,
+    the read-only view ``ModelServer.serving_stats()`` returns.
 ``loadgen`` (:mod:`repro.serve.loadgen`)
     Deterministic mixed-traffic load generator behind ``repro serve-bench``
     and the ``serving_load`` perf workload.
+
+A batch in which any request failed raises
+:class:`~repro.exceptions.ServeError` (re-exported here).
 """
 
-from repro.serve.executor import PlanExecutor, ServeError
+from repro.exceptions import ServeError
 from repro.serve.loadgen import (
     LoadRunResult,
     LoadSpec,
@@ -39,18 +37,14 @@ from repro.serve.loadgen import (
     run_load,
 )
 from repro.serve.planner import (
+    REQUEST_KINDS,
     ExecutionPlan,
     PlanStep,
     QueryPlanner,
     QueryRequest,
 )
 from repro.serve.registry import ModelRegistry, WarmResult, WarmSetStats
-from repro.serve.stats import (
-    REQUEST_KINDS,
-    KindStats,
-    ServingStats,
-    StatsRecorder,
-)
+from repro.serve.stats import KindStats, ServingStats
 
 __all__ = [
     "REQUEST_KINDS",
@@ -59,13 +53,11 @@ __all__ = [
     "LoadRunResult",
     "LoadSpec",
     "ModelRegistry",
-    "PlanExecutor",
     "PlanStep",
     "QueryPlanner",
     "QueryRequest",
     "ServeError",
     "ServingStats",
-    "StatsRecorder",
     "WarmResult",
     "WarmSetStats",
     "generate_requests",

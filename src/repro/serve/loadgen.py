@@ -31,6 +31,7 @@ from repro.analysis.frequency import FrequencySweepResult
 from repro.analysis.ir_drop import IRDropResult
 from repro.analysis.transient import TransientResult
 from repro.exceptions import ValidationError
+from repro.obs.metrics import percentile
 from repro.serve.planner import QueryRequest
 
 __all__ = ["LoadSpec", "LoadRunResult", "generate_requests", "run_load",
@@ -78,14 +79,7 @@ class LoadRunResult:
 
     def latency_percentile(self, q: float) -> float:
         """Batch-latency percentile ``q`` (0..100) in seconds."""
-        if not self.batch_latencies:
-            return 0.0
-        ordered = sorted(self.batch_latencies)
-        rank = (min(max(q, 0.0), 100.0) / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile(self.batch_latencies, q)
 
     @property
     def p50(self) -> float:

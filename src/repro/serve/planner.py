@@ -4,7 +4,7 @@ The planner is the first layer of the serving stack.  It turns a batch of
 :class:`QueryRequest` objects into an explicit :class:`ExecutionPlan` — a
 list of :class:`PlanStep` engine evaluations plus the scatter information
 needed to hand every original request its own result — **without touching
-any model or lock**, so planning runs entirely outside the executor's
+any model or lock**, so planning runs entirely outside the server's
 per-model critical sections.
 
 Coalescing semantics (every rule is bit-identity preserving — a coalesced
@@ -38,8 +38,8 @@ computed, element for element):
 
 Requests whose parameters the planner does not recognise (unexpected keys,
 non-array payloads it cannot fingerprint) are never dropped: they fall back
-to a ``single`` step that replays the legacy per-request dispatch exactly,
-including its error behaviour.
+to a ``single`` step that calls the server method of their kind with their
+own parameters, including its error behaviour.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.serve.stats import REQUEST_KINDS
 
-__all__ = ["QueryRequest", "PlanStep", "ExecutionPlan", "QueryPlanner"]
+__all__ = ["QueryRequest", "PlanStep", "ExecutionPlan", "QueryPlanner",
+           "REQUEST_KINDS"]
+
+#: The request kinds the serving stack understands, in dispatch order.
+REQUEST_KINDS = ("transfer", "sweep", "transient", "ir_drop")
 
 #: Default sweep band of :meth:`ModelServer.sweep`, used to normalise
 #: partially-specified sweep parameters so ``{"n_points": 60}`` and ``{}``
@@ -82,17 +85,22 @@ class PlanStep:
     kind:
         Request kind this step answers (stats are attributed to it).
     op:
-        ``"single"`` — replay one request through the legacy dispatch;
-        ``"transfer_batch"`` — one multi-point ``sample_matrix`` evaluation
-        scattered back by slice; ``"sweep_many"`` — one multi-model
-        ``sweep_many`` evaluation scattered back by model name.
+        ``"single"`` — one request (and its duplicates) through the server
+        method of its kind; ``"transfer_batch"`` — one multi-point
+        ``transfer`` evaluation scattered back by slice; ``"sweep_many"``
+        — one multi-model ``sweep_models`` evaluation scattered back by
+        model name.
     models:
-        Model names whose locks the executor must hold while evaluating.
+        Model names whose locks the server must hold while evaluating
+        (one, except for ``"sweep_many"``).
     payload:
-        Op-specific evaluation spec (see :mod:`repro.serve.executor`).
+        Keyword arguments of the evaluating server method (``transfer``'s
+        ``s_values``, a sweep band, or a request's own ``params``).
     targets:
-        Scatter spec mapping evaluation output to original request indices
-        (op-specific; see the executor's ``_scatter_*`` helpers).
+        Scatter spec mapping evaluation output to original request indices:
+        the indices (``"single"``), ``(start, stop, indices)`` slices
+        (``"transfer_batch"``) or ``(model, indices)`` pairs
+        (``"sweep_many"``).
     """
 
     kind: str
@@ -164,8 +172,8 @@ def _freeze(value):
 
 def _as_points(s_values) -> np.ndarray | None:
     """``s_values`` as a 1-D complex array, or ``None`` when the request
-    must stay on the single-step path (empty or non-1-D payloads keep their
-    legacy per-request error behaviour)."""
+    must stay on the single-step path (empty or non-1-D payloads keep the
+    error behaviour of a per-request ``transfer``)."""
     try:
         points = np.asarray(s_values, dtype=complex)
     except (TypeError, ValueError):
@@ -197,9 +205,8 @@ class QueryPlanner:
     ----------
     coalesce:
         With ``False`` the planner degrades to the naive per-request path:
-        one ``single`` step per request, no dedup — exactly the legacy
-        ``ModelServer.serve`` behaviour.  This is the baseline the
-        ``serving_load`` perf workload measures coalescing against.
+        one ``single`` step per request, no dedup.  This is the baseline
+        the ``serving_load`` perf workload measures coalescing against.
     """
 
     coalesce: bool = True
@@ -208,8 +215,8 @@ class QueryPlanner:
         """Validate ``requests`` and plan their execution.
 
         Raises :class:`~repro.exceptions.ValidationError` for an unknown
-        request kind or an empty model name — the same checks the legacy
-        ``submit`` path applied, now before any work is scheduled.
+        request kind, an empty model name or non-dict params, before any
+        work is scheduled.
         """
         requests = tuple(requests)
         for request in requests:
@@ -226,9 +233,7 @@ class QueryPlanner:
         if not self.coalesce:
             steps = [
                 PlanStep(kind=request.kind, op="single",
-                         models=(request.model,),
-                         payload=(request.kind, request.model,
-                                  request.params),
+                         models=(request.model,), payload=request.params,
                          targets=(index,))
                 for index, request in enumerate(requests)]
             return ExecutionPlan(requests=requests, steps=steps)
@@ -270,8 +275,7 @@ class QueryPlanner:
                     continue
             steps.append(PlanStep(
                 kind=request.kind, op="single", models=(request.model,),
-                payload=(request.kind, request.model, request.params),
-                targets=indices))
+                payload=request.params, targets=indices))
 
         # 2. Transfer coalescing: one multi-point evaluation per model.
         for model, entries in transfer_by_model.items():
@@ -279,8 +283,7 @@ class QueryPlanner:
                 points, indices = entries[0]
                 steps.append(PlanStep(
                     kind="transfer", op="single", models=(model,),
-                    payload=("transfer", model, {"s_values": points}),
-                    targets=indices))
+                    payload={"s_values": points}, targets=indices))
                 continue
             concat = np.concatenate([points for points, _ in entries])
             segments = []
@@ -290,7 +293,7 @@ class QueryPlanner:
                 offset += len(points)
             steps.append(PlanStep(
                 kind="transfer", op="transfer_batch", models=(model,),
-                payload=(model, concat), targets=tuple(segments)))
+                payload={"s_values": concat}, targets=tuple(segments)))
 
         # 3. Sweep coalescing: one sweep_many fan-out per frequency band.
         for band, entries in sweeps_by_band.items():
@@ -298,13 +301,12 @@ class QueryPlanner:
                 model, indices = entries[0]
                 steps.append(PlanStep(
                     kind="sweep", op="single", models=(model,),
-                    payload=("sweep", model, _band_params(band)),
-                    targets=indices))
+                    payload=_band_params(band), targets=indices))
                 continue
             steps.append(PlanStep(
                 kind="sweep", op="sweep_many",
                 models=tuple(model for model, _ in entries),
-                payload=band, targets=tuple(entries)))
+                payload=_band_params(band), targets=tuple(entries)))
         return steps
 
 

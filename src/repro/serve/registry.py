@@ -2,12 +2,12 @@
 
 The registry is the middle layer of the serving stack: it decides *which
 models are resident in memory*, while the planner decides what to evaluate
-and the executor decides how.  Two populations coexist:
+and the :class:`~repro.store.server.ModelServer` runs it.  Two populations
+coexist:
 
 ``pinned`` entries
     Registered directly via :meth:`ModelRegistry.register` (or loaded with
-    no byte budget configured).  They are never evicted — the legacy
-    ``ModelServer.register``/``load`` behaviour.
+    no byte budget configured).  They are never evicted.
 ``warm`` entries
     Loaded from the backing :class:`~repro.store.model_store.ModelStore`
     under a byte budget.  The warm set is an LRU: every

@@ -1,29 +1,30 @@
-"""Serving statistics: per-kind latency, queue depth and coalescing counters.
+"""Serving statistics: a read-only view of a server's metrics series.
 
-This is the observability layer of the serving stack
-(``ModelServer.serving_stats()``; model loads are counted by the
-registry's ``warm_stats()``).  A traffic-scale front end needs to answer
-operational questions — *what is the p99 sweep latency?  how deep is the
-queue?  how much work is the coalescer actually saving?* — so every planned
-batch records, per request kind:
+A :class:`~repro.store.server.ModelServer` records its serving telemetry
+straight into the process-wide :func:`~repro.obs.metrics.default_metrics`
+registry, every series labelled ``server=<ModelServer.server_id>`` (so two
+servers in one process keep separate counts) and, per request kind,
+``kind=<kind>``:
 
-* request / error / batch counters,
-* how many requests were answered **without their own engine evaluation**
-  (deduplicated against an identical in-flight request, or coalesced into a
-  shared multi-point evaluation),
-* wall-clock latency samples (bounded reservoir) from which p50/p99 are
-  derived, and
-* the executor's current and peak queue depth (steps submitted but not yet
-  finished).
+* counters — requests, errors, engine evaluations (``batches``), requests
+  answered **without their own evaluation** (``coalesced``: deduplicated
+  against an identical request or folded into a shared multi-point
+  evaluation) and planned batches (``plans``, no ``kind`` label);
+* a histogram — per-request latency, seconds (a request answered by a
+  shared evaluation sees that evaluation's latency, so percentiles answer
+  "what did a request see", not "what did a batch see");
+* gauges — the current and peak queue depth (steps submitted to the
+  worker pool but not yet finished; no ``kind`` label).
 
-:class:`StatsRecorder` is the thread-safe mutation facade used by the
-executor; :meth:`StatsRecorder.snapshot` returns an immutable-by-convention
-:class:`ServingStats` copy for callers.
+Those series are what ``/metrics``, ``repro stats --serve`` and the run
+ledger export.  :class:`ServingStats` reads them back into the attribute
+view callers use (``ModelServer.serving_stats()``), and builds the
+serving-SLO verdict ``/healthz`` serves.  Model loads are counted by the
+registry's ``warm_stats()``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.obs.health import (
@@ -32,79 +33,49 @@ from repro.obs.health import (
     HealthReport,
     classify,
 )
-from repro.obs.metrics import Reservoir
+from repro.serve.planner import REQUEST_KINDS
 
-__all__ = ["KindStats", "ServingStats", "StatsRecorder", "REQUEST_KINDS"]
+__all__ = ["KindStats", "ServingStats"]
 
-#: The request kinds the serving stack understands, in dispatch order.
-REQUEST_KINDS = ("transfer", "sweep", "transient", "ir_drop")
+#: Metric names of the serving series (see the module docstring).
+REQUESTS = "serve.requests"
+ERRORS = "serve.errors"
+BATCHES = "serve.batches"
+COALESCED = "serve.coalesced"
+PLANS = "serve.plans"
+LATENCY = "serve.latency_seconds"
+QUEUE_DEPTH = "serve.queue_depth"
+QUEUE_DEPTH_PEAK = "serve.queue_depth_peak"
 
-#: Latency samples retained per kind (a bounded reservoir: old samples fall
-#: off the front, so percentiles describe *recent* traffic).
-LATENCY_WINDOW = 4096
+_KIND_COUNTERS = {REQUESTS: "requests", ERRORS: "errors",
+                  BATCHES: "batches", COALESCED: "coalesced"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class KindStats:
-    """Counters and latency reservoir for one request kind."""
+    """Counters and latency percentiles (seconds) of one request kind."""
 
     requests: int = 0
     errors: int = 0
     batches: int = 0
     coalesced: int = 0
-    seconds: float = 0.0
-    latencies: Reservoir = field(
-        default_factory=lambda: Reservoir(maxlen=LATENCY_WINDOW))
-
-    def observe(self, seconds: float, *, n_requests: int = 1) -> None:
-        """Record one executed batch covering ``n_requests`` requests.
-
-        Every covered request experienced the batch's latency, so the
-        sample is entered once per request — percentiles then answer "what
-        latency did a request see", not "what latency did a batch see".
-        """
-        self.batches += 1
-        self.seconds += float(seconds)
-        for _ in range(max(1, int(n_requests))):
-            self.latencies.observe(float(seconds))
-
-    def percentile(self, q: float) -> float:
-        """Latency percentile ``q`` (0..100) over the reservoir, seconds.
-
-        Delegates to the shared :class:`~repro.obs.metrics.Reservoir`
-        implementation (0.0 while the window is empty)."""
-        return self.latencies.percentile(q)
-
-    @property
-    def p50(self) -> float:
-        """Median observed latency in seconds."""
-        return self.percentile(50.0)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile observed latency in seconds."""
-        return self.percentile(99.0)
-
-    def copy(self) -> "KindStats":
-        """Independent snapshot of this kind's counters."""
-        return KindStats(requests=self.requests, errors=self.errors,
-                         batches=self.batches, coalesced=self.coalesced,
-                         seconds=self.seconds,
-                         latencies=self.latencies.copy())
+    p50: float = 0.0
+    p99: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServingStats:
     """Aggregated serving statistics across all request kinds.
 
     Attributes
     ----------
     kinds:
-        Per-kind counters/latency (see :class:`KindStats`).
+        Per-kind counters/latency (see :class:`KindStats`); every kind of
+        :data:`REQUEST_KINDS` is present, zeroed before its first request.
     plans:
         Number of execution plans built and run.
     queue_depth:
-        Steps currently submitted to the executor but not yet finished.
+        Steps currently submitted to the worker pool but not yet finished.
     queue_depth_peak:
         The high-water mark of ``queue_depth``.
     """
@@ -115,6 +86,31 @@ class ServingStats:
     plans: int = 0
     queue_depth: int = 0
     queue_depth_peak: int = 0
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "ServingStats":
+        """The view of one server's series, given a
+        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` filtered to
+        its ``server=`` label."""
+        fields = {kind: {} for kind in REQUEST_KINDS}
+        plans = 0
+        for entry in snapshot["counters"]:
+            if entry["name"] == PLANS:
+                plans = int(entry["value"])
+            elif entry["name"] in _KIND_COUNTERS:
+                kind = fields.setdefault(entry["labels"]["kind"], {})
+                kind[_KIND_COUNTERS[entry["name"]]] = int(entry["value"])
+        for entry in snapshot["histograms"]:
+            if entry["name"] == LATENCY:
+                fields.setdefault(entry["labels"]["kind"], {}).update(
+                    p50=entry["p50"], p99=entry["p99"])
+        gauges = {entry["name"]: int(entry["value"])
+                  for entry in snapshot["gauges"]}
+        return cls(kinds={kind: KindStats(**values)
+                          for kind, values in fields.items()},
+                   plans=plans,
+                   queue_depth=gauges.get(QUEUE_DEPTH, 0),
+                   queue_depth_peak=gauges.get(QUEUE_DEPTH_PEAK, 0))
 
     @property
     def requests(self) -> int:
@@ -185,67 +181,3 @@ class ServingStats:
             check("serve.error_rate", self.errors / total,
                   f"errors={self.errors} requests={total}")
         return HealthReport(checks=checks)
-
-
-class StatsRecorder:
-    """Thread-safe mutation facade over one :class:`ServingStats`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stats = ServingStats()
-
-    def record_plan(self) -> None:
-        """Record one planned-and-executed request batch."""
-        with self._lock:
-            self._stats.plans += 1
-
-    def record_requests(self, kind: str, n: int = 1) -> None:
-        """Count ``n`` incoming requests of ``kind``."""
-        with self._lock:
-            self._kind(kind).requests += n
-
-    def record_batch(self, kind: str, seconds: float, *,
-                     n_requests: int = 1) -> None:
-        """Record one executed step of ``kind`` covering ``n_requests``."""
-        with self._lock:
-            entry = self._kind(kind)
-            entry.observe(seconds, n_requests=n_requests)
-            if n_requests > 1:
-                entry.coalesced += n_requests - 1
-
-    def record_coalesced(self, kind: str, n: int) -> None:
-        """Count ``n`` extra requests absorbed without an evaluation."""
-        if n <= 0:
-            return
-        with self._lock:
-            self._kind(kind).coalesced += n
-
-    def record_errors(self, kind: str, n: int = 1) -> None:
-        """Count ``n`` failed requests of ``kind``."""
-        with self._lock:
-            self._kind(kind).errors += n
-
-    def queue_enter(self) -> None:
-        """A step was submitted to the executor pool."""
-        with self._lock:
-            self._stats.queue_depth += 1
-            self._stats.queue_depth_peak = max(self._stats.queue_depth_peak,
-                                               self._stats.queue_depth)
-
-    def queue_exit(self) -> None:
-        """A submitted step finished (successfully or not)."""
-        with self._lock:
-            self._stats.queue_depth -= 1
-
-    def snapshot(self) -> ServingStats:
-        """A consistent deep copy of the current statistics."""
-        with self._lock:
-            return ServingStats(
-                kinds={kind: entry.copy()
-                       for kind, entry in self._stats.kinds.items()},
-                plans=self._stats.plans,
-                queue_depth=self._stats.queue_depth,
-                queue_depth_peak=self._stats.queue_depth_peak)
-
-    def _kind(self, kind: str) -> KindStats:
-        return self._stats.kinds.setdefault(kind, KindStats())

@@ -18,10 +18,11 @@ actual cross-process service:
     :class:`ModelServer` — warm-loads ROMs from the store into an in-memory
     registry and answers batched transfer-function, sweep, transient and
     IR-drop queries concurrently through the
-    :class:`~repro.analysis.engine.SweepEngine`.  Since the layered
-    refactor the class is a thin facade over :mod:`repro.serve`
-    (planner/registry/executor/stats layers), which also adds request
-    coalescing and the admission-controlled warm set.
+    :class:`~repro.analysis.engine.SweepEngine`.  The server owns the
+    worker pool and the per-model locks, plans batches with the
+    :mod:`repro.serve` planner (request coalescing), resolves models
+    through its registry (the admission-controlled warm set) and records
+    its serving statistics into the process-wide metrics registry.
 """
 
 from repro.store.artifacts import (

@@ -425,7 +425,7 @@ class TestTelemetryEndpoint:
         with ModelServer(metrics_port=0) as server:
             server.register("ckt1/bdsm", rom)
             # The queued front end is what records per-kind latency;
-            # direct method calls bypass the stats recorder.
+            # direct method calls are not counted.
             server.serve([
                 QueryRequest("transfer", "ckt1/bdsm",
                              {"s_values": np.array([1j * omega])})
@@ -440,6 +440,13 @@ class TestTelemetryEndpoint:
             assert "serve.error_rate" in monitored
             status, body = _get(f"{server.telemetry.url}/metrics")
             assert status == 200
+            # The serving series reach the exposition, under this
+            # server's label.
+            labels = f'{{kind="transfer",server="{server.server_id}"}}'
+            assert f"repro_serve_requests_total{labels} 3" in body
+            assert f"repro_serve_latency_seconds_count{labels} 3" in body
+            assert ('repro_serve_latency_seconds{kind="transfer",'
+                    'quantile="0.99",server="' in body)
         # After close the sidecar is gone.
         assert server.telemetry is None
 

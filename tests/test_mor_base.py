@@ -173,6 +173,19 @@ class TestOneEvaluator:
         assert rom.transfer_entry(1j * 1e8, p - 1, m - 1) == pytest.approx(
             rom.transfer_function(1j * 1e8)[p - 1, m - 1], rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["bdsm", "prima", "partitioned"])
+    @pytest.mark.parametrize("s", [complex(np.nan), complex(np.inf),
+                                   complex(0.0, np.nan)],
+                             ids=["nan", "inf", "nanj"])
+    def test_non_finite_point_rejected(self, kind, s):
+        from repro.exceptions import PartitionError
+        rom = self._rom(kind)
+        error = PartitionError if kind == "partitioned" else ReductionError
+        with pytest.raises(error, match="not finite"):
+            rom.transfer_function(s)
+        with pytest.raises(error, match="not finite"):
+            rom.transfer_entry(s, 0, 0)
+
     def test_singular_pencil_raises_reduction_error(self):
         rom = ReducedSystem(C=np.zeros((2, 2)), G=np.zeros((2, 2)),
                             B=np.ones((2, 1)), L=np.ones((1, 2)))

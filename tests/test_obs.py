@@ -4,8 +4,8 @@ Covers the span tracer (nesting/parent attribution, exception safety, the
 disabled no-op path, bounded buffers), explicit context propagation onto
 ``SweepEngine`` worker threads (with bit-identity of the traced
 numerics), the ``span.seconds`` aggregate every span close feeds
-(tracing on or off), the shared Reservoir/percentile core that
-``repro.serve.stats`` builds on, the three exporters (Chrome trace-event
+(tracing on or off), the shared Reservoir/percentile core the serving
+latency series builds on, the three exporters (Chrome trace-event
 JSON, Prometheus text exposition, span-tree report), the serve-stack
 span topology of a coalesced batch, and the committed ``obs_overhead``
 acceptance JSON.
@@ -48,7 +48,6 @@ from repro.obs import (
     tracing_enabled,
 )
 from repro.obs.tracing import SPAN_SECONDS, attach_context
-from repro.serve.stats import KindStats
 
 
 @pytest.fixture()
@@ -209,7 +208,8 @@ class TestReservoir:
         assert r.p50 == 0.0 and r.p99 == 0.0
 
     def test_kind_stats_empty_percentiles_are_zero(self):
-        stats = KindStats()
+        with ModelServer() as server:
+            stats = server.serving_stats().kinds["transfer"]
         assert stats.p50 == 0.0
         assert stats.p99 == 0.0
 
@@ -227,20 +227,6 @@ class TestReservoir:
         assert len(r.samples()) == 4
         assert r.min == 0.0 and r.max == 9.0
 
-    def test_extend_window_leaves_lifetime_scalars(self):
-        r = Reservoir()
-        r.observe(1.0)
-        r.extend_window([5.0, 6.0])
-        assert r.count == 1
-        assert r.total == 1.0
-        assert sorted(r.samples()) == [1.0, 5.0, 6.0]
-
-    def test_merge_combines_everything(self):
-        a, b = Reservoir(), Reservoir()
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 2 and a.total == 4.0 and a.max == 3.0
 
 
 class TestMetricsRegistry:

@@ -1,11 +1,12 @@
 """Tests for the layered serving stack (repro.serve).
 
 Covers the planner (dedup, transfer/sweep coalescing, bit-identity against
-the naive per-request path, legacy fallback for unrecognised params), the
-registry's admission-controlled warm set (budget eviction order, cold-miss
-reload round trips, unreadable-entry accounting), the executor's failure
-aggregation (`ServeError` carries every failed index plus partial results),
-the serving stats counters, register/close races and the lock-ordering
+the naive per-request path, single-step fallback for unrecognised params),
+the registry's admission-controlled warm set (budget eviction order,
+cold-miss reload round trips, unreadable-entry accounting), the server's
+failure aggregation (`ServeError` carries every failed index plus partial
+results), the serving stats read back from the metrics registry (per
+server), submit/serve parity, register/close races and the lock-ordering
 hammer for overlapping multi-model sweeps.
 """
 
@@ -27,7 +28,7 @@ from repro import (
     make_benchmark,
     prima_reduce,
 )
-from repro.exceptions import ValidationError
+from repro.exceptions import ReductionError, ValidationError
 from repro.serve import (
     LoadSpec,
     ModelRegistry,
@@ -293,7 +294,7 @@ class TestWarmSet:
 
 
 # --------------------------------------------------------------------- #
-# Executor: failure aggregation
+# Failure aggregation
 # --------------------------------------------------------------------- #
 class TestFailureAggregation:
     def test_serve_collects_every_failure(self, warm_server):
@@ -303,12 +304,15 @@ class TestFailureAggregation:
                                  {"s_values": S_POINTS})
         bad_params = QueryRequest("sweep", name,
                                   {"output": 0})  # port missing
-        requests = [good, bad_model, good, bad_params]
+        bad_point = QueryRequest("transfer", name,
+                                 {"s_values": np.array([np.nan])})
+        requests = [good, bad_model, good, bad_params, bad_point]
         with pytest.raises(ServeError) as excinfo:
             warm_server.serve(requests, coalesce=False)
         error = excinfo.value
-        assert error.failed_indices == [1, 3]
+        assert error.failed_indices == [1, 3, 4]
         assert isinstance(error.failures[1], ValidationError)
+        assert isinstance(error.failures[4], ReductionError)
         # Partial results of the requests that did succeed are kept.
         assert error.results[0] is not None
         assert error.results[2] is not None
@@ -362,6 +366,39 @@ class TestServingStats:
         warm_server.transfer(name, S_POINTS)
         warm_server.sweep(name, n_points=5)
         assert warm_server.serving_stats().requests == before
+
+    def test_submit_matches_serve_and_counts_once(self, warm_server):
+        name = warm_server.models()[0]
+        n_ports = warm_server.registry.resolve(name).n_ports
+        requests = [
+            QueryRequest("transfer", name, {"s_values": S_POINTS}),
+            QueryRequest("sweep", name, {"n_points": 5}),
+            QueryRequest("sweep", name,
+                         {"n_points": 5, "output": 0, "port": 0}),
+            QueryRequest("ir_drop", name,
+                         {"load_currents": np.full(n_ports, 1e-3)}),
+        ]
+        for count, request in enumerate(requests, start=1):
+            served = warm_server.serve([request])[0]
+            assert warm_server.serving_stats().requests == 2 * count - 1
+            submitted = warm_server.submit(request).result()
+            assert warm_server.serving_stats().requests == 2 * count
+            assert results_equal(submitted, served)
+
+    def test_two_servers_keep_separate_stats(self, populated_store):
+        with ModelServer(populated_store) as first, \
+                ModelServer(populated_store) as second:
+            for server, copies in ((first, 3), (second, 1)):
+                server.warm()
+                request = QueryRequest("transfer", server.models()[0],
+                                       {"s_values": S_POINTS})
+                server.serve([request] * copies)
+            assert first.server_id != second.server_id
+            assert first.serving_stats().requests == 3
+            assert first.serving_stats().coalesced == 2
+            assert second.serving_stats().requests == 1
+            assert second.serving_stats().coalesced == 0
+            assert second.serving_stats().plans == 1
 
     def test_queue_depth_returns_to_zero(self, warm_server):
         name = warm_server.models()[0]
