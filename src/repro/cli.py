@@ -886,15 +886,19 @@ def _add_trace_out(cmd: argparse.ArgumentParser) -> None:
                           "and print the watchdog verdict afterwards")
 
 
-def _run_observed(args: argparse.Namespace) -> None:
+def _run_observed(args: argparse.Namespace) -> dict:
     """The canned pipeline behind ``repro trace`` / ``repro stats``: one
-    cold reduction and, with ``--serve``, one served sweep query."""
+    cold reduction and, with ``--serve``, one served sweep query.  Returns
+    the metrics snapshot taken before the server closes (closing drops
+    its series)."""
     import tempfile
+
+    from repro.obs import default_metrics
 
     system = make_benchmark(args.benchmark, scale=args.scale)
     if not args.serve:
         _REDUCERS[args.method](system, args.moments, SolverOptions())
-        return
+        return default_metrics().snapshot()
     with tempfile.TemporaryDirectory() as tmp:
         store = ModelStore(tmp)
         _REDUCERS[args.method](system, args.moments, SolverOptions(),
@@ -908,6 +912,7 @@ def _run_observed(args: argparse.Namespace) -> None:
             server.serve([QueryRequest("sweep", name, {
                 "omega_min": 1e5, "omega_max": 1e12, "n_points": 9,
                 "output": 0, "port": 0})])
+            return default_metrics().snapshot()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -991,11 +996,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         default_metrics().reset()
         enable_tracing()
         try:
-            _run_observed(args)
+            metrics_snapshot = _run_observed(args)
         finally:
             drain_spans()
             disable_tracing()
-        metrics_snapshot = default_metrics().snapshot()
     text = to_prometheus(metrics_snapshot)
     print(text, end="")
     if args.out is not None:

@@ -33,6 +33,7 @@ Expansion-point helpers
 from __future__ import annotations
 
 import cmath
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,10 @@ from repro.exceptions import (
 from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.recycle import DEFAULT_RECYCLE_TOL
 from repro.linalg.sparse_utils import estimate_dense_bytes, nnz_density
+from repro.mor.modal import MODAL_TOL, ModalFormError, modal_block, probe_point
+from repro.obs.health import default_health, health_enabled
+from repro.obs.metrics import default_metrics
+from repro.obs.tracing import trace_span
 
 __all__ = [
     "ROMBlock",
@@ -278,13 +283,25 @@ class StructuredROM:
     only construct; evaluation, assembly, summaries and the artifact codec
     (:mod:`repro.store.artifacts`) are written once, here and there.
 
-    Queries run block by block: each block is solved against its own
-    input columns (plus the border columns), blocks of equal order and
-    width in one stacked ``np.linalg.solve``, and a border is closed by
-    the interface Schur complement ``A_s - sum_i F_i A_i^{-1} E_i``.  The
-    assembled ``C``/``G``/``B``/``L`` are built on first use — the
-    arrays of a one-block, border-free ROM as they are (dense), every
-    other ROM as sparse CSR — so the generic analyses run on any ROM.
+    A border-free ROM is served from its modal form (paper Sec. III-D,
+    :mod:`repro.mor.modal`): per block the eigenvalues ``mu`` of
+    ``G_i^{-1} C_i``, ``L_i X_i`` and ``X_i^{-1} G_i^{-1} B_i``, built once
+    (at artifact save, or on the first query, under a per-ROM lock) and
+    checked against a direct solve at one probe point; then
+    ``H(s) = sum_i (L_i X_i) diag(1 / (s mu_i - 1)) (X_i^{-1} G_i^{-1} B_i)``
+    needs no per-point solve.  A ROM whose form fails that check (singular
+    ``G_i``, a defective pencil, an error above
+    :data:`~repro.mor.modal.MODAL_TOL`) keeps the direct solves, and the
+    fallback is counted (``rom.modal_fallback`` in
+    :func:`~repro.obs.metrics.default_metrics`, and a health ``warn`` while
+    monitors are on).  Direct queries run block by block: each block is
+    solved against its own input columns (plus the border columns), blocks
+    of equal order and width in one stacked ``np.linalg.solve``, and a
+    border is closed by the interface Schur complement
+    ``A_s - sum_i F_i A_i^{-1} E_i``.  The assembled
+    ``C``/``G``/``B``/``L`` are built on first use — the arrays of a
+    one-block, border-free ROM as they are (dense), every other ROM as
+    sparse CSR — so the generic analyses run on any ROM.
     Blocks must not change after the first query or assembly.
 
     ``health`` is the :class:`~repro.obs.health.HealthReport` the reducer
@@ -350,7 +367,10 @@ class StructuredROM:
         self.output_names = list(output_names or [])
         self.health = None
         self._assembled: dict[str, object] = {}
-        self._groups: dict[tuple[int, ...], dict] = {}
+        self._groups: dict[tuple, dict] = {}
+        # Per-block (mu, LX, XB) once built, () where direct solves serve.
+        self._modal: tuple | None = None
+        self._modal_lock = threading.Lock()
         self._plans: dict[int | None, list] = {}
         self._dense_interface: tuple[np.ndarray, ...] | None = None
         self._reduced_system: ReducedSystem | None = None
@@ -504,55 +524,138 @@ class StructuredROM:
         self._plans[port] = plan
         return plan
 
-    def _group(self, members: tuple[int, ...]) -> dict:
-        """The arrays of ``members``: one block's own arrays, or stacked
-        ``(k, ...)`` copies for two or more blocks, built once; ``B`` is
-        cast to complex once either way."""
-        group = self._groups.get(members)
+    def _group(self, members: tuple[int, ...], form=None) -> dict:
+        """The arrays of ``members`` — their pencils, or with ``form`` (the
+        per-block modal arrays) their ``mu``/``LX``/``XB`` — one block's
+        own arrays, or stacked ``(k, ...)`` copies for two or more blocks,
+        built once; a pencil's ``B`` is cast to complex once either way."""
+        key = (members, form is not None)
+        group = self._groups.get(key)
         if group is None:
-            names = ("C", "G", "B", "L") + (
-                () if self.C_ss is None else ("Ec", "Eg"))
-            blocks = [self.blocks[k] for k in members]
-            if len(blocks) == 1:
-                group = {name: getattr(blocks[0], name) for name in names}
+            if form is None:
+                names = ("C", "G", "B", "L") + (
+                    () if self.C_ss is None else ("Ec", "Eg"))
+                parts = [{name: getattr(self.blocks[k], name)
+                          for name in names} for k in members]
             else:
-                group = {name: np.stack([getattr(b, name) for b in blocks])
-                         for name in names}
-            group["B"] = group["B"].astype(complex)
-            self._groups[members] = group
+                parts = [dict(zip(("mu", "LX", "XB"), form[k]))
+                         for k in members]
+            group = parts[0] if len(parts) == 1 else {
+                name: np.stack([part[name] for part in parts])
+                for name in parts[0]}
+            if form is None:
+                group["B"] = group["B"].astype(complex)
+            self._groups[key] = group
         return group
+
+    def _modal_form(self) -> tuple | None:
+        """The per-block ``(mu, LX, XB)`` modal arrays, built on first use
+        under the ROM's lock; ``None`` where direct solves serve (a border,
+        or a form that failed its check)."""
+        if self.C_ss is not None:
+            return None
+        if self._modal is None:
+            with self._modal_lock:
+                if self._modal is None:
+                    self._modal = self._build_modal()
+        return self._modal or None
+
+    def _build_modal(self) -> tuple:
+        """Build and check the modal form; ``()`` (direct solves) when a
+        block has none or it misses the direct solve at the probe point
+        by more than :data:`~repro.mor.modal.MODAL_TOL`."""
+        with trace_span("rom.modal_build", blocks=self.n_blocks,
+                        order=self.size):
+            try:
+                form = tuple(modal_block(b.C, b.G, b.B, b.L)
+                             for b in self.blocks)
+                s = probe_point(mu for mu, _, _ in form)
+                direct = self._respond(s, None, None)
+                error = float(np.max(np.abs(self._respond(s, None, form)
+                                            - direct), initial=0.0))
+                scale = float(np.max(np.abs(direct), initial=0.0)) or 1.0
+                if not error <= MODAL_TOL * scale:
+                    raise ModalFormError(
+                        "residual", f"modal form misses the direct solve "
+                        f"at s={s:.3g} by {error / scale:.1e} (relative)")
+            except ReductionError as exc:
+                for key in [k for k in self._groups if k[1]]:
+                    del self._groups[key]
+                default_metrics().increment(
+                    "rom.modal_fallback",
+                    reason=getattr(exc, "reason", "probe"))
+                if health_enabled():
+                    default_health().record(
+                        "rom.modal_fallback", 1.0,
+                        detail=f"{self.name}: {exc}", method=self.method)
+                return ()
+        return form
+
+    def poles(self) -> np.ndarray:
+        """Poles ``1 / mu`` of every block, in block order (``inf`` for
+        ``mu = 0``), read off the modal form.
+
+        Raises the ROM's error type when there is no modal form: a
+        bordered ROM (its poles are not the blocks'), or one whose form
+        failed its check."""
+        form = self._modal_form()
+        if form is None:
+            raise self._error(
+                "no modal form: " + ("the ROM has a border"
+                                     if self.C_ss is not None else
+                                     "its check failed, direct solves "
+                                     "serve this ROM"))
+        mu = np.concatenate([mu for mu, _, _ in form])
+        poles = np.full(mu.shape, np.inf, dtype=complex)
+        np.divide(1.0, mu, out=poles, where=mu != 0)
+        return poles
 
     def _evaluate(self, s: complex, port: int | None = None) -> np.ndarray:
         """Outputs ``L_r (s C_r - G_r)^{-1} B_r[:, cols]`` for every port
         (``port=None``) or the one column ``port``."""
         if not cmath.isfinite(s):
             raise self._error(f"frequency point s={s} is not finite")
+        return self._respond(s, port, self._modal_form())
+
+    def _respond(self, s: complex, port: int | None, form) -> np.ndarray:
+        """:meth:`_evaluate` from the modal ``form``, or with ``form=None``
+        by direct solves."""
         border = self.C_ss is not None
         y = np.zeros((self.n_outputs, self.n_ports if port is None else 1),
                      dtype=complex)
         solved: dict[int, tuple] = {}
         for members, sel, targets in self._plan(port):
-            group = self._group(members)
-            A = s * group["C"] - group["G"]
-            rhs = group["B"] if sel is None else group["B"][..., [sel]]
-            if border:
-                rhs = np.concatenate([rhs, s * group["Ec"] - group["Eg"]],
-                                     axis=-1)
-            try:
-                X = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise self._error(
-                    f"block {self.blocks[members[0]].index}"
-                    + (f" (of {len(members)} stacked)" if len(members) > 1
-                       else "")
-                    + f": reduced pencil singular at s={s}: {exc}") from exc
-            if border:
-                n_b = rhs.shape[-1] - self.interface_order
-                X = X if X.ndim == 3 else X[np.newaxis]
-                for j, k in enumerate(members):
-                    solved[k] = (X[j, :, :n_b], X[j, :, n_b:])
-                continue
-            Y = group["L"] @ X
+            group = self._group(members, form)
+            if form is not None:
+                den = s * group["mu"] - 1.0
+                if not den.all():
+                    raise self._error(
+                        f"block {self.blocks[members[0]].index}: reduced "
+                        f"pencil singular at s={s}")
+                rhs = group["XB"] if sel is None else group["XB"][..., [sel]]
+                Y = group["LX"] @ (rhs / den[..., np.newaxis])
+            else:
+                A = s * group["C"] - group["G"]
+                rhs = group["B"] if sel is None else group["B"][..., [sel]]
+                if border:
+                    rhs = np.concatenate([rhs, s * group["Ec"] - group["Eg"]],
+                                         axis=-1)
+                try:
+                    X = np.linalg.solve(A, rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise self._error(
+                        f"block {self.blocks[members[0]].index}"
+                        + (f" (of {len(members)} stacked)" if len(members) > 1
+                           else "")
+                        + f": reduced pencil singular at s={s}: {exc}"
+                    ) from exc
+                if border:
+                    n_b = rhs.shape[-1] - self.interface_order
+                    X = X if X.ndim == 3 else X[np.newaxis]
+                    for j, k in enumerate(members):
+                        solved[k] = (X[j, :, :n_b], X[j, :, n_b:])
+                    continue
+                Y = group["L"] @ X
             if targets is None:
                 y += Y if Y.ndim == 2 else Y.sum(axis=0)
             else:
@@ -598,7 +701,8 @@ class StructuredROM:
 
     def transfer_function(self, s: complex) -> np.ndarray:
         """Evaluate the ``p x m`` transfer matrix ``L_r (s C_r - G_r)^{-1}
-        B_r`` block by block — ``O(m l^3)`` for a BDSM ROM (Sec. III-B)."""
+        B_r`` block by block: from the modal form, ``O(p l)`` per port
+        for a BDSM ROM, or by direct solves, ``O(m l^3)`` (Sec. III-B)."""
         return self._evaluate(s)
 
     def transfer_entry(self, s: complex, output: int, port: int) -> complex:

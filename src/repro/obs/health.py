@@ -89,6 +89,10 @@ DEFAULT_THRESHOLDS: dict[str, dict] = {
     # reduced directly instead (value 1): the hierarchy is shallower than
     # asked for there, so every such fallback is a warn.
     "partition.recursion_fallback": {"warn_at": 0.0},
+    # One check per ROM whose modal form failed its guard (singular G_r,
+    # a defective pencil, a probe error above MODAL_TOL) and which is
+    # served by direct solves instead (value 1): correct but slow.
+    "rom.modal_fallback": {"warn_at": 0.0},
     # Serving SLOs (per request kind, seconds / queue entries / rate).
     "serve.p99_seconds": {"warn_at": 0.5, "fail_at": 2.0},
     "serve.queue_depth": {"warn_at": 32, "fail_at": 256},

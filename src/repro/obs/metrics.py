@@ -187,22 +187,30 @@ class MetricsRegistry:
                                      labels)
             histogram.reservoir.observe(value)
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
+    def set_gauge(self, name: str, value: float, *, peak: str | None = None,
+                  **labels) -> None:
+        """Set a gauge; with ``peak``, raise the gauge named ``peak``
+        (same labels) to the new value in the same locked step, so a
+        depth and its high-water mark never disagree."""
         with self._lock:
             gauge = self._series(self._gauges, Gauge, name, labels)
             gauge.value = float(value)
-
-    def add_gauge(self, name: str, amount: float, *, peak: str | None = None,
-                  **labels) -> None:
-        """Add ``amount`` to a gauge; with ``peak``, raise the gauge named
-        ``peak`` (same labels) to the new value in the same locked step,
-        so a depth and its high-water mark never disagree."""
-        with self._lock:
-            gauge = self._series(self._gauges, Gauge, name, labels)
-            gauge.value += amount
             if peak is not None:
                 high = self._series(self._gauges, Gauge, peak, labels)
                 high.value = max(high.value, gauge.value)
+
+    def remove(self, **labels) -> int:
+        """Drop every series whose labels include all of ``labels`` (a
+        closed server's, say); returns how many were dropped."""
+        match = labels.items()
+        dropped = 0
+        with self._lock:
+            for table in (self._counters, self._gauges, self._histograms):
+                for key in [key for key, metric in table.items()
+                            if match <= metric.labels.items()]:
+                    del table[key]
+                    dropped += 1
+        return dropped
 
     # -- read side ----------------------------------------------------- #
     def snapshot(self, **labels) -> dict:

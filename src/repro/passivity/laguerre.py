@@ -11,10 +11,12 @@ This module implements that scan:
 * the grid is built from scaled Gauss-Laguerre quadrature nodes, which cover
   ``[0, inf)`` with exponentially spaced points — a natural choice for the
   Laguerre-basis view the paper refers to;
-* the per-port columns of ``H(j omega)`` are evaluated from the diagonalised
-  blocks in ``O(q)`` flops per frequency (``q = sum of block orders``),
-  so the whole scan over a fixed-size grid is ``O(q^2)`` in the worst case
-  (when the port count grows with ``q``);
+* ``H(j omega)`` comes from the ROM's own evaluator, which serves a
+  border-free ROM from its modal form (every block eigen-diagonalised
+  once, see :class:`~repro.mor.base.StructuredROM`): ``O(q)`` flops per
+  transfer entry and frequency (``q = sum of block orders``), so the whole
+  scan over a fixed-size grid is ``O(q^2)`` in the worst case (when the
+  port count grows with ``q``);
 * the result is a :class:`~repro.passivity.hamiltonian.PassivityReport`
   compatible with the Hamiltonian test's, so enforcement code can consume
   either.
@@ -26,10 +28,6 @@ import numpy as np
 
 from repro.exceptions import PassivityError
 from repro.passivity.hamiltonian import PassivityReport
-from repro.passivity.state_space import (
-    diagonalize_state_space,
-    rom_block_to_state_space,
-)
 
 __all__ = ["laguerre_frequency_grid", "laguerre_passivity_scan"]
 
@@ -64,7 +62,8 @@ def laguerre_passivity_scan(rom, *, n_points: int = 24,
     Parameters
     ----------
     rom:
-        A :class:`~repro.core.structured_rom.BlockDiagonalROM` whose transfer
+        A ROM (typically a
+        :class:`~repro.core.structured_rom.BlockDiagonalROM`) whose transfer
         matrix is square (immittance parameters: the observed outputs are the
         port nodes themselves, which is the default for the power-grid
         benchmarks).
@@ -85,26 +84,11 @@ def laguerre_passivity_scan(rom, *, n_points: int = 24,
             "Laguerre passivity scan needs a square (immittance) ROM; got "
             f"{rom.n_outputs} outputs and {rom.n_ports} ports")
 
-    # Pre-diagonalise every block once: poles and residue factors.
-    diagonalized = []
-    for block in rom.blocks:
-        model = rom_block_to_state_space(block)
-        diag = diagonalize_state_space(model)
-        poles = np.diag(diag.A)
-        # Column contribution: H[:, i](s) = sum_k c_k * b_k / (s - lambda_k)
-        b_vec = np.asarray(diag.B).reshape(-1)
-        c_mat = np.asarray(diag.C)
-        diagonalized.append((poles, b_vec, c_mat))
-
     omegas = laguerre_frequency_grid(n_points, time_scale)
     worst_eig = np.inf
     worst_freq = float(omegas[0])
     for omega in omegas:
-        s = 1j * float(omega)
-        H = np.zeros((rom.n_outputs, rom.n_ports), dtype=complex)
-        for col, (poles, b_vec, c_mat) in enumerate(diagonalized):
-            weights = b_vec / (s - poles)
-            H[:, col] = c_mat @ weights
+        H = rom.transfer_function(1j * float(omega))
         herm = 0.5 * (H + H.conj().T)
         low = float(np.min(np.linalg.eigvalsh(herm)))
         if low < worst_eig:

@@ -6,8 +6,10 @@ and its result shipped between processes, machines and CI runs.  This module
 provides the serialization layer that makes that possible (in the spirit of
 pyMOR's persistence layer and SHARPy's on-disk case artifacts):
 
-* one compressed ``.npz`` container per model, holding every payload array
-  with its exact dtype and — for sparse matrices — its CSR structure, so a
+* one uncompressed ``.npz`` container per model (``np.savez``: zlib cost
+  most of a save and saved a few percent of the bytes, and the file size
+  is what the serving warm set budgets), holding every payload array with
+  its exact dtype and — for sparse matrices — its CSR structure, so a
   save/load round-trip is bit-identical;
 * a JSON metadata record embedded in the container carrying a
   ``schema`` version field (loads of a different schema are rejected with a
@@ -23,9 +25,16 @@ Every ROM round-trips through one codec: a
 :class:`~repro.partition.assemble.PartitionedROM` — is stored as its block
 fields concatenated over the blocks, its port maps, optional projection
 bases and border, and the constructor class, which a load restores.
-:class:`~repro.mor.base.ReductionSummary` records have their own small
-codec.  ``rom.health`` is not stored.  Schema 2 introduced this layout;
-schema-1 artifacts are rejected (regenerate them).  All writes are atomic
+Schema 3 adds the modal form a border-free ROM is served from (see
+:class:`~repro.mor.base.StructuredROM`): saving builds it — so a store put
+pays for it once — and stores each block's ``mu``, ``L X`` and
+``X^{-1} G^{-1} B`` as the ``modal_mu``/``modal_LX``/``modal_XB`` fields,
+absent for a bordered ROM or one whose form failed its check.  A load
+hands the arrays back, so the loaded ROM answers bit-identically to the
+saved one.  Schema-2 artifacts (no modal fields) still load and build the
+form on their first query; schema-1 artifacts are rejected (regenerate
+them).  :class:`~repro.mor.base.ReductionSummary` records have their own
+small codec.  ``rom.health`` is not stored.  All writes are atomic
 (tempfile in the target directory + ``os.replace``) so a concurrent
 reader never observes a half-written artifact.
 """
@@ -62,8 +71,13 @@ __all__ = [
 
 #: Version of the artifact container layout.  Bump on any incompatible
 #: change to the array naming scheme or the metadata record; loaders reject
-#: other versions with a :class:`~repro.exceptions.ValidationError`.
-SCHEMA_VERSION = 2
+#: versions outside ``_READABLE_SCHEMAS`` with a
+#: :class:`~repro.exceptions.ValidationError`.
+SCHEMA_VERSION = 3
+
+#: Older schemas :func:`load_artifact` still reads (schema 2 lacks only
+#: the modal fields).
+_READABLE_SCHEMAS = (2, SCHEMA_VERSION)
 
 #: Metadata key of the embedded JSON record.
 _META_KEY = "__meta__"
@@ -174,12 +188,16 @@ _ROM_CLASSES = {cls.__name__: cls for cls in
 _BLOCK_FIELDS = ("C", "G", "B", "L", "basis", "ports",
                  "Ec", "Eg", "Fc", "Fg")
 
+#: Per-block fields of the modal form, in ``StructuredROM`` tuple order.
+_MODAL_FIELDS = ("modal_mu", "modal_LX", "modal_XB")
+
 
 def _encode_rom(rom: StructuredROM) -> tuple[dict, dict]:
     """Every ROM in one layout: each block field raveled and concatenated
     over the blocks (``shapes`` gives the pieces back, ``None`` for an
     absent basis, port map or border), the interface blocks as matrices,
-    and the constructor's extras.  ``rom.health`` is not stored."""
+    the constructor's extras and — built here if need be — the modal
+    form.  ``rom.health`` is not stored."""
     arrays: dict[str, np.ndarray] = {}
     formats: dict[str, str] = {}
     shapes: dict[str, list] = {}
@@ -195,6 +213,10 @@ def _encode_rom(rom: StructuredROM) -> tuple[dict, dict]:
 
     for name in _BLOCK_FIELDS:
         pack(name, [getattr(b, name) for b in rom.blocks])
+    form = rom._modal_form()
+    if form is not None:
+        for name, parts in zip(_MODAL_FIELDS, zip(*form)):
+            pack(name, list(parts))
     if rom.C_ss is not None:
         for name in ("C_ss", "G_ss", "B_s", "L_s"):
             _encode_matrix(arrays, formats, name, getattr(rom, name))
@@ -259,7 +281,7 @@ def _decode_rom(data, meta: dict) -> StructuredROM:
             extras[name] = unpack(f"x_{name}")[0]
         else:
             extras[name] = how
-    return cls._restore(
+    rom = cls._restore(
         blocks, extras, n_ports=int(meta["n_ports"]),
         n_outputs=int(meta["n_outputs"]), interface=interface,
         method=str(meta["method"]), s0=_decode_s0(meta["s0"]),
@@ -267,6 +289,9 @@ def _decode_rom(data, meta: dict) -> StructuredROM:
         original_size=int(meta["original_size"]),
         original_ports=int(meta["original_ports"]), name=str(meta["name"]),
         output_names=meta["output_names"])
+    if _MODAL_FIELDS[0] in meta["shapes"]:
+        rom._modal = tuple(zip(*(unpack(name) for name in _MODAL_FIELDS)))
+    return rom
 
 
 def _encode_summary(summary: ReductionSummary) -> tuple[dict, dict]:
@@ -319,10 +344,11 @@ def save_artifact(model, path: str | Path) -> Path:
     (:class:`~repro.mor.base.ReducedSystem`,
     :class:`~repro.core.structured_rom.BlockDiagonalROM`,
     :class:`~repro.partition.assemble.PartitionedROM`) and
-    :class:`~repro.mor.base.ReductionSummary`.  The write is atomic: the
-    container is assembled in a temporary file next to ``path`` and moved
-    into place with ``os.replace``, so concurrent readers never see a
-    partial artifact.
+    :class:`~repro.mor.base.ReductionSummary`.  A border-free ROM's modal
+    form is built first (on ``model`` itself) and stored with it.  The
+    write is atomic: the container is assembled in a temporary file next
+    to ``path`` and moved into place with ``os.replace``, so concurrent
+    readers never see a partial artifact.
     """
     for cls, encoder in _ENCODERS:
         if isinstance(model, cls):
@@ -339,7 +365,7 @@ def save_artifact(model, path: str | Path) -> Path:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(
+            np.savez(
                 handle, **{_META_KEY: np.asarray([json.dumps(meta)])},
                 **arrays)
         os.replace(tmp_name, path)
@@ -379,10 +405,11 @@ def _read_container(path: Path):
 def _check_schema_and_integrity(path: Path, payload: dict,
                                 meta: dict) -> None:
     schema = meta.get("schema")
-    if schema != SCHEMA_VERSION:
+    if schema not in _READABLE_SCHEMAS:
         raise ValidationError(
             f"{path} uses artifact schema version {schema!r}; this build "
-            f"reads version {SCHEMA_VERSION} — regenerate the artifact")
+            f"reads versions {', '.join(map(str, _READABLE_SCHEMAS))} — "
+            "regenerate the artifact")
     stored = meta.get("fingerprint")
     actual = _payload_fingerprint(payload, meta)
     if stored != actual:

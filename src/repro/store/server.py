@@ -33,6 +33,8 @@ queue depth are recorded into the process-wide
 :func:`~repro.obs.metrics.default_metrics` registry under the server's
 ``server=`` label; :meth:`ModelServer.serving_stats` and
 :meth:`ModelServer.health` read them back (:mod:`repro.serve.stats`).
+:meth:`ModelServer.close` freezes those statistics and drops the series,
+so short-lived servers leave nothing behind in the registry.
 The direct query methods (:meth:`ModelServer.transfer` and friends) run
 on the caller's thread and are not counted.
 
@@ -160,6 +162,11 @@ class ModelServer:
         self._pool: ThreadPoolExecutor | None = None
         self._locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
+        # Steps queued and not yet finished, published as the queue-depth
+        # gauge (set, never shifted, so a registry reset cannot skew it).
+        self._depth = 0
+        self._depth_lock = threading.Lock()
+        self._closed_stats: ServingStats | None = None
         self.telemetry: TelemetryServer | None = None
         if metrics_port is not None:
             self.telemetry = TelemetryServer(
@@ -363,6 +370,7 @@ class ModelServer:
 
     def _queue(self, plan: ExecutionPlan) -> list[tuple[PlanStep, Future]]:
         """Count ``plan`` and its requests, then queue every step."""
+        self._closed_stats = None
         self._count(PLANS)
         for kind, n in Counter(r.kind for r in plan.requests).items():
             self._count(REQUESTS, n, kind=kind)
@@ -421,13 +429,19 @@ class ModelServer:
                                     **labels)
 
     def _shift_queue_depth(self, amount: int) -> None:
-        default_metrics().add_gauge(QUEUE_DEPTH, amount,
-                                    peak=QUEUE_DEPTH_PEAK,
-                                    server=self.server_id)
+        with self._depth_lock:
+            self._depth += amount
+            default_metrics().set_gauge(QUEUE_DEPTH, self._depth,
+                                        peak=QUEUE_DEPTH_PEAK,
+                                        server=self.server_id)
 
     def serving_stats(self) -> ServingStats:
         """Per-kind latency/queue-depth/coalescing statistics: a read-only
-        view of this server's series in the metrics registry."""
+        view of this server's series in the metrics registry, or after
+        :meth:`close` the totals frozen there."""
+        closed = self._closed_stats
+        if closed is not None:
+            return closed
         return ServingStats.from_snapshot(
             default_metrics().snapshot(server=self.server_id))
 
@@ -443,9 +457,10 @@ class ModelServer:
         return self.registry.stats()
 
     def close(self) -> None:
-        """Shut down the worker pool and any telemetry sidecar (the
-        registry, the locks and the recorded statistics stay usable; the
-        next submission starts a fresh pool)."""
+        """Shut down the worker pool and any telemetry sidecar, freeze
+        :meth:`serving_stats` and drop this server's series from the
+        metrics registry.  The registry and the locks stay usable; the
+        next submission starts a fresh pool and records afresh."""
         if self.telemetry is not None:
             self.telemetry.close()
             self.telemetry = None
@@ -453,6 +468,10 @@ class ModelServer:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        with self._pool_lock:
+            if self._closed_stats is None:
+                self._closed_stats = self.serving_stats()
+                default_metrics().remove(server=self.server_id)
 
     def __enter__(self) -> "ModelServer":
         return self

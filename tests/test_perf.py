@@ -193,9 +193,10 @@ class TestBenchCLI:
         from repro.cli import main
         out = tmp_path / "results.json"
         baseline = tmp_path / "baseline.json"
+        # Both runs keep the default best-of-3 repeats: one repeat let
+        # host noise alone trip the 20% gate.
         code = main(["bench", "--quick", "--benchmark", "ckt1",
                      "--workload", "ortho_blocked_vs_columnwise",
-                     "--repeats", "1",
                      "--output", str(out), "--baseline", str(baseline),
                      "--update-baseline"])
         assert code == 0
@@ -204,7 +205,6 @@ class TestBenchCLI:
         # (same machine, same workload).
         code = main(["bench", "--quick", "--benchmark", "ckt1",
                      "--workload", "ortho_blocked_vs_columnwise",
-                     "--repeats", "1",
                      "--output", str(out), "--baseline", str(baseline),
                      "--check"])
         captured = capsys.readouterr()
@@ -252,7 +252,6 @@ class TestBenchCLI:
                        }}, baseline)
         code = main(["bench", "--quick", "--benchmark", "ckt1",
                      "--workload", "ortho_blocked_vs_columnwise",
-                     "--repeats", "1",
                      "--output", str(out), "--baseline", str(baseline),
                      "--check"])
         captured = capsys.readouterr()

@@ -408,6 +408,67 @@ class TestServingStats:
         assert stats.queue_depth == 0
         assert stats.queue_depth_peak >= 1
 
+    def test_closed_servers_leave_no_series(self, bdsm_rom):
+        from repro.obs.metrics import default_metrics
+
+        def serving_series() -> int:
+            return sum(1 for table in default_metrics().snapshot().values()
+                       for metric in table if "server" in metric["labels"])
+
+        request = QueryRequest("transfer", "rom", {"s_values": S_POINTS})
+        before = serving_series()
+        for _ in range(50):
+            server = ModelServer(max_workers=1)
+            server.register("rom", bdsm_rom)
+            server.serve([request])
+            server.close()
+            # The frozen copy still answers after close.
+            stats = server.serving_stats()
+            assert stats.requests == 1 and stats.batches == 1
+            assert stats.kinds["transfer"].p50 > 0.0
+        assert serving_series() == before
+
+    def test_closed_server_serves_again_and_records_afresh(self, bdsm_rom):
+        request = QueryRequest("transfer", "rom", {"s_values": S_POINTS})
+        server = ModelServer(max_workers=1)
+        server.register("rom", bdsm_rom)
+        server.serve([request, request])
+        server.close()
+        server.close()
+        assert server.serving_stats().requests == 2
+        server.serve([request])
+        assert server.serving_stats().requests == 1
+        server.close()
+        assert server.serving_stats().requests == 1
+
+    def test_queue_depth_survives_a_concurrent_reset(self):
+        from repro.obs.metrics import default_metrics
+
+        release, entered = threading.Event(), threading.Event()
+
+        class Blocking:
+            n_ports = n_outputs = 1
+
+            def transfer_function(self, s):
+                entered.set()
+                release.wait(10)
+                return np.ones((1, 1), dtype=complex)
+
+        server = ModelServer(max_workers=1)
+        server.register("slow", Blocking())
+        try:
+            future = server.submit(QueryRequest(
+                "transfer", "slow", {"s_values": np.array([1j])}))
+            assert entered.wait(10)
+            default_metrics().reset()
+            release.set()
+            future.result(timeout=10)
+            assert server.serving_stats().queue_depth == 0
+        finally:
+            release.set()
+            server.close()
+        assert server.serving_stats().queue_depth == 0
+
 
 # --------------------------------------------------------------------- #
 # Concurrency
