@@ -563,12 +563,22 @@ class StructuredROM:
     def _build_modal(self) -> tuple:
         """Build and check the modal form; ``()`` (direct solves) when a
         block has none or it misses the direct solve at the probe point
-        by more than :data:`~repro.mor.modal.MODAL_TOL`."""
+        by more than :data:`~repro.mor.modal.MODAL_TOL`.  The span records
+        how many blocks each LAPACK kernel built (``sygvd_blocks``,
+        ``dgeev_blocks``, ``zgeev_blocks``) and ``max_pole_real``, the
+        largest real part of the finite poles."""
         with trace_span("rom.modal_build", blocks=self.n_blocks,
-                        order=self.size):
+                        order=self.size) as span:
             try:
-                form = tuple(modal_block(b.C, b.G, b.B, b.L)
-                             for b in self.blocks)
+                built = [modal_block(b.C, b.G, b.B, b.L)
+                         for b in self.blocks]
+                form = tuple(parts[:3] for parts in built)
+                kernels = [parts[3] for parts in built]
+                for kernel in ("sygvd", "dgeev", "zgeev"):
+                    span.set_tag(f"{kernel}_blocks", kernels.count(kernel))
+                mu = np.concatenate([mu for mu, _, _ in form])
+                span.set_tag("max_pole_real", float(np.max(
+                    (1.0 / mu[mu != 0]).real, initial=-np.inf)))
                 s = probe_point(mu for mu, _, _ in form)
                 direct = self._respond(s, None, None)
                 error = float(np.max(np.abs(self._respond(s, None, form)

@@ -1,5 +1,7 @@
 """Tests for the modal (pole–residue) form every border-free ROM is served
-from: accuracy against direct solves, the guarded fallback, poles, the
+from: accuracy against direct solves, the LAPACK kernel each pencil class
+takes (``sygvd`` for symmetric-definite RC pencils, ``dgeev`` otherwise),
+the guarded fallback, poles, the span attributes of the build, the
 artifact round trip (schema 3, and schema 2 built lazily) and the lazy
 build under threads."""
 
@@ -14,11 +16,13 @@ import pytest
 import scipy.linalg
 
 from repro import (
+    BlockDiagonalROM,
     ReducedSystem,
     SweepEngine,
     bdsm_reduce,
     load_artifact,
     make_benchmark,
+    make_multidomain_spec,
     multipoint_bdsm_reduce,
     partitioned_reduce,
     prima_reduce,
@@ -26,13 +30,15 @@ from repro import (
 )
 from repro.circuit import PowerGridSpec, assemble_mna, build_power_grid
 from repro.exceptions import ReductionError
-from repro.mor.modal import MODAL_TOL
+from repro.mor.modal import MODAL_SYM_TOL, MODAL_TOL, modal_block
+from repro.obs import disable_tracing, drain_spans, enable_tracing
 from repro.obs.health import (
     default_health,
     disable_health_monitors,
     enable_health_monitors,
 )
 from repro.obs.metrics import default_metrics
+from repro.partition import PartitionedOptions, multilevel_reduce
 from repro.store import artifact_meta
 
 #: Points of the accuracy check: 16 log-spaced in [1e5, 1e9] rad/s.
@@ -46,6 +52,18 @@ def _rc_mesh():
     return assemble_mna(build_power_grid(PowerGridSpec(
         rows=6, cols=6, n_ports=6, n_pads=4, package_inductance=0.0,
         seed=7, name="rc-mesh-6x6")))
+
+
+def _multilevel_densified():
+    """The densified two-level macromodel of the smoke
+    ``partitioned_multilevel`` grid (24x24 multi-domain, 12 ports)."""
+    system = assemble_mna(build_power_grid(make_multidomain_spec(
+        24, 24, 12, seed=3, name="multidomain-24x24-12")))
+    return multilevel_reduce(
+        system, 3, levels=2, n_parts=4,
+        interface=PartitionedOptions(interface_order=3,
+                                     interface_tol=1e-4),
+    )[0].to_reduced_system()
 
 
 def _complex_l(rom):
@@ -67,13 +85,28 @@ def _roms():
         "partitioned-densified": lambda: partitioned_reduce(
             ckt2, 3, n_parts=3)[0].to_reduced_system(),
         "complex-L": lambda: _complex_l(prima),
+        "rc-bdsm": lambda: bdsm_reduce(_rc_mesh(), 3)[0],
+        "rc-prima": lambda: prima_reduce(_rc_mesh(), 3)[0],
+        "rc-multilevel-densified": _multilevel_densified,
     }
 
 
-def _fallbacks(reason: str) -> float:
+#: ROMs of RC grids: congruence projections, so symmetric-definite.
+RC_KINDS = ("rc-bdsm", "rc-prima", "rc-multilevel-densified")
+
+#: ROMs of the RLC ckt2-smoke grid, whose reduced ``G`` is unsymmetric.
+RLC_KINDS = ("bdsm", "prima")
+
+
+def _kernels(rom) -> list[str]:
+    return [modal_block(b.C, b.G, b.B, b.L)[3] for b in rom.blocks]
+
+
+def _fallbacks(reason: str | None = None) -> float:
+    """Modal fallbacks counted so far, for one ``reason`` or all."""
     return sum(c["value"] for c in default_metrics().snapshot()["counters"]
                if c["name"] == "rom.modal_fallback"
-               and c["labels"].get("reason") == reason)
+               and reason in (None, c["labels"].get("reason")))
 
 
 def _relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,6 +123,88 @@ def test_modal_matches_direct(kind):
     for s, H in zip(POINTS[::5], modal[::5]):
         assert rom.transfer_entry(s, 0, rom.n_ports - 1) == pytest.approx(
             H[0, -1], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", RC_KINDS)
+def test_rc_roms_take_sygvd_with_real_poles(kind):
+    rom = _roms()[kind]()
+    assert set(_kernels(rom)) == {"sygvd"}
+    poles, offset = rom.poles(), 0
+    assert np.all(poles.imag == 0.0)
+    for block in rom.blocks:
+        ours = poles[offset:offset + block.order].real
+        offset += block.order
+        reference = -1.0 / scipy.linalg.eigh(block.C, -block.G,
+                                             eigvals_only=True)
+        assert np.all(np.abs(np.sort(ours) - np.sort(reference))
+                      <= 1e-10 * np.abs(np.sort(reference)))
+    assert offset == poles.size == rom.size
+
+
+@pytest.mark.parametrize("kind", RLC_KINDS)
+def test_rlc_roms_keep_dgeev(kind):
+    assert set(_kernels(_roms()[kind]())) == {"dgeev"}
+
+
+def _definite_pencil():
+    """A symmetric pencil with ``C`` and ``-G`` positive definite."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((5, 5))
+    return (np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
+            -(A @ A.T + 5.0 * np.eye(5)), rng.standard_normal((5, 2)),
+            rng.standard_normal((3, 5)))
+
+
+class TestKernelChoice:
+    @pytest.mark.parametrize("factor,kernel",
+                             [(0.5, "sygvd"), (2.0, "dgeev")])
+    def test_symmetry_tolerance(self, factor, kernel):
+        C, G, B, L = _definite_pencil()
+        G[0, 1] += factor * MODAL_SYM_TOL * np.max(np.abs(G))
+        assert modal_block(C, G, B, L)[3] == kernel
+        rom = ReducedSystem(C=C, G=G, B=B, L=L)
+        assert rom._modal_form() is not None
+        assert _relative_error(rom.transfer_function(2j),
+                               rom._respond(2j, None, None)) <= MODAL_TOL
+
+    def test_indefinite_g_falls_through_to_dgeev(self):
+        C, G, B, L = _definite_pencil()
+        G[4, 4] += 2.0 * np.max(np.linalg.eigvalsh(-G))
+        assert np.min(np.linalg.eigvalsh(-G)) < 0.0
+        assert modal_block(C, G, B, L)[3] == "dgeev"
+        before = _fallbacks()
+        rom = ReducedSystem(C=C, G=G, B=B, L=L)
+        assert rom._modal_form() is not None
+        assert _fallbacks() == before
+        assert _relative_error(rom.transfer_function(2j),
+                               rom._respond(2j, None, None)) <= MODAL_TOL
+
+
+@pytest.fixture()
+def tracing():
+    drain_spans()
+    enable_tracing()
+    yield
+    disable_tracing()
+    drain_spans()
+
+
+@pytest.mark.parametrize("kind,kernel", [("rc-prima", "sygvd"),
+                                         ("bdsm", "dgeev")])
+def test_build_span_records_kernels_and_stability(tracing, kind, kernel):
+    rom = _roms()[kind]()
+    drain_spans()
+    assert rom._modal_form() is not None
+    (span,) = [s for s in drain_spans() if s.name == "rom.modal_build"]
+    assert {k: span.tags[f"{k}_blocks"]
+            for k in ("sygvd", "dgeev", "zgeev")} == {
+        "sygvd": rom.n_blocks if kernel == "sygvd" else 0,
+        "dgeev": rom.n_blocks if kernel == "dgeev" else 0,
+        "zgeev": 0}
+    poles = rom.poles()
+    assert span.tags["max_pole_real"] == np.max(
+        poles[np.isfinite(poles)].real)
+    assert span.tags["max_pole_real"] < 0.0
 
 
 def test_complex_pencil_uses_the_complex_path():
@@ -193,6 +308,19 @@ class TestArtifact:
             assert np.array_equal(loaded.transfer_function(s),
                                   rom.transfer_function(s))
 
+    def test_rc_schema3_round_trips_bit_identical(self, tmp_path):
+        rom = bdsm_reduce(_rc_mesh(), 3)[0]
+        loaded = load_artifact(save_artifact(rom, tmp_path / "rom.npz"))
+        assert set(_kernels(rom)) == {"sygvd"}
+        assert len(loaded._modal) == len(rom._modal) == rom.n_blocks
+        for ours, theirs in zip(rom._modal, loaded._modal):
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(loaded.poles(), rom.poles())
+        for s in POINTS:
+            assert np.array_equal(loaded.transfer_function(s),
+                                  rom.transfer_function(s))
+
     def test_bordered_artifact_has_no_form(self, tmp_path):
         rom = partitioned_reduce(make_benchmark("ckt1", scale="smoke"), 2,
                                  n_parts=2)[0]
@@ -211,16 +339,29 @@ class TestArtifact:
 
 
 def test_lazy_build_under_threads_is_bit_identical():
-    """Parallel sweeps of a freshly loaded schema-2 ROM build its form once
-    and answer exactly what a serial sweep of another copy answers."""
-    serial = load_artifact(SCHEMA2_FIXTURE)
+    """Parallel sweeps of a freshly loaded schema-2 (RLC) ROM build its form
+    once and answer exactly what a serial sweep of another copy answers."""
+    _check_lazy_build_under_threads(lambda: load_artifact(SCHEMA2_FIXTURE))
+
+
+def test_lazy_build_under_threads_is_bit_identical_rc():
+    """The same for an RC ROM, whose form ``sygvd`` builds: fresh copies of
+    one RC BDSM ROM share its blocks but not its form."""
+    rom = bdsm_reduce(_rc_mesh(), 3)[0]
+    _check_lazy_build_under_threads(
+        lambda: BlockDiagonalROM(rom.blocks, n_outputs=rom.n_outputs))
+
+
+def _check_lazy_build_under_threads(fresh) -> None:
+    serial = fresh()
     expected = SweepEngine(jobs=1).sample_matrix(serial, POINTS)
 
     def builds() -> int:
         return sum(h["count"] for h in default_metrics().snapshot(
             span="rom.modal_build")["histograms"])
 
-    shared = load_artifact(SCHEMA2_FIXTURE)
+    shared = fresh()
+    assert shared._modal is None
     before = builds()
     results, errors = [None] * 4, []
 
