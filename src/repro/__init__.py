@@ -6,7 +6,10 @@ order reduction), the full power-grid substrate it operates on (netlists,
 MNA stamping, synthetic industrial-style benchmarks), the baseline reducers
 it is compared against (PRIMA, SVDMOR, EKS, multi-point projection, PMTBR),
 frequency/transient simulation of both full and reduced models, and the
-passivity post-processing the paper sketches.
+passivity post-processing the paper sketches.  Every reducer returns one
+ROM type, ``StructuredROM``; its modal (pole-residue) form serves transfer
+queries and feeds the passivity test and enforcement, whose repaired model
+is a ``StructuredROM`` again.
 
 Quick start
 -----------

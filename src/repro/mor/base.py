@@ -601,9 +601,9 @@ class StructuredROM:
                 return ()
         return form
 
-    def poles(self) -> np.ndarray:
-        """Poles ``1 / mu`` of every block, in block order (``inf`` for
-        ``mu = 0``), read off the modal form.
+    def modal_form(self) -> tuple:
+        """The per-block ``(mu, LX, XB)`` modal arrays the ROM is served
+        from, in block order; ``XB`` covers the block's own ports.
 
         Raises the ROM's error type when there is no modal form: a
         bordered ROM (its poles are not the blocks'), or one whose form
@@ -615,7 +615,13 @@ class StructuredROM:
                                      if self.C_ss is not None else
                                      "its check failed, direct solves "
                                      "serve this ROM"))
-        mu = np.concatenate([mu for mu, _, _ in form])
+        return form
+
+    def poles(self) -> np.ndarray:
+        """Poles ``1 / mu`` of every block, in block order (``inf`` for
+        ``mu = 0``), read off :meth:`modal_form` (which raises when there
+        is none)."""
+        mu = np.concatenate([mu for mu, _, _ in self.modal_form()])
         poles = np.full(mu.shape, np.inf, dtype=complex)
         np.divide(1.0, mu, out=poles, where=mu != 0)
         return poles

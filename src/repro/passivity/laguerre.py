@@ -1,4 +1,4 @@
-"""Laguerre-grid passivity scan for block-diagonal ROMs.
+"""Laguerre-grid passivity scan for structured ROMs.
 
 The paper (Sec. III-D) argues that thanks to the block-diagonal structure,
 "the passivity test and enforcement can be simplified via Laguerre's method
@@ -16,7 +16,8 @@ This module implements that scan:
   once, see :class:`~repro.mor.base.StructuredROM`): ``O(q)`` flops per
   transfer entry and frequency (``q = sum of block orders``), so the whole
   scan over a fixed-size grid is ``O(q^2)`` in the worst case (when the
-  port count grows with ``q``);
+  port count grows with ``q``); a bordered ROM is scanned by direct
+  solves;
 * the result is a :class:`~repro.passivity.hamiltonian.PassivityReport`
   compatible with the Hamiltonian test's, so enforcement code can consume
   either.
@@ -57,16 +58,15 @@ def laguerre_frequency_grid(n_points: int, time_scale: float = 1e-9,
 def laguerre_passivity_scan(rom, *, n_points: int = 24,
                             time_scale: float = 1e-9,
                             tol: float = -1e-10) -> PassivityReport:
-    """Scan a block-diagonal ROM for passivity violations on a Laguerre grid.
+    """Scan a ROM for passivity violations on a Laguerre grid.
 
     Parameters
     ----------
     rom:
-        A ROM (typically a
-        :class:`~repro.core.structured_rom.BlockDiagonalROM`) whose transfer
-        matrix is square (immittance parameters: the observed outputs are the
-        port nodes themselves, which is the default for the power-grid
-        benchmarks).
+        A :class:`~repro.mor.base.StructuredROM` (a BDSM ROM, or an
+        enforced one) whose transfer matrix is square (immittance
+        parameters: the observed outputs are the port nodes themselves,
+        which is the default for the power-grid benchmarks).
     n_points:
         Number of Laguerre grid frequencies.
     time_scale:
