@@ -37,8 +37,7 @@ def impedance_rom(ckt1):
 def test_structured_laguerre_scan(benchmark, impedance_rom):
     """Block-wise diagonalisation + Laguerre-grid scan of the whole ROM."""
     report = benchmark.pedantic(
-        lambda: laguerre_passivity_scan(impedance_rom, n_points=24,
-                                        time_scale=1e-12),
+        lambda: laguerre_passivity_scan(impedance_rom, n_points=24),
         rounds=1, iterations=1)
     _RESULTS["laguerre"] = {
         "method": "structured Laguerre scan",

@@ -68,7 +68,7 @@ def main() -> None:
     # Passive blocks do not make a passive ROM: the cross-port terms can
     # pull the Hermitian part of the whole matrix below zero.
     print()
-    scan = laguerre_passivity_scan(rom, n_points=24, time_scale=1e-12)
+    scan = laguerre_passivity_scan(rom, n_points=24)
     _print_scan("Laguerre-grid scan of the block-diagonal ROM", scan)
     if scan.is_passive:
         print("\nNo enforcement needed.")
@@ -87,8 +87,7 @@ def main() -> None:
           f"{repaired.n_blocks} blocks (one static), "
           f"{int(np.sum(np.isinf(repaired.poles())))} poles at infinity\n")
     _print_scan("Laguerre-grid re-scan of the enforced ROM",
-                laguerre_passivity_scan(repaired, n_points=24,
-                                        time_scale=1e-12))
+                laguerre_passivity_scan(repaired, n_points=24))
     print(f"  Hamiltonian re-test passive: "
           f"{hamiltonian_passivity_test(repaired).is_passive}")
 

@@ -28,6 +28,12 @@ Determinism is a design invariant: chunking is a pure function of
 and results are reassembled by index — so a parallel sweep is bit-identical
 to the serial one (pinned by the golden-regression harness under
 ``REPRO_GOLDEN_JOBS=2``).
+
+:func:`shared_engine` is the one process-wide pool (``jobs=0``, one worker
+per CPU this process may run on) that work fans out over when the caller
+names no engine — BDSM's port chunks do.  A dispatch made *from* a pool
+thread runs inline on that thread (:func:`on_pool_thread`), so nested
+fan-out never oversubscribes the cores or waits on its own pool.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +52,46 @@ from repro.exceptions import SimulationError
 from repro.linalg.backends import SolverOptions
 from repro.obs.tracing import attach_context, capture_context, trace_span
 
-__all__ = ["SweepEngine", "AdaptiveSweepResult"]
+__all__ = ["SweepEngine", "AdaptiveSweepResult", "available_cpus",
+           "on_pool_thread", "shared_engine"]
 
 #: Relative-error floor shared with FrequencySweepResult.relative_error_to.
 _ERROR_FLOOR = 1e-300
+
+#: Marks the threads of every engine's pool (set by the pool initializer),
+#: and a dispatching thread while it works through its own dispatch.
+_POOL_THREAD = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.active = True
+
+
+@contextmanager
+def _running_pool_tasks():
+    """Mark the dispatching thread as a pool thread while it works
+    through its own dispatch, so its tasks do not fan out again."""
+    previous = on_pool_thread()
+    _POOL_THREAD.active = True
+    try:
+        yield
+    finally:
+        _POOL_THREAD.active = previous
+
+
+def on_pool_thread() -> bool:
+    """Whether the calling thread is a worker of a :class:`SweepEngine`
+    pool; dispatches made from one run inline."""
+    return getattr(_POOL_THREAD, "active", False)
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a container or ``taskset`` may allow fewer CPUs
+    than the machine has), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------- #
@@ -92,13 +136,15 @@ def _require_evaluator(system) -> None:
 
 
 def _thread_chunk_call(kernel, task, ctx):
-    """Run one chunk on a pool thread under the submitter's trace context.
+    """Run one chunk of a parallel dispatch under the submitter's trace
+    context.
 
     Contextvars do not follow work onto pool threads, so the context
     captured at dispatch is re-attached here; the ``engine.chunk`` span
     (a no-op while tracing is disabled) then parents every span the
-    kernel opens.  The kernel itself is untouched — results stay
-    bit-identical to the serial path.
+    kernel opens, on a pool thread and on the dispatching thread alike.
+    The kernel itself is untouched — results stay bit-identical to the
+    serial path.
     """
     with attach_context(ctx):
         with trace_span("engine.chunk", executor="thread",
@@ -194,8 +240,10 @@ class SweepEngine:
     Parameters
     ----------
     jobs:
-        Number of worker threads.  ``1`` (default) evaluates serially on
-        the calling thread; ``0`` resolves to ``os.cpu_count()``.
+        Number of workers, the calling thread included (a parallel
+        dispatch runs on it and ``jobs - 1`` pool threads).  ``1``
+        (default) evaluates serially on the calling thread; ``0``
+        resolves to :func:`available_cpus`.
     solver:
         Default :class:`~repro.linalg.backends.SolverOptions` applied when
         a sampling call does not pass its own; forwarded unchanged to every
@@ -208,13 +256,16 @@ class SweepEngine:
     :class:`~repro.exceptions.SimulationError` before any work is
     dispatched.  Results are bit-identical across ``jobs`` values: chunk
     boundaries are deterministic, each worker runs the exact serial
-    per-point kernel, and chunks are reassembled by index.
+    per-point kernel, and chunks are reassembled by index.  A dispatch
+    from a pool thread (any engine's) runs serially on that thread.
     """
 
     jobs: int = 1
     solver: SolverOptions | None = None
     _pool: object = field(default=None, init=False, repr=False,
                           compare=False)
+    _pool_lock: object = field(default_factory=threading.Lock, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -224,8 +275,9 @@ class SweepEngine:
     # Pool plumbing
     # ------------------------------------------------------------------ #
     def resolved_jobs(self) -> int:
-        """The worker count after resolving ``jobs=0`` to the CPU count."""
-        return self.jobs if self.jobs else (os.cpu_count() or 1)
+        """The worker count after resolving ``jobs=0`` to
+        :func:`available_cpus`."""
+        return self.jobs if self.jobs else available_cpus()
 
     @staticmethod
     def _chunk_bounds(n_items: int, n_chunks: int) -> np.ndarray:
@@ -239,12 +291,18 @@ class SweepEngine:
 
         Keeping one executor alive across dispatches means adaptive
         refinement rounds and repeated sweeps reuse the same threads
-        instead of paying pool spawn per call.  Released by :meth:`close`
-        / context-manager exit.
+        instead of paying pool spawn per call.  It holds ``jobs - 1``
+        threads: the dispatching thread is the last worker.  Released by
+        :meth:`close` / context-manager exit.  Safe to call from several
+        threads at once (the shared engine is).
         """
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.resolved_jobs())
-        return self._pool
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=max(1, self.resolved_jobs() - 1),
+                    thread_name_prefix="repro-engine",
+                    initializer=_mark_pool_thread)
+            return self._pool
 
     def close(self) -> None:
         """Shut down the persistent worker pool (no-op if never started).
@@ -252,9 +310,10 @@ class SweepEngine:
         The engine stays usable: the next parallel dispatch starts a
         fresh pool.
         """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -271,18 +330,60 @@ class SweepEngine:
     def _execute(self, kernel, tasks: list) -> list:
         """Run ``kernel`` over ``tasks``, preserving task order.
 
+        A parallel dispatch of ``w`` workers is the calling thread plus
+        ``w - 1`` pool threads, each taking the next task until none is
+        left — the caller does not sit idle, and every pool thread is one
+        more malloc arena and BLAS buffer set kept for the process's
+        life.  Helpers still queued once the caller runs dry (the pool is
+        busy with another dispatch) are cancelled, not waited for.
         Parallel dispatches capture the submitting trace context so
         worker spans re-attach to the dispatching span.
         """
-        workers = min(self.resolved_jobs(), len(tasks))
+        workers = self.workers_for(len(tasks))
         if workers <= 1:
             return [kernel(task) for task in tasks]
         ctx = capture_context()
-        return list(self._get_pool().map(
-            lambda task: _thread_chunk_call(kernel, task, ctx), tasks))
+        results = [None] * len(tasks)
+        pending = iter(range(len(tasks)))
+        lock = threading.Lock()
+        failed = []
+
+        def drain() -> None:
+            while not failed:
+                with lock:
+                    index = next(pending, None)
+                if index is None:
+                    return
+                try:
+                    results[index] = _thread_chunk_call(kernel, tasks[index],
+                                                        ctx)
+                except BaseException:
+                    failed.append(index)
+                    raise
+
+        pool = self._get_pool()
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        try:
+            with _running_pool_tasks():
+                drain()
+        finally:
+            for helper in helpers:
+                helper.cancel()
+            wait(helpers)
+        for helper in helpers:
+            if not helper.cancelled():
+                helper.result()
+        return results
+
+    def workers_for(self, n_tasks: int) -> int:
+        """How many threads a dispatch of ``n_tasks`` tasks runs on from
+        the calling thread (``1``: inline)."""
+        if on_pool_thread():
+            return 1
+        return max(1, min(self.resolved_jobs(), n_tasks))
 
     def _split(self, values: np.ndarray) -> list[np.ndarray]:
-        jobs = min(self.resolved_jobs(), len(values))
+        jobs = self.workers_for(len(values))
         if jobs <= 1:
             return [values]
         bounds = self._chunk_bounds(len(values), jobs)
@@ -436,3 +537,14 @@ class SweepEngine:
         return AdaptiveSweepResult(
             omegas=omegas, reference=ref_vals, candidates=cand_vals,
             evaluated=evaluated, errors=errors)
+
+
+#: The process-wide pool behind :func:`shared_engine`; its threads start on
+#: the first parallel dispatch.
+_SHARED_ENGINE = SweepEngine(jobs=0)
+
+
+def shared_engine() -> SweepEngine:
+    """The one process-wide engine (``jobs=0``) that work fans out over
+    when the caller names no engine of its own."""
+    return _SHARED_ENGINE

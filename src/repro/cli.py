@@ -268,11 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd.add_argument("--from-store", action="store_true",
                             help="require a store hit: fail cleanly "
                                  "instead of reducing on a miss")
-    reduce_cmd.add_argument("--jobs", type=int, default=1,
+    reduce_cmd.add_argument("--jobs", type=int, default=None,
                             help="worker threads for BDSM per-cluster "
                                  "chunks or partitioned shards (0 = one "
-                                 "per CPU; numerically identical to "
-                                 "--jobs 1)")
+                                 "per CPU, 1 = serial).  By default BDSM "
+                                 "chunks run on the shared pool (one "
+                                 "worker per CPU) and shards serially; "
+                                 "the ROM is bit-identical for every "
+                                 "value and core count")
     reduce_cmd.add_argument("--partitions", type=int, default=1,
                             metavar="K",
                             help="shard the grid into K subdomains and "
@@ -624,14 +627,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                     "populate it")
     elif args.from_store:
         raise ValidationError("--from-store requires --store DIR")
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 0:
+    jobs = args.jobs
+    if jobs is not None and jobs < 0:
         raise ValidationError("--jobs must be >= 0 (0 = one per CPU)")
-    if jobs != 1 and args.method != "bdsm" and partitions <= 1:
+    if jobs not in (None, 1) and args.method != "bdsm" and partitions <= 1:
         raise ValidationError(
             "--jobs parallelizes BDSM per-cluster chunks or partitioned "
             f"shards; monolithic {args.method} has no chunked reduction")
-    engine = SweepEngine(jobs=jobs) if jobs != 1 else None
+    # No --jobs: BDSM chunks take the shared pool (engine=None).
+    engine = SweepEngine(jobs=jobs) if jobs is not None else None
     try:
         if partitions > 1:
             # Sharded: shard reductions are independent, so a thread pool
@@ -643,9 +647,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 engine=engine, store=store, recycle=recycle)
         else:
             # One reduce spanning every expansion point (default s0 = 0).
-            # A bdsm pool gets the reducer's own port chunking, so every
-            # worker builds a few independent clusters over each point's
-            # one cached pencil factorisation.
+            # BDSM splits the ports into the problem's own chunks, so
+            # every worker builds a few independent clusters over each
+            # point's one cached pencil factorisation.
             rom, stats, seconds = _REDUCERS[args.method](
                 system, args.moments, solver, points=shifts,
                 store=store, engine=engine, recycle=recycle)

@@ -24,19 +24,34 @@ a new shift is already captured drops out of the shared solve recursion.
 
 The implementation adds two practical features on top of the paper:
 
-* ports are processed in chunks (``port_chunk_size``) — because the groups
-  are orthonormalised independently anyway, chunking changes nothing
-  numerically, but it bounds the peak memory at ``n * chunk * l`` floats
-  per point instead of ``n * m * l``, which is what lets BDSM run on the
-  largest benchmarks where the dense methods break down;
-* chunks can be fanned across a :class:`~repro.analysis.engine.SweepEngine`
-  worker pool (``BDSMOptions.engine``, or a transient thread engine built
-  from ``n_workers``) — the paper points out that the block-diagonal
-  structure "allows for parallel calculations"; every chunk shares the
-  cached pencil factorisation of each point and owns its workspaces, and
-  the per-chunk work (sparse solves + BLAS projections) releases the GIL,
-  so threads give a real speedup on multi-core machines without changing
-  the result.
+* ports are processed in chunks — the groups are orthonormalised
+  independently anyway, so a chunk holds ``n * chunk * l`` floats per
+  point instead of ``n * m * l``, which is what lets BDSM run on the
+  largest benchmarks where the dense methods break down.  The chunking is
+  a pure function of the problem (:func:`port_chunks`: ``n``, ``m`` and
+  the solve columns per port), never of the worker count.  That matters
+  because chunking is *not* free of roundoff: the shared solves and BLAS
+  projections see blocks of a different width, so on ckt2-laptop
+  (``l = 10``) chunks of 54, 27 and 1 ports change 3, 8 and 81 of the 108
+  blocks against one chunk, by up to 3.7e-12 absolute.  Fixed chunks make
+  the ROM bit-identical on 1, 2 or N cores;
+* the chunks fan out over one process-wide thread pool
+  (:func:`~repro.analysis.engine.shared_engine`, one worker per CPU this
+  process may run on) unless ``BDSMOptions.engine`` names another
+  (``SweepEngine(jobs=1)`` forces serial) — the paper points out that the
+  block-diagonal structure "allows for parallel calculations".  Every
+  chunk shares the cached pencil factorisation of each point and owns its
+  workspaces, and the per-chunk work (sparse solves + BLAS projections)
+  releases the GIL.  With several points the per-point factorisations are
+  built on the same pool.  A problem below one chunk's worth of solve work
+  (:data:`MIN_CHUNK_SOLVE_WORK`) is one chunk and runs inline, as does a
+  reduce already running on a pool thread (a partitioned shard under a
+  pool), so tiny GIL-bound reduces never pay thread hand-offs.
+
+The ``bdsm.reduce`` span carries ``chunks``, ``workers`` and ``inline``.
+Under fan-out the per-phase spans (``bdsm.cluster_bases``,
+``bdsm.project``, ``linalg.solve``) of different chunks overlap, so their
+sums are thread time, not wall time, and can exceed the reduce's own span.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.engine import SweepEngine
+from repro.analysis.engine import SweepEngine, shared_engine
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
 from repro.exceptions import ReductionError
 from repro.linalg.backends import SolverOptions
@@ -66,10 +81,50 @@ from repro.mor.base import (
     real_columns_per_input,
 )
 from repro.obs.health import begin_reduce_health, finish_reduce_health
-from repro.obs.tracing import trace_span, traced
+from repro.obs.tracing import current_span, trace_span, traced
 
-__all__ = ["BDSMOptions", "bdsm_reduce", "bdsm_store_options",
-           "multipoint_bdsm_reduce"]
+__all__ = ["BDSMOptions", "MIN_CHUNK_SOLVE_WORK", "bdsm_reduce",
+           "bdsm_store_options", "multipoint_bdsm_reduce", "port_chunks"]
+
+#: Fewest ports in one chunk of a split reduce.  Each chunk repeats the
+#: per-point Python work of the clustered Krylov driver, so narrow chunks
+#: cost time of their own: one thread ran ckt2-laptop (l = 10) in 0.51 s
+#: as one chunk and in 0.62 s as 8-port chunks.
+MIN_CHUNK_PORTS = 16
+
+#: Most chunks one reduce is split into — enough to keep eight workers
+#: busy.  On two workers 6 and 8 chunks ran ckt2-laptop and the
+#: multipoint ckt3-laptop reduce as fast as 2 or 4 did (within noise).
+MAX_PORT_CHUNKS = 8
+
+#: Least shifted-solve work, in states x solve columns
+#: (``n * ports * columns per port``), that one chunk must carry.  A
+#: problem below it is one chunk, and it stays off the shared pool even
+#: with an explicit ``port_chunk_size`` (a caller's own engine is always
+#: used).  Measured on a 2-vCPU
+#: box with single-threaded BLAS, one chunk inline against two chunks on
+#: two threads: 1.3e5 per chunk (ckt1-laptop, l = 2) ran 12% slower
+#: pooled, 2.6e5 (l = 4) broke even and 5.2e5 (ckt1-laptop l = 8,
+#: ckt2-laptop l = 2) ran 25% faster; the smoke grids (2e4 and less) ran
+#: 1.5-3.3x slower pooled, as did the 70-state shards of the multilevel
+#: partitioned reduce, whose work is GIL-bound Python.
+MIN_CHUNK_SOLVE_WORK = 500_000
+
+
+def port_chunks(n: int, m: int, columns_per_port: int) -> list[range]:
+    """The port chunks of a BDSM reduce of ``n`` states, ``m`` ports and
+    ``columns_per_port`` solve columns per port — a pure function of the
+    problem, so the ROM does not depend on the worker count.
+
+    Splits the ports evenly into as many chunks as allowed by
+    :data:`MAX_PORT_CHUNKS`, :data:`MIN_CHUNK_PORTS` and
+    :data:`MIN_CHUNK_SOLVE_WORK` (at least one).
+    """
+    work = n * m * columns_per_port
+    k = max(1, min(MAX_PORT_CHUNKS, m // MIN_CHUNK_PORTS,
+                   work // MIN_CHUNK_SOLVE_WORK))
+    bounds = np.linspace(0, m, k + 1).astype(int)
+    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -80,20 +135,16 @@ class BDSMOptions:
     ----------
     port_chunk_size:
         Number of input ports whose Krylov bases are built simultaneously.
-        ``None`` processes all ports at once when running serially
-        (fastest, most memory) and auto-chunks to roughly two chunks per
-        worker when a pool is in play (``engine`` set or ``n_workers >
-        1``); small explicit values bound memory on very wide systems.
+        ``None`` (default) takes the problem's own chunking
+        (:func:`port_chunks`); small explicit values bound memory on very
+        wide systems.  Any chunking changes the ROM at roundoff level
+        (see the module docstring), and the store key ignores it.
     keep_projection:
         Store each per-port basis ``V(i)`` on its block (needed for state
         reconstruction; costs ``n*l`` floats per port).
     deflation_tol:
         Relative tolerance for dropping linearly dependent vectors inside a
         group; deflated blocks simply end up smaller than ``l``.
-    n_workers:
-        Number of workers processing port chunks concurrently. ``1``
-        (default) is sequential; above 1 the ports are auto-chunked (see
-        ``port_chunk_size``) and fanned over a transient thread pool.
     solver:
         Optional :class:`~repro.linalg.backends.SolverOptions` for the
         shifted-pencil solves (backend choice, caching, iterative
@@ -101,17 +152,17 @@ class BDSMOptions:
         at the same ``s0`` — and analyses at the same shift — reuse the
         pencil factorisation.
     engine:
-        Optional :class:`~repro.analysis.engine.SweepEngine` whose worker
-        pool processes the independent port chunks (all sharing the
-        cached pencil factorisation of each expansion point).  Takes
-        precedence over ``n_workers``; when only ``n_workers > 1`` is set,
-        a transient thread-pool engine is created for the reduction.
+        The :class:`~repro.analysis.engine.SweepEngine` whose worker pool
+        processes the independent port chunks (all sharing the cached
+        pencil factorisation of each expansion point).  ``None`` (default)
+        uses the process-wide :func:`~repro.analysis.engine.shared_engine`;
+        ``SweepEngine(jobs=1)`` runs the same chunks serially, to the same
+        bits.
     """
 
     port_chunk_size: int | None = None
     keep_projection: bool = False
     deflation_tol: float = DEFAULT_DEFLATION_TOL
-    n_workers: int = 1
     solver: SolverOptions | None = None
     engine: SweepEngine | None = field(default=None, compare=False)
 
@@ -125,8 +176,10 @@ def bdsm_store_options(n_moments: int, expansion_points=(0.0,), *,
     — the one true key builder, so CLI pre-checks (``--from-store``,
     ``query``) agree with the reducer.
 
-    Only knobs that change the ROM numerically enter the key; chunking and
-    worker counts do not (chunked processing is numerically identical).
+    Only knobs that change the ROM numerically enter the key.  Worker
+    counts do not (the ROM is bit-identical across them), and neither does
+    an explicit ``port_chunk_size`` (it changes the ROM at roundoff level
+    only, up to 3.7e-12 on ckt2-laptop).
     One point records ``s0``; several record ``expansion_points`` (see
     :func:`~repro.mor.base.expansion_point_options`).
     """
@@ -176,11 +229,11 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         points contribute ``l`` basis vectors per port, complex points up
         to ``2 l`` (real + imaginary parts, so the blocks stay real).
     options:
-        Optional :class:`BDSMOptions` (chunking, fan-out, deflation, basis
-        retention, solver).
+        Optional :class:`BDSMOptions` (chunking, fan-out engine, deflation,
+        basis retention, solver).
     budget:
         Optional :class:`~repro.mor.base.ResourceBudget`; BDSM's working set
-        is ``n x chunk x l`` per point (times the workers) so it stays far
+        is ``n x chunk x l`` per point (times the busy workers) so it stays far
         below the dense methods' needs, but the guard is honoured for
         fairness in the Table II harness.
     recycle:
@@ -197,8 +250,8 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         the store holds a ROM for this exact system content and key, it is
         loaded instead of re-reduced (a store hit; the returned stats are
         empty and the time is the load time); otherwise the freshly-built
-        ROM is saved.  Chunking and worker-count knobs do not enter the
-        key — they change nothing numerically.
+        ROM is saved.  The engine does not enter the key (it changes
+        nothing), nor does ``port_chunk_size`` (roundoff only).
 
     Returns
     -------
@@ -233,28 +286,42 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     L = to_csr(system.L)
     n, m = B.shape
     p = L.shape[0]
-    if opts.n_workers < 1:
-        raise ReductionError("n_workers must be >= 1")
-    workers = (opts.engine.resolved_jobs() if opts.engine is not None
-               else opts.n_workers)
+    columns_per_port = real_columns_per_input(moments_per_point, points)
     if opts.port_chunk_size is None:
-        # Serial: one chunk of all ports. Pooled: ~2 chunks per worker so
-        # the pool stays busy even when chunks finish unevenly — the one
-        # place this heuristic lives (the CLI and bench workloads just
-        # hand over an engine).
-        chunk = m if workers <= 1 else max(1, -(-m // (2 * workers)))
+        chunk_ranges = port_chunks(n, m, columns_per_port)
     else:
         chunk = int(opts.port_chunk_size)
-    if chunk < 1:
-        raise ReductionError("port_chunk_size must be >= 1")
+        if chunk < 1:
+            raise ReductionError("port_chunk_size must be >= 1")
+        chunk_ranges = [range(first, min(first + chunk, m))
+                        for first in range(0, m, chunk)]
+    # The per-cluster chunks are independent (that is the paper's "allows
+    # for parallel calculations" remark) and all share the pencil
+    # factorisations held by ``operators``.
+    engine = opts.engine if opts.engine is not None else shared_engine()
+    workers = engine.workers_for(len(chunk_ranges))
+    if (opts.engine is None
+            and n * m * columns_per_port < MIN_CHUNK_SOLVE_WORK):
+        workers = 1  # small problems stay off the shared pool
+    span = current_span()
+    if span is not None and span.name == "bdsm.reduce":
+        span.set_tag("chunks", len(chunk_ranges))
+        span.set_tag("workers", workers)
+        span.set_tag("inline", workers == 1)
     budget.check_dense(
-        n, min(chunk, m) * real_columns_per_input(moments_per_point, points)
-        * max(workers, 1), what="BDSM chunked projection bases")
+        n, max(map(len, chunk_ranges), default=0) * columns_per_port
+        * workers, what="BDSM chunked projection bases")
+
+    def fan_out(fn, items: list) -> list:
+        if workers == 1:
+            return [fn(item) for item in items]
+        return engine.map_scenarios(fn, items)
 
     start = time.perf_counter()
     health_mark = begin_reduce_health()
-    operators = [ShiftedOperator(C, G, s0=point, solver=opts.solver)
-                 for point in points]
+    operators = fan_out(
+        lambda point: ShiftedOperator(C, G, s0=point, solver=opts.solver),
+        points)
 
     def process_chunk(columns: range) -> tuple[list[ROMBlock], OrthoStats,
                                                 RecycleStats]:
@@ -289,24 +356,7 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
                     basis=V_i if opts.keep_projection else None))
         return chunk_blocks, chunk_stats, chunk_recycle
 
-    chunk_ranges = [range(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-    # The per-cluster chunks are independent (that is the paper's "allows
-    # for parallel calculations" remark) and all share the pencil
-    # factorisations held by ``operators``, so they fan out over a
-    # SweepEngine pool: the caller's engine if provided, else a transient
-    # thread-pool engine sized by ``n_workers``.
-    engine = opts.engine
-    transient_engine = None
-    if engine is None and opts.n_workers > 1 and len(chunk_ranges) > 1:
-        engine = transient_engine = SweepEngine(jobs=opts.n_workers)
-    try:
-        if engine is not None and len(chunk_ranges) > 1:
-            results = engine.map_scenarios(process_chunk, chunk_ranges)
-        else:
-            results = [process_chunk(cols) for cols in chunk_ranges]
-    finally:
-        if transient_engine is not None:
-            transient_engine.close()
+    results = fan_out(process_chunk, chunk_ranges)
     blocks: list[ROMBlock] = []
     stats = OrthoStats()
     recycle_stats = RecycleStats() if recycle else None

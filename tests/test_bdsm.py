@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.analysis.engine import SweepEngine
 from repro.core import BDSMOptions, bdsm_reduce
 from repro.core.structured_rom import BlockDiagonalROM
-from repro.exceptions import ReductionError, ResourceBudgetExceeded
+from repro.exceptions import (
+    ReductionError,
+    ResourceBudgetExceeded,
+    SimulationError,
+)
 from repro.mor import ResourceBudget, prima_reduce
 from repro.validation import (
     count_matched_moments,
@@ -174,9 +179,10 @@ class TestBdsmChunking:
 
     def test_parallel_workers_give_identical_rom(self, rc_grid_system):
         sequential, seq_stats, _ = bdsm_reduce(rc_grid_system, 3)
-        parallel, par_stats, _ = bdsm_reduce(
-            rc_grid_system, 3,
-            options=BDSMOptions(port_chunk_size=2, n_workers=3))
+        with SweepEngine(jobs=3) as engine:
+            parallel, par_stats, _ = bdsm_reduce(
+                rc_grid_system, 3,
+                options=BDSMOptions(port_chunk_size=2, engine=engine))
         assert parallel.n_blocks == sequential.n_blocks
         assert par_stats.inner_products == seq_stats.inner_products
         s = 1j * 1e8
@@ -188,9 +194,9 @@ class TestBdsmChunking:
             assert np.allclose(a.b, b.b)
 
     def test_invalid_worker_count(self, rc_grid_system):
-        with pytest.raises(ReductionError):
+        with pytest.raises(SimulationError, match="jobs"):
             bdsm_reduce(rc_grid_system, 2,
-                        options=BDSMOptions(n_workers=0))
+                        options=BDSMOptions(engine=SweepEngine(jobs=-1)))
 
     def test_keep_projection_stores_bases(self, rc_grid_system):
         rom, _, _ = bdsm_reduce(rc_grid_system, 2,

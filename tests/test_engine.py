@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +22,12 @@ from repro import (
     ir_drop_analysis,
     ir_drop_batch,
 )
-from repro.analysis.engine import _accepts_solver
+from repro.analysis.engine import (
+    _accepts_solver,
+    available_cpus,
+    on_pool_thread,
+    shared_engine,
+)
 from repro.analysis.sources import PulseSource, StepSource
 from repro.exceptions import SimulationError
 from repro.linalg.backends import (
@@ -44,9 +52,22 @@ class TestSweepEngineConfig:
                     if f.init]
         assert settable == ["jobs", "solver"]
 
-    def test_jobs_zero_resolves_to_cpu_count(self):
-        import os
-        assert SweepEngine(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
+    def test_jobs_zero_resolves_to_cpu_count(self, monkeypatch):
+        # The CPUs this process may run on, not the machine's count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert available_cpus() == 3
+        assert SweepEngine(jobs=0).resolved_jobs() == 3
+
+    def test_jobs_zero_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert SweepEngine(jobs=0).resolved_jobs() == 5
+
+    def test_shared_engine_is_one_process_wide_pool(self):
+        assert shared_engine() is shared_engine()
+        assert shared_engine().jobs == 0
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(SimulationError):
@@ -152,6 +173,40 @@ class TestMapScenarios:
         engine = SweepEngine(jobs=4)
         out = engine.map_scenarios(lambda x: x * x, list(range(17)))
         assert out == [x * x for x in range(17)]
+
+    def test_dispatch_from_a_pool_thread_runs_inline(self):
+        # Nested fan-out runs on the worker itself (the dispatching thread
+        # included): it never waits on a pool from inside that pool.
+        def nested(_):
+            inner = SweepEngine(jobs=2)
+            assert on_pool_thread() and inner.workers_for(8) == 1
+            here = threading.get_ident()
+            assert inner.map_scenarios(lambda _: threading.get_ident(),
+                                       range(4)) == [here] * 4
+            return here
+
+        with SweepEngine(jobs=2) as outer:
+            outer.map_scenarios(nested, range(4))
+        assert not on_pool_thread()
+
+    def test_caller_is_a_worker_and_errors_propagate(self):
+        caller = threading.get_ident()
+        with SweepEngine(jobs=3) as engine:
+            threads = engine.map_scenarios(
+                lambda _: (time.sleep(0.01), threading.get_ident())[1],
+                range(12))
+            assert engine._pool._max_workers == 2
+            assert caller in threads and len(set(threads)) <= 3
+
+            def fail(x):
+                if x == 5:
+                    raise ValueError("task 5")
+                return x
+
+            with pytest.raises(ValueError, match="task 5"):
+                engine.map_scenarios(fail, range(12))
+            assert engine.map_scenarios(lambda x: -x, range(4)) == [
+                0, -1, -2, -3]
 
 
 class TestAdaptiveSweep:

@@ -15,8 +15,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from repro.analysis.engine import SweepEngine
-from repro.core.bdsm import BDSMOptions, bdsm_reduce
+from repro.analysis.engine import SweepEngine, available_cpus
+from repro.circuit.benchmarks import make_benchmark
+from repro.circuit.mna import assemble_mna
+from repro.circuit.powergrid import build_power_grid, make_multidomain_spec
+from repro.core.bdsm import (
+    BDSMOptions,
+    bdsm_reduce,
+    multipoint_bdsm_reduce,
+    port_chunks,
+)
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
 from repro.exceptions import DeflationError
 from repro.linalg.krylov import (
@@ -31,6 +39,8 @@ from repro.linalg.orthogonalization import (
 )
 from repro.linalg.sparse_utils import to_csr
 from repro.mor.prima import congruence_project, prima_reduce
+from repro.obs.tracing import disable_tracing, drain_spans, enable_tracing
+from repro.partition import PartitionedOptions, multilevel_reduce
 
 N_MOMENTS = 3
 
@@ -194,7 +204,8 @@ class TestPooledClusterParity:
     def test_engine_pooled_chunks_match_serial(self, rlc_grid_system):
         serial, serial_stats, _ = bdsm_reduce(
             rlc_grid_system, N_MOMENTS,
-            options=BDSMOptions(port_chunk_size=3))
+            options=BDSMOptions(port_chunk_size=3,
+                                engine=SweepEngine(jobs=1)))
         with SweepEngine(jobs=2) as engine:
             pooled, pooled_stats, _ = bdsm_reduce(
                 rlc_grid_system, N_MOMENTS,
@@ -209,9 +220,12 @@ class TestPooledClusterParity:
             assert np.array_equal(blk_s.L, blk_p.L)
 
     def test_engine_auto_chunking_matches_serial(self, rlc_grid_system):
-        # With no explicit port_chunk_size the reducer chunks the ports
-        # itself when a pool is in play; the result must stay identical.
-        serial, _, _ = bdsm_reduce(rlc_grid_system, N_MOMENTS)
+        # With no explicit port_chunk_size the reducer takes the
+        # problem's own chunking, whatever the pool; the result must stay
+        # identical.
+        serial, _, _ = bdsm_reduce(
+            rlc_grid_system, N_MOMENTS,
+            options=BDSMOptions(engine=SweepEngine(jobs=1)))
         with SweepEngine(jobs=2) as engine:
             pooled, _, _ = bdsm_reduce(
                 rlc_grid_system, N_MOMENTS,
@@ -222,12 +236,107 @@ class TestPooledClusterParity:
             assert np.array_equal(blk_s.G, blk_p.G)
             assert np.array_equal(blk_s.b, blk_p.b)
 
-    def test_n_workers_fallback_matches_serial(self, rlc_grid_system):
-        serial, _, _ = bdsm_reduce(rlc_grid_system, N_MOMENTS,
-                                   options=BDSMOptions(port_chunk_size=3))
-        pooled, _, _ = bdsm_reduce(
-            rlc_grid_system, N_MOMENTS,
-            options=BDSMOptions(port_chunk_size=3, n_workers=2))
-        for blk_s, blk_p in zip(serial.blocks, pooled.blocks):
-            assert np.array_equal(blk_s.C, blk_p.C)
-            assert np.array_equal(blk_s.G, blk_p.G)
+
+#: BDSM at one point and recycled multipoint BDSM, each wide enough on
+#: ckt1-laptop (n = 2524, m = 51) to split into several port chunks.
+_FAN_OUT_CASES = {
+    "bdsm": dict(moments_per_point=8, expansion_points=[0.0]),
+    "multipoint-recycled": dict(moments_per_point=4,
+                                expansion_points=[0.0, 5e8, 2e9],
+                                recycle=True),
+}
+
+
+@pytest.fixture(scope="module")
+def laptop_grid():
+    return make_benchmark("ckt1", scale="laptop")
+
+
+@pytest.fixture
+def reduce_spans():
+    """Tracing on for one test; yields a drain of its ``bdsm.reduce``
+    spans."""
+    drain_spans()
+    enable_tracing()
+    yield lambda: [span for span in drain_spans()
+                   if span.name == "bdsm.reduce"]
+    drain_spans()
+    disable_tracing()
+
+
+def _assert_same_rom(ref, other):
+    ref_rom, ref_stats = ref
+    rom, stats = other
+    assert [b.index for b in rom.blocks] == [b.index for b in ref_rom.blocks]
+    for blk_r, blk in zip(ref_rom.blocks, rom.blocks):
+        for name in ("C", "G", "b", "L"):
+            assert np.array_equal(getattr(blk_r, name), getattr(blk, name))
+    assert stats == ref_stats
+    assert rom.solve_counts == ref_rom.solve_counts
+    assert (getattr(rom, "recycle_stats", None)
+            == getattr(ref_rom, "recycle_stats", None))
+
+
+class TestDefaultFanOut:
+    """BDSM's chunks fan out over the shared pool by default; the chunking
+    is the problem's own, so the ROM is bit-identical for every pool."""
+
+    @pytest.mark.parametrize("case", sorted(_FAN_OUT_CASES))
+    def test_bit_identical_across_pools(self, laptop_grid, reduce_spans,
+                                        case):
+        kwargs = _FAN_OUT_CASES[case]
+        n, m = laptop_grid.B.shape
+        columns = (kwargs["moments_per_point"]
+                   * len(kwargs["expansion_points"]))
+        chunks = len(port_chunks(n, m, columns))
+        assert chunks > 1
+        runs = {}
+        for label, engine in (("serial", SweepEngine(jobs=1)),
+                              ("jobs=2", SweepEngine(jobs=2)),
+                              ("shared", None)):
+            rom, stats, _ = multipoint_bdsm_reduce(
+                laptop_grid, **kwargs, options=BDSMOptions(engine=engine))
+            if engine is not None:
+                engine.close()
+            (span,) = reduce_spans()
+            runs[label] = (rom, stats), span.tags
+        for label, (result, _) in runs.items():
+            _assert_same_rom(runs["serial"][0], result)
+        tags = {label: tags for label, (_, tags) in runs.items()}
+        assert tags["serial"] == {"chunks": chunks, "workers": 1,
+                                  "inline": True}
+        assert tags["jobs=2"] == {"chunks": chunks, "workers": 2,
+                                  "inline": False}
+        shared_workers = min(available_cpus(), chunks)
+        assert tags["shared"] == {"chunks": chunks,
+                                  "workers": shared_workers,
+                                  "inline": shared_workers == 1}
+
+    def test_reduce_on_a_pool_thread_runs_inline(self, laptop_grid,
+                                                 reduce_spans):
+        kwargs = _FAN_OUT_CASES["bdsm"]
+        serial = multipoint_bdsm_reduce(
+            laptop_grid, **kwargs,
+            options=BDSMOptions(engine=SweepEngine(jobs=1)))[:2]
+        reduce_spans()
+        with SweepEngine(jobs=2) as outer:
+            nested = outer.map_scenarios(
+                lambda _: multipoint_bdsm_reduce(laptop_grid, **kwargs)[:2],
+                [0, 1])
+        for result in nested:
+            _assert_same_rom(serial, result)
+        spans = reduce_spans()
+        assert len(spans) == 2
+        assert all(span.tags["chunks"] > 1 and span.tags["inline"]
+                   and span.tags["workers"] == 1 for span in spans)
+
+    def test_multilevel_shard_reduces_run_inline(self, reduce_spans):
+        system = assemble_mna(build_power_grid(make_multidomain_spec(
+            24, 24, 12, seed=3, name="multidomain-24x24-12")))
+        multilevel_reduce(system, 3, levels=2, n_parts=4,
+                          interface=PartitionedOptions(interface_order=3,
+                                                       interface_tol=1e-4))
+        spans = reduce_spans()
+        assert spans
+        assert all(span.tags == {"chunks": 1, "workers": 1, "inline": True}
+                   for span in spans)

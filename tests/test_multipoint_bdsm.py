@@ -12,7 +12,7 @@ from repro.core import (
     multipoint_bdsm_reduce,
 )
 from repro.core.structured_rom import BlockDiagonalROM
-from repro.exceptions import ReductionError
+from repro.exceptions import ReductionError, SimulationError
 from repro.linalg import OrthoStats
 from repro.store import ModelStore
 from repro.validation import count_matched_moments, max_relative_error
@@ -80,13 +80,14 @@ class TestMultipointBdsm:
             multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
                                    options=BDSMOptions(port_chunk_size=-1))
 
-    @pytest.mark.parametrize("n_workers", [0])
-    def test_worker_counts_rejected(self, rc_grid_system, n_workers):
-        with pytest.raises(ReductionError, match="n_workers"):
-            multipoint_bdsm_reduce(rc_grid_system, 2, [0.0],
-                                   options=BDSMOptions(n_workers=n_workers))
+    @pytest.mark.parametrize("jobs", [-1])
+    def test_worker_counts_rejected(self, rc_grid_system, jobs):
+        with pytest.raises(SimulationError, match="jobs"):
+            multipoint_bdsm_reduce(
+                rc_grid_system, 2, [0.0],
+                options=BDSMOptions(engine=SweepEngine(jobs=jobs)))
 
-    @pytest.mark.parametrize("pool", ["engine", "n_workers"])
+    @pytest.mark.parametrize("pool", ["engine", "shared"])
     def test_fan_out_matches_serial(self, rc_grid_system, pool):
         # Chunks own their workspaces and share only the per-point
         # operators, so fanning them out changes nothing, recycling and
@@ -98,12 +99,12 @@ class TestMultipointBdsm:
                 rc_grid_system, 2, points, recycle=True,
                 options=BDSMOptions(port_chunk_size=3, **fan_out))
 
-        serial, serial_stats, _ = reduce()
+        serial, serial_stats, _ = reduce(engine=SweepEngine(jobs=1))
         if pool == "engine":
             with SweepEngine(jobs=2) as engine:
                 pooled, pooled_stats, _ = reduce(engine=engine)
         else:
-            pooled, pooled_stats, _ = reduce(n_workers=2)
+            pooled, pooled_stats, _ = reduce()
         for a, b in zip(serial.blocks, pooled.blocks):
             for name in ("C", "G", "b", "L"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -23,7 +23,10 @@ from repro.passivity import (
     modal_realisation,
 )
 from repro.passivity.hamiltonian import hermitian_part_eigenvalues
-from repro.passivity.laguerre import laguerre_frequency_grid
+from repro.passivity.laguerre import (
+    TOP_NODE_OVER_MAX_POLE,
+    laguerre_frequency_grid,
+)
 from repro.store import load_artifact, save_artifact
 
 
@@ -255,6 +258,19 @@ class TestLaguerreScan:
         with pytest.raises(PassivityError):
             laguerre_passivity_scan(rom)
 
+    @pytest.mark.parametrize("ckt", ["ckt1", "ckt2", "ckt3"])
+    def test_default_grid_finds_smoke_rom_violation(self, ckt):
+        """With its defaults the scan's grid reaches past every pole (a
+        fixed 1 ns scale topped out below all of them and read these ROMs
+        passive)."""
+        rom = _impedance_rom(make_benchmark(ckt, scale="smoke"))
+        report = laguerre_passivity_scan(rom)
+        assert not report.is_passive
+        assert report.worst_eigenvalue < -0.01
+        top = max(report.sampled_frequencies)
+        assert top == pytest.approx(
+            TOP_NODE_OVER_MAX_POLE * np.max(np.abs(rom.poles())))
+
 
 class TestEnforcement:
     def test_passive_model_untouched(self):
@@ -305,8 +321,7 @@ class TestEnforcedROM:
 
     def test_rescan_and_retest_pass(self, enforced):
         _, _, result = enforced
-        scan = laguerre_passivity_scan(result.model, n_points=24,
-                                       time_scale=1e-12)
+        scan = laguerre_passivity_scan(result.model, n_points=24)
         assert scan.is_passive
         assert hamiltonian_passivity_test(result.model).is_passive
 
