@@ -70,8 +70,6 @@ from repro.exceptions import (
 )
 from repro.linalg import (
     FactorizationCache,
-    SolverOptions,
-    available_backends,
     block_orthonormalize,
     clear_default_cache,
     default_cache,
@@ -167,7 +165,6 @@ __all__ = [
     "SimulationError",
     "SingularSystemError",
     "SolverBackendError",
-    "SolverOptions",
     "SourceBank",
     "StampingError",
     "StoreStats",
@@ -177,7 +174,6 @@ __all__ = [
     "TransientResult",
     "ValidationError",
     "assemble_mna",
-    "available_backends",
     "available_partitioners",
     "bdsm_reduce",
     "benchmark_names",

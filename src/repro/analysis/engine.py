@@ -12,11 +12,9 @@ provides them):
 * **point parallelism** — evaluation points are split into contiguous,
   deterministic chunks and fanned across a thread pool (SciPy's SuperLU and
   LAPACK release the GIL during factor and solve), or run by the serial
-  loop at ``jobs=1``.  A ``solver`` is forwarded unchanged to an evaluator
-  that accepts one; :class:`~repro.circuit.mna.DescriptorSystem`'s default
-  is uncached per-frequency factors, so a sweep leaves the shared
-  :class:`~repro.linalg.backends.FactorizationCache` alone unless the
-  caller passes caching options;
+  loop at ``jobs=1``.  :class:`~repro.circuit.mna.DescriptorSystem`
+  factors each frequency's pencil uncached, so a sweep leaves the shared
+  :class:`~repro.linalg.backends.FactorizationCache` alone;
 * **adaptive refinement** — :func:`SweepEngine.adaptive_entry_sweep`
   evaluates a coarse subset of the frequency grid, bisects intervals whose
   interpolated relative-error estimate is uncertain or near the target,
@@ -38,8 +36,6 @@ fan-out never oversubscribes the cores or waits on its own pool.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -49,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions
 from repro.obs.tracing import attach_context, capture_context, trace_span
 
 __all__ = ["SweepEngine", "AdaptiveSweepResult", "available_cpus",
@@ -94,39 +89,6 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# --------------------------------------------------------------------------- #
-# Signature probing (memoized — probed once per function)
-# --------------------------------------------------------------------------- #
-@functools.lru_cache(maxsize=256)
-def _accepts_solver_uncached(fn) -> bool:
-    try:
-        return "solver" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-
-
-def _accepts_solver(fn) -> bool:
-    """Whether ``fn`` takes a ``solver`` keyword.
-
-    The signature really is probed only once: the probe is memoized on the
-    underlying function object (``fn.__func__`` for bound methods, so every
-    instance of a class shares one cache entry), not re-inspected on every
-    frequency point of every sweep.
-    """
-    return _accepts_solver_uncached(getattr(fn, "__func__", fn))
-
-
-def _call_transfer(fn, args: tuple, solver: SolverOptions | None):
-    """Invoke a model's own transfer evaluator, forwarding ``solver``.
-
-    The signature is inspected (memoized) rather than catching ``TypeError``
-    so a genuine evaluator bug is never masked or re-executed.
-    """
-    if solver is not None and _accepts_solver(fn):
-        return fn(*args, solver=solver)
-    return fn(*args)
-
-
 def _require_evaluator(system) -> None:
     """Reject a model without its own ``transfer_function`` up front."""
     if not hasattr(system, "transfer_function"):
@@ -157,10 +119,9 @@ def _thread_chunk_call(kernel, task, ctx):
 # --------------------------------------------------------------------------- #
 def _evaluate_matrix_chunk(task) -> np.ndarray:
     """Evaluate the full ``p x m`` transfer matrix at each point of a chunk."""
-    system, s_chunk, solver = task
-    return np.stack(
-        [np.asarray(_call_transfer(system.transfer_function, (s,), solver))
-         for s in s_chunk], axis=0)
+    system, s_chunk = task
+    return np.stack([np.asarray(system.transfer_function(s))
+                     for s in s_chunk], axis=0)
 
 
 def _evaluate_entry_chunk(task) -> np.ndarray:
@@ -169,16 +130,14 @@ def _evaluate_entry_chunk(task) -> np.ndarray:
     Uses the model's ``transfer_entry`` when it has one, else the
     ``(output, port)`` entry of its ``transfer_function``.
     """
-    system, s_chunk, output, port, solver = task
+    system, s_chunk, output, port = task
     values = np.empty(len(s_chunk), dtype=complex)
     if hasattr(system, "transfer_entry"):
         for k, s in enumerate(s_chunk):
-            values[k] = _call_transfer(system.transfer_entry,
-                                       (s, output, port), solver)
+            values[k] = system.transfer_entry(s, output, port)
         return values
     for k, s in enumerate(s_chunk):
-        values[k] = np.asarray(_call_transfer(
-            system.transfer_function, (s,), solver))[output, port]
+        values[k] = np.asarray(system.transfer_function(s))[output, port]
     return values
 
 
@@ -244,10 +203,6 @@ class SweepEngine:
         dispatch runs on it and ``jobs - 1`` pool threads).  ``1``
         (default) evaluates serially on the calling thread; ``0``
         resolves to :func:`available_cpus`.
-    solver:
-        Default :class:`~repro.linalg.backends.SolverOptions` applied when
-        a sampling call does not pass its own; forwarded unchanged to every
-        model evaluator that takes a ``solver`` keyword.
 
     Notes
     -----
@@ -261,7 +216,6 @@ class SweepEngine:
     """
 
     jobs: int = 1
-    solver: SolverOptions | None = None
     _pool: object = field(default=None, init=False, repr=False,
                           compare=False)
     _pool_lock: object = field(default_factory=threading.Lock, init=False,
@@ -390,34 +344,28 @@ class SweepEngine:
         return [values[bounds[i]:bounds[i + 1]] for i in range(jobs)
                 if bounds[i] < bounds[i + 1]]
 
-    def _solver_for(self, solver: SolverOptions | None) -> SolverOptions | None:
-        return solver if solver is not None else self.solver
-
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def sample_matrix(self, system, s_values, *,
-                      solver: SolverOptions | None = None) -> np.ndarray:
+    def sample_matrix(self, system, s_values) -> np.ndarray:
         """Sample the full transfer matrix at each ``s``; shape
         ``(k, p, m)``."""
         s_values = np.asarray(s_values, dtype=complex)
         if s_values.size == 0:
             raise SimulationError("sample_matrix needs at least one point")
         _require_evaluator(system)
-        opts = self._solver_for(solver)
-        tasks = [(system, chunk, opts) for chunk in self._split(s_values)]
+        tasks = [(system, chunk) for chunk in self._split(s_values)]
         pieces = self._execute(_evaluate_matrix_chunk, tasks)
         return np.concatenate(pieces, axis=0)
 
-    def sample_entry(self, system, s_values, output: int, port: int, *,
-                     solver: SolverOptions | None = None) -> np.ndarray:
+    def sample_entry(self, system, s_values, output: int,
+                     port: int) -> np.ndarray:
         """Sample one ``(output, port)`` transfer entry at each ``s``."""
         s_values = np.asarray(s_values, dtype=complex)
         if s_values.size == 0:
             raise SimulationError("sample_entry needs at least one point")
         _require_evaluator(system)
-        opts = self._solver_for(solver)
-        tasks = [(system, chunk, output, port, opts)
+        tasks = [(system, chunk, output, port)
                  for chunk in self._split(s_values)]
         pieces = self._execute(_evaluate_entry_chunk, tasks)
         return np.concatenate(pieces, axis=0)
@@ -436,7 +384,6 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     def adaptive_entry_sweep(self, reference, candidates: dict, omegas,
                              output: int, port: int, *,
-                             solver: SolverOptions | None = None,
                              target_error: float = 1e-3,
                              seed_points: int = 9,
                              ) -> AdaptiveSweepResult:
@@ -463,7 +410,6 @@ class SweepEngine:
         evaluated = np.zeros(n, dtype=bool)
         ref_vals = np.zeros(n, dtype=complex)
         cand_vals = {label: np.zeros(n, dtype=complex) for label in labels}
-        opts = self._solver_for(solver)
         models = [ref_vals] + [cand_vals[label] for label in labels]
         systems = [reference] + [candidates[label] for label in labels]
         for system in systems:
@@ -475,7 +421,7 @@ class SweepEngine:
             # used even when there are more jobs than models.
             s_vals = 1j * omegas[indices]
             chunks = self._split(s_vals)
-            tasks = [(system, chunk, output, port, opts)
+            tasks = [(system, chunk, output, port)
                      for system in systems for chunk in chunks]
             results = self._execute(_evaluate_entry_chunk, tasks)
             for j, store in enumerate(models):

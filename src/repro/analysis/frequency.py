@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.analysis.engine import SweepEngine
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions
 
 __all__ = ["FrequencyAnalysis", "FrequencySweepResult"]
 
@@ -102,29 +101,22 @@ class FrequencyAnalysis:
         Sweep band in rad/s (log-spaced).
     n_points:
         Number of frequency samples.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions`, forwarded
-        unchanged to every model evaluator that takes a ``solver`` keyword
-        (the full MNA model does; ROMs solve their small blocks directly).
-        :class:`~repro.circuit.mna.DescriptorSystem`'s default is uncached
-        per-frequency factors: a sweep touches ``n_points`` distinct
-        pencils, which would thrash the shared LRU cache and evict factors
-        other analyses still need.  To reuse factorisations across
-        repeated sweeps of the same grid, pass options with caching enabled
-        and give the process cache room for them, e.g.
-        ``set_default_cache(FactorizationCache(capacity=2 * n_points))``.
     engine:
         Optional :class:`~repro.analysis.engine.SweepEngine`.  ``None``
         (default) evaluates serially; an engine with ``jobs >= 2`` fans the
         frequency points across its thread pool with bit-identical results.
-        The ``solver`` above reaches the model's evaluator the same way in
-        either case.
+
+    Notes
+    -----
+    Each model evaluates itself: a ROM solves its small blocks, the full
+    MNA model factors each frequency's pencil uncached — a sweep touches
+    ``n_points`` distinct pencils, which would only thrash the shared LRU
+    cache and evict factors other analyses still need.
     """
 
     omega_min: float = 1e5
     omega_max: float = 1e12
     n_points: int = 60
-    solver: SolverOptions | None = None
     engine: SweepEngine | None = None
     _omegas: np.ndarray = field(init=False, repr=False)
 
@@ -158,7 +150,7 @@ class FrequencyAnalysis:
         multi-RHS sparse solve per frequency pencil).
         """
         values = self._engine().sample_matrix(
-            system, 1j * self._omegas, solver=self.solver)
+            system, 1j * self._omegas)
         return FrequencySweepResult(
             omegas=self.omegas, values=values,
             label=label or getattr(system, "name", ""))
@@ -167,7 +159,7 @@ class FrequencyAnalysis:
                     label: str | None = None) -> FrequencySweepResult:
         """Sample a single transfer-matrix entry over the band (Fig. 5a)."""
         values = self._engine().sample_entry(
-            system, 1j * self._omegas, output, port, solver=self.solver)
+            system, 1j * self._omegas, output, port)
         return FrequencySweepResult(
             omegas=self.omegas, values=values, output=output, port=port,
             label=label or getattr(system, "name", ""))
@@ -233,7 +225,7 @@ class FrequencyAnalysis:
                           ) -> dict[str, dict[str, np.ndarray]]:
         result = self._engine().adaptive_entry_sweep(
             reference, candidates, self._omegas, output, port,
-            solver=self.solver, target_error=target_error)
+            target_error=target_error)
         report: dict[str, dict[str, np.ndarray]] = {
             "reference": {
                 "omegas": self.omegas,

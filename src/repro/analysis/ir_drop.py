@@ -21,7 +21,6 @@ import numpy as np
 from repro.analysis.sources import SourceBank
 from repro.analysis.transient import TransientAnalysis
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator
 
 __all__ = ["IRDropResult", "ir_drop_analysis", "ir_drop_batch",
@@ -73,8 +72,7 @@ class IRDropResult:
 
 
 def ir_drop_analysis(system, load_currents: np.ndarray, *,
-                     reference_voltage: float = 1.0,
-                     solver: SolverOptions | None = None) -> IRDropResult:
+                     reference_voltage: float = 1.0) -> IRDropResult:
     """Static IR-drop: solve ``-G x = B i_load`` and read the observed nodes.
 
     The one-scenario case of :func:`ir_drop_batch`.
@@ -88,20 +86,18 @@ def ir_drop_analysis(system, load_currents: np.ndarray, *,
         Length-``m`` vector of DC currents drawn at each port.
     reference_voltage:
         Ideal supply voltage used for percentage reporting.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the DC
-        solve (an analysis right after a reduction at ``s0 = 0`` reuses the
-        cached pencil factorisation).
+
+    The DC pencil is factored through the process-wide cache, so an
+    analysis right after a reduction at ``s0 = 0`` reuses its
+    factorisation.
     """
     loads = np.asarray(load_currents, dtype=float).reshape(1, -1)
     return ir_drop_batch(system, loads,
-                         reference_voltage=reference_voltage,
-                         solver=solver)[0]
+                         reference_voltage=reference_voltage)[0]
 
 
 def ir_drop_batch(system, load_scenarios, *,
-                  reference_voltage: float = 1.0,
-                  solver: SolverOptions | None = None) -> list[IRDropResult]:
+                  reference_voltage: float = 1.0) -> list[IRDropResult]:
     """Static IR-drop for a batch of load corners in one multi-RHS solve.
 
     All scenarios share the DC pencil ``-G``, so instead of one
@@ -118,7 +114,7 @@ def ir_drop_batch(system, load_scenarios, *,
     load_scenarios:
         ``(K, m)`` array (or sequence of length-``m`` vectors) of DC port
         currents, one row per corner.
-    reference_voltage, solver:
+    reference_voltage:
         As for :func:`ir_drop_analysis`.
 
     Returns
@@ -139,7 +135,7 @@ def ir_drop_batch(system, load_scenarios, *,
         raise SimulationError("need at least one load scenario")
     if not np.all(np.isfinite(loads)):
         raise SimulationError("load currents must be finite")
-    op = ShiftedOperator(system.C, system.G, s0=0.0, solver=solver)
+    op = ShiftedOperator(system.C, system.G, s0=0.0)
     rhs = np.asarray(system.B @ loads.T)
     X = np.asarray(op.solve(rhs))
     Y = np.asarray(system.L @ X)
@@ -152,8 +148,7 @@ def ir_drop_batch(system, load_scenarios, *,
 
 def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
                     reference_voltage: float = 1.0,
-                    method: str = "backward_euler",
-                    solver: SolverOptions | None = None) -> IRDropResult:
+                    method: str = "backward_euler") -> IRDropResult:
     """Worst-case dynamic IR drop over a transient run.
 
     Runs a transient simulation and reports, per observed node, the largest
@@ -164,13 +159,12 @@ def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
     """
     return dynamic_ir_drop_batch(system, [sources], t_stop=t_stop, dt=dt,
                                  reference_voltage=reference_voltage,
-                                 method=method, solver=solver)[0]
+                                 method=method)[0]
 
 
 def dynamic_ir_drop_batch(system, scenario_banks, *, t_stop: float,
                           dt: float, reference_voltage: float = 1.0,
                           method: str = "backward_euler",
-                          solver: SolverOptions | None = None,
                           ) -> list[IRDropResult]:
     """Worst-case dynamic IR drop for a batch of source corners.
 
@@ -178,8 +172,7 @@ def dynamic_ir_drop_batch(system, scenario_banks, *, t_stop: float,
     :meth:`~repro.analysis.transient.TransientAnalysis.run_batch` steps
     them together with one multi-RHS solve per time point.
     """
-    transient = TransientAnalysis(t_stop=t_stop, dt=dt, method=method,
-                                  solver=solver)
+    transient = TransientAnalysis(t_stop=t_stop, dt=dt, method=method)
     results = transient.run_batch(system, list(scenario_banks))
     names = list(getattr(system, "output_names", []) or [])
     return [IRDropResult(node_names=names,

@@ -12,10 +12,9 @@ much cheaper to simulate than a dense one — the claim quantified in the
 paper's Sec. III-B (``O(m l^3)`` vs ``O(m^3 l^3)`` per factorisation).
 
 The integrator is format-agnostic: it works on the full sparse MNA system,
-on dense reduced systems and on block-diagonal ROMs.  Each solve routes
-through the :mod:`repro.linalg.backends` registry, so the pencil is handled
-by whatever backend fits it (sparse LU, Cholesky-style for SPD RC pencils,
-dense LAPACK for small ROMs) and re-simulations reuse the cached
+on dense reduced systems and on block-diagonal ROMs.  The stepping pencil
+is factored by :func:`repro.linalg.backends.get_solver` (dense LAPACK for
+small ROMs, SuperLU above) and re-simulations reuse the cached
 factorisation.
 """
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.analysis.sources import SourceBank
 from repro.exceptions import SimulationError
-from repro.linalg.backends import SolverOptions, get_solver
+from repro.linalg.backends import get_solver
 from repro.linalg.sparse_utils import to_csc, to_csr
 
 __all__ = ["TransientAnalysis", "TransientResult"]
@@ -100,19 +99,19 @@ class TransientAnalysis:
         (second-order accurate).
     store_states:
         Keep the full state trajectory in the result.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the
-        stepping pencil ``(C/h - G)``.  With caching enabled (the default)
-        a re-simulation of the same system with the same step size reuses
-        the pencil factorisation from the process-wide cache — this is what
-        makes repeated what-if transient runs cheap.
+
+    Notes
+    -----
+    The stepping pencil ``(C/h - G)`` is factored through the process-wide
+    cache, so a re-simulation of the same system with the same step size
+    reuses the factorisation — this is what makes repeated what-if
+    transient runs cheap.
     """
 
     t_stop: float
     dt: float
     method: str = "backward_euler"
     store_states: bool = False
-    solver: SolverOptions | None = None
 
     _METHODS = ("backward_euler", "trapezoidal")
 
@@ -256,7 +255,7 @@ class TransientAnalysis:
         h = self.dt
         scale = 1.0 / h if self.method == "backward_euler" else 2.0 / h
         lhs = to_csc(C.multiply(scale) - G).astype(state_dtype, copy=False)
-        factor = get_solver(lhs, options=self.solver)
+        factor = get_solver(lhs)
         if self.method == "backward_euler":
             for k in range(1, n_steps):
                 U_next = bank_values(float(times[k]))

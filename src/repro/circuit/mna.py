@@ -30,12 +30,8 @@ import scipy.sparse as sp
 from repro.circuit.elements import GROUND
 from repro.circuit.netlist import Netlist
 from repro.exceptions import StampingError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator
 from repro.linalg.sparse_utils import sparsity_info, to_csr
-
-#: Per-frequency pencils are throwaway; keep them out of the shared cache.
-_UNCACHED_SOLVER = SolverOptions(use_cache=False)
 
 __all__ = ["DescriptorSystem", "assemble_mna"]
 
@@ -139,23 +135,19 @@ class DescriptorSystem:
     # ------------------------------------------------------------------ #
     # Frequency-domain evaluation
     # ------------------------------------------------------------------ #
-    def transfer_function(self, s: complex, *,
-                          solver=None) -> np.ndarray:
+    def transfer_function(self, s: complex) -> np.ndarray:
         """Evaluate the ``p x m`` transfer matrix ``H(s) = L (sC - G)^{-1} B``.
 
-        ``solver`` takes optional
-        :class:`~repro.linalg.backends.SolverOptions`; by default the
-        per-``s`` pencil factor is not cached (a frequency sweep touches one
-        pencil per sample, which would evict longer-lived factors from the
-        shared cache).
+        The per-``s`` pencil factor is not cached: a frequency sweep
+        touches one pencil per sample, which would evict longer-lived
+        factors from the shared cache.
         """
-        op = ShiftedOperator(self.C, self.G, s0=s,
-                             solver=solver or _UNCACHED_SOLVER)
+        op = ShiftedOperator(self.C, self.G, s0=s, cached=False)
         X = op.solve(self.B.toarray())
         return np.asarray(self.L @ X)
 
-    def transfer_entry(self, s: complex, output: int, port: int, *,
-                       solver=None) -> complex:
+    def transfer_entry(self, s: complex, output: int,
+                       port: int) -> complex:
         """Evaluate a single transfer-matrix entry ``H(s)[output, port]``.
 
         Cheaper than :meth:`transfer_function` when only one column is
@@ -168,8 +160,7 @@ class DescriptorSystem:
         if not 0 <= output < self.n_outputs:
             raise StampingError(f"output {output} out of range [0, "
                                 f"{self.n_outputs})")
-        op = ShiftedOperator(self.C, self.G, s0=s,
-                             solver=solver or _UNCACHED_SOLVER)
+        op = ShiftedOperator(self.C, self.G, s0=s, cached=False)
         b_col = self.B[:, port].toarray().reshape(-1)
         x = op.solve(b_col)
         row = self.L[output, :].toarray().reshape(-1)

@@ -106,10 +106,10 @@ script:
     trajectory numbers.
 
 All commands accept ``--scale smoke|laptop|paper`` (default ``smoke`` so the
-CLI responds in seconds).  ``reduce`` and ``sweep`` additionally accept
-``--solver`` (a backend name from :mod:`repro.linalg.backends`, ``auto`` by
-default) and ``--no-solver-cache`` to disable factorization reuse; a cache
-hit/miss summary is printed after each run.  ``sweep`` also accepts
+CLI responds in seconds).  ``reduce`` and ``sweep`` print a
+factorization-cache hit/miss summary after each run; pencils are solved by
+the one policy of :mod:`repro.linalg.backends`, which has no flags.
+``sweep`` also accepts
 ``--jobs N`` to fan frequency points across N workers (bit-identical to the
 serial sweep) and ``--adaptive``/``--target-error`` to refine the grid
 adaptively instead of sweeping it densely.  ``repro --version`` prints the
@@ -131,7 +131,6 @@ from repro import (
     ModelStore,
     QueryRequest,
     ReproError,
-    SolverOptions,
     SweepEngine,
     __version__,
     bdsm_reduce,
@@ -149,7 +148,7 @@ from repro.core.bdsm import bdsm_store_options
 from repro.exceptions import ValidationError
 from repro.mor.prima import prima_store_options
 from repro.io import format_table
-from repro.linalg import available_backends, default_cache
+from repro.linalg import default_cache
 from repro.obs import (
     RunLedger,
     check_budget,
@@ -179,17 +178,16 @@ from repro.partition import (
 
 __all__ = ["main", "build_parser"]
 
-def _reduce_bdsm(system, l, solver, points=(0.0,), store=None, engine=None,
+def _reduce_bdsm(system, l, points=(0.0,), store=None, engine=None,
                  recycle=False):
     return multipoint_bdsm_reduce(
-        system, l, points, options=BDSMOptions(solver=solver, engine=engine),
+        system, l, points, options=BDSMOptions(engine=engine),
         store=store, recycle=recycle)
 
 
-def _reduce_prima(system, l, solver, points=(0.0,), store=None,
-                  recycle=False, **_):
-    return multipoint_prima_reduce(system, l, points, solver=solver,
-                                   store=store, recycle=recycle)
+def _reduce_prima(system, l, points=(0.0,), store=None, recycle=False, **_):
+    return multipoint_prima_reduce(system, l, points, store=store,
+                                   recycle=recycle)
 
 
 #: Every reducer the CLI drives.  Only bdsm/prima take expansion points, a
@@ -198,10 +196,8 @@ def _reduce_prima(system, l, solver, points=(0.0,), store=None,
 _REDUCERS = {
     "bdsm": _reduce_bdsm,
     "prima": _reduce_prima,
-    "svdmor": lambda system, l, solver, **_: svdmor_reduce(
-        system, l, alpha=0.6, solver=solver),
-    "eks": lambda system, l, solver, **_: eks_reduce(
-        system, l, solver=solver),
+    "svdmor": lambda system, l, **_: svdmor_reduce(system, l, alpha=0.6),
+    "eks": lambda system, l, **_: eks_reduce(system, l),
 }
 
 #: Methods whose reductions the model store can memoize, each mapped to its
@@ -216,16 +212,6 @@ _STORABLE_METHODS = {
 def _store_options(method: str, moments: int, points=(0.0,),
                    recycle: bool = False) -> dict:
     return _STORABLE_METHODS[method](moments, points, recycle=recycle)
-
-#: Choices of the ``--solver`` flag (registry backends plus the selectors).
-_SOLVER_CHOICES = ("auto", "iterative", *available_backends())
-
-
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    """Build :class:`SolverOptions` from the common CLI flags."""
-    return SolverOptions(backend=args.solver,
-                         use_cache=not args.no_solver_cache)
-
 
 def _print_cache_summary() -> None:
     stats = default_cache().stats()
@@ -253,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=sorted(_REDUCERS))
     reduce_cmd.add_argument("--moments", type=int, default=6)
     reduce_cmd.add_argument("--scale", default="smoke", choices=SCALES)
-    reduce_cmd.add_argument("--solver", default="auto",
-                            choices=_SOLVER_CHOICES,
-                            help="linear-solver backend for pencil solves")
-    reduce_cmd.add_argument("--no-solver-cache", action="store_true",
-                            help="disable the factorization cache")
     reduce_cmd.add_argument("--save", metavar="PATH", default=None,
                             help="export the ROM as a standalone .npz "
                                  "artifact after reducing")
@@ -507,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--port", type=int, default=2,
                            help="1-based input port index (paper style)")
     sweep_cmd.add_argument("--points", type=int, default=9)
-    sweep_cmd.add_argument("--solver", default="auto",
-                           choices=_SOLVER_CHOICES,
-                           help="linear-solver backend for pencil solves")
-    sweep_cmd.add_argument("--no-solver-cache", action="store_true",
-                           help="disable the factorization cache")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="parallel sweep workers (0 = one per CPU); "
                                 "results are bit-identical to --jobs 1")
@@ -560,7 +536,6 @@ def _parse_points(spec: str) -> list[complex]:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     system = make_benchmark(args.benchmark, scale=args.scale)
-    solver = _solver_options(args)
     partitions = getattr(args, "partitions", 1)
     if partitions < 1:
         raise ValidationError("--partitions must be >= 1")
@@ -643,7 +618,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             rom, stats, seconds = multilevel_reduce(
                 system, args.moments, levels=levels, n_parts=partitions,
                 partitioner=args.partitioner, method=args.method,
-                options=BDSMOptions(solver=solver), interface=interface,
+                interface=interface,
                 engine=engine, store=store, recycle=recycle)
         else:
             # One reduce spanning every expansion point (default s0 = 0).
@@ -651,7 +626,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             # every worker builds a few independent clusters over each
             # point's one cached pencil factorisation.
             rom, stats, seconds = _REDUCERS[args.method](
-                system, args.moments, solver, points=shifts,
+                system, args.moments, points=shifts,
                 store=store, engine=engine, recycle=recycle)
     finally:
         if engine is not None:
@@ -662,7 +637,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "nodes": system.size,
         "ports": system.n_ports,
         "method": (rom.method if partitions > 1 else args.method.upper()),
-        "solver": solver.backend,
         "MOR time (s)": round(seconds, 4),
         "ROM size": rom.size,
         "ROM nnz": rom.nnz,
@@ -901,12 +875,11 @@ def _run_observed(args: argparse.Namespace) -> dict:
 
     system = make_benchmark(args.benchmark, scale=args.scale)
     if not args.serve:
-        _REDUCERS[args.method](system, args.moments, SolverOptions())
+        _REDUCERS[args.method](system, args.moments)
         return default_metrics().snapshot()
     with tempfile.TemporaryDirectory() as tmp:
         store = ModelStore(tmp)
-        _REDUCERS[args.method](system, args.moments, SolverOptions(),
-                               store=store)
+        _REDUCERS[args.method](system, args.moments, store=store)
         name = f"{args.benchmark}/{args.method}"
         key = store.key_for(system, args.method.upper(),
                             _store_options(args.method, args.moments))
@@ -1048,14 +1021,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     output, port = args.output - 1, args.port - 1
-    solver = _solver_options(args)
-    bdsm_rom, _, _ = bdsm_reduce(system, args.moments,
-                                 options=BDSMOptions(solver=solver))
-    prima_rom, _, _ = prima_reduce(system, args.moments, solver=solver)
+    bdsm_rom, _, _ = bdsm_reduce(system, args.moments)
+    prima_rom, _, _ = prima_reduce(system, args.moments)
     engine = SweepEngine(jobs=args.jobs) if args.jobs != 1 else None
     analysis = FrequencyAnalysis(omega_min=1e5, omega_max=1e12,
-                                 n_points=args.points, solver=solver,
-                                 engine=engine)
+                                 n_points=args.points, engine=engine)
     report = analysis.compare(system, {"BDSM": bdsm_rom, "PRIMA": prima_rom},
                               output=output, port=port,
                               adaptive=args.adaptive,

@@ -65,7 +65,6 @@ import numpy as np
 from repro.analysis.engine import SweepEngine, shared_engine
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
 from repro.exceptions import ReductionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, column_clustered_krylov_bases
 from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL, OrthoStats
 from repro.linalg.recycle import (
@@ -145,12 +144,6 @@ class BDSMOptions:
     deflation_tol:
         Relative tolerance for dropping linearly dependent vectors inside a
         group; deflated blocks simply end up smaller than ``l``.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the
-        shifted-pencil solves (backend choice, caching, iterative
-        parameters).  With caching on, repeated reductions of the same grid
-        at the same ``s0`` — and analyses at the same shift — reuse the
-        pencil factorisation.
     engine:
         The :class:`~repro.analysis.engine.SweepEngine` whose worker pool
         processes the independent port chunks (all sharing the cached
@@ -158,12 +151,15 @@ class BDSMOptions:
         uses the process-wide :func:`~repro.analysis.engine.shared_engine`;
         ``SweepEngine(jobs=1)`` runs the same chunks serially, to the same
         bits.
+
+    The shifted pencils are factored through the process-wide cache, so
+    repeated reductions of the same grid at the same ``s0`` — and analyses
+    at the same shift — reuse the pencil factorisation.
     """
 
     port_chunk_size: int | None = None
     keep_projection: bool = False
     deflation_tol: float = DEFAULT_DEFLATION_TOL
-    solver: SolverOptions | None = None
     engine: SweepEngine | None = field(default=None, compare=False)
 
 
@@ -230,7 +226,7 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         to ``2 l`` (real + imaginary parts, so the blocks stay real).
     options:
         Optional :class:`BDSMOptions` (chunking, fan-out engine, deflation,
-        basis retention, solver).
+        basis retention).
     budget:
         Optional :class:`~repro.mor.base.ResourceBudget`; BDSM's working set
         is ``n x chunk x l`` per point (times the busy workers) so it stays far
@@ -320,8 +316,7 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     start = time.perf_counter()
     health_mark = begin_reduce_health()
     operators = fan_out(
-        lambda point: ShiftedOperator(C, G, s0=point, solver=opts.solver),
-        points)
+        lambda point: ShiftedOperator(C, G, s0=point), points)
 
     def process_chunk(columns: range) -> tuple[list[ROMBlock], OrthoStats,
                                                 RecycleStats]:

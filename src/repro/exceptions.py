@@ -79,11 +79,9 @@ class SimulationError(ReproError):
 
 
 class SolverBackendError(ReproError):
-    """Raised by the linear-solver backend subsystem.
-
-    Covers requests for unknown backends, backends applied to matrices they
-    cannot handle (e.g. Cholesky on an unsymmetric pencil), and iterative
-    solves that fail to reach the requested tolerance.
+    """Raised by the linear-solver layer on a malformed request: a
+    non-square matrix, a right-hand side of the wrong length, or a cache
+    of no capacity.
     """
 
 

@@ -6,10 +6,9 @@ they operate on plain numpy arrays and scipy sparse matrices.
 Contents
 --------
 ``backends``
-    Pluggable linear-solver backends (sparse LU, SPD Cholesky-style, dense
-    LAPACK, Jacobi/ILU-preconditioned CG/GMRES) behind a registry with
-    per-matrix auto-selection, plus the LRU factorization cache every hot
-    path shares.
+    The one linear-solver policy — dense LAPACK LU for small pencils,
+    SuperLU (symmetric or COLAMD ordering) for the rest — plus the LRU
+    factorization cache every hot path shares.
 ``orthogonalization``
     The blocked BLAS-3 orthonormalisation kernel and its column-wise
     modified-Gram-Schmidt reference, with deflation detection and an
@@ -34,8 +33,6 @@ from repro.linalg.backends import (
     CacheStats,
     FactorizationCache,
     LinearSolver,
-    SolverOptions,
-    available_backends,
     clear_default_cache,
     default_cache,
     get_solver,
@@ -87,9 +84,7 @@ __all__ = [
     "RecycleWorkspace",
     "ShardBasisCache",
     "ShiftedOperator",
-    "SolverOptions",
     "SparsityInfo",
-    "available_backends",
     "block_krylov_basis",
     "block_orthonormalize",
     "clear_default_cache",

@@ -1,35 +1,32 @@
-"""Pluggable linear-solver backends with factorization caching.
+"""The library's one linear-solver policy, with factorization caching.
 
-Every hot path in the library — BDSM's shifted-pencil solves, PRIMA/EKS
-moment generation, transient stepping, frequency sweeps and IR-drop
-analysis — ultimately solves ``A x = b`` for the same handful of matrices
-over and over.  This module centralises those solves behind a small
-subsystem so that
+Every hot path — BDSM's shifted-pencil solves, PRIMA/EKS moment
+generation, transient stepping, frequency sweeps and IR-drop analysis —
+solves ``A x = b`` for the same handful of matrices over and over.  This
+module owns those solves:
 
-* the *method* can be swapped per matrix (sparse LU, SPD Cholesky-style
-  factorisation, preconditioned CG/GMRES for grids too large to factor —
-  the approach of the paper's reference [2] — or dense LAPACK for the tiny
-  reduced pencils), either explicitly or through per-matrix auto-selection;
+* *one policy, chosen by order only*: a matrix of order up to
+  :data:`DENSE_MAX_ORDER` (the small reduced ROM pencils) is factored by
+  dense LAPACK LU (:class:`DenseSolver`); every larger one by SuperLU
+  (:class:`SpluSolver`).  SuperLU orders a real, numerically symmetric
+  matrix with a positive diagonal — the RC-grid pencil shape —
+  symmetrically (``MMD_AT_PLUS_A`` in ``SymmetricMode``, diagonal pivots),
+  and every other matrix with ``COLAMD``;
 * *factorisations are shared*: an LRU :class:`FactorizationCache` keyed on
-  ``(matrix fingerprint, shift s0, backend)`` lets BDSM, multipoint
-  reduction, transient integration and repeated frequency sweeps reuse a
-  pencil factorisation instead of re-factoring it;
-* *multi-RHS solves are first-class*: every backend accepts an ``(n, k)``
+  ``(matrix fingerprint or caller key, backend)`` lets BDSM, multipoint
+  reduction, transient integration and IR-drop analysis reuse a pencil
+  factorisation instead of re-factoring it.  Whether a matrix goes through
+  the cache is the caller's decision (``cached=``): the full model's
+  per-frequency pencils do not, everything else does;
+* *multi-RHS solves are first-class*: both solvers accept an ``(n, k)``
   block of right-hand sides, which is what the paper's ``O(m l^3)``
   block-diagonal simulation argument depends on.
 
-The design follows the operator/solver-registry pattern of pyMOR: concrete
-backends register themselves under a short name in a module-level registry,
-:func:`select_backend` implements the auto-selection heuristics (size and
-symmetry probes from :mod:`repro.linalg.sparse_utils`), and
-:func:`get_solver` is the single entry point the rest of the library uses.
-
 Quick use
 ---------
->>> from repro.linalg.backends import get_solver, SolverOptions
->>> solver = get_solver(A)                       # auto-selected, cached
+>>> from repro.linalg.backends import get_solver
+>>> solver = get_solver(A)                       # cached
 >>> x = solver.solve(b)                          # b may be (n,) or (n, k)
->>> solver = get_solver(A, options=SolverOptions(backend="cg", tol=1e-12))
 """
 
 from __future__ import annotations
@@ -43,13 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from repro.exceptions import (
-    SimulationError,
-    SingularSystemError,
-    SolverBackendError,
-)
+from repro.exceptions import SingularSystemError, SolverBackendError
 from repro.obs.health import default_health, health_enabled
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import trace_span
@@ -58,23 +50,17 @@ from repro.linalg.sparse_utils import (
     is_symmetric,
     splu_factor,
     to_csc,
-    to_csr,
 )
 
 __all__ = [
-    "SolverOptions",
+    "DENSE_MAX_ORDER",
     "LinearSolver",
     "SpluSolver",
-    "CholeskySolver",
     "DenseSolver",
-    "IterativeSolver",
-    "jacobi_preconditioner",
-    "ilu_preconditioner",
     "FactorizationCache",
     "CacheStats",
-    "register_backend",
-    "available_backends",
     "select_backend",
+    "column_ordering",
     "get_solver",
     "solve",
     "matrix_fingerprint",
@@ -84,61 +70,8 @@ __all__ = [
     "clear_default_cache",
 ]
 
-
-# --------------------------------------------------------------------------- #
-# Options
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for backend selection, caching and iterative solves.
-
-    Attributes
-    ----------
-    backend:
-        ``"auto"`` (default) picks a backend per matrix via
-        :func:`select_backend`; otherwise one of
-        :func:`available_backends` (``"splu"``, ``"cholesky"``,
-        ``"dense"``, ``"cg"``, ``"gmres"``) or the alias ``"iterative"``
-        which resolves to CG for symmetric matrices and GMRES otherwise.
-    use_cache:
-        Whether factorisations go through the :class:`FactorizationCache`.
-        Cache hits return the *same* solver object, so results are
-        bit-identical to the cold solve.
-    dense_threshold:
-        Auto-selection sends matrices of order ``<= dense_threshold`` to the
-        dense LAPACK backend (right-sized for reduced ROM pencils).
-    iterative_threshold:
-        Auto-selection sends real matrices of order ``>= iterative_threshold``
-        to CG/GMRES instead of factoring them (the reference-[2] regime).
-    tol:
-        Relative residual tolerance of the iterative backends.
-    max_iterations:
-        Iteration cap of the iterative backends.
-    preconditioner:
-        ``"jacobi"``, ``"ilu"`` or ``"none"`` for the iterative backends.
-    check_finite:
-        Reject matrices with NaN/Inf entries early.
-    """
-
-    backend: str = "auto"
-    use_cache: bool = True
-    dense_threshold: int = 128
-    iterative_threshold: int = 200_000
-    tol: float = 1e-12
-    max_iterations: int = 5000
-    preconditioner: str = "jacobi"
-    check_finite: bool = True
-
-    def cache_signature(self, backend: str) -> tuple:
-        """Part of the cache key: options that change what ``backend`` builds.
-
-        Direct factorisations (splu/cholesky/dense) are identical under any
-        iterative knobs, so keying them on ``tol``/``preconditioner`` would
-        only duplicate factors in the cache.
-        """
-        if backend in ("cg", "gmres"):
-            return (self.tol, self.max_iterations, self.preconditioner)
-        return ()
+#: Matrices of at most this order are factored by dense LAPACK LU.
+DENSE_MAX_ORDER = 128
 
 
 # --------------------------------------------------------------------------- #
@@ -175,31 +108,29 @@ def matrix_fingerprint(matrix) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Solver protocol and concrete backends
+# Solver protocol and the two solvers
 # --------------------------------------------------------------------------- #
 class LinearSolver:
     """A prepared solver for one square matrix ``A``.
 
-    Subclasses do whatever preparation they need (factorisation, building a
-    preconditioner) in ``__init__`` and then answer ``solve`` calls for one
-    or many right-hand sides.  Instances are what the
+    Subclasses factor the matrix in ``__init__`` and then answer ``solve``
+    calls for one or many right-hand sides.  Instances are what the
     :class:`FactorizationCache` stores, so they must be reusable and
     thread-safe for concurrent ``solve`` calls.
     """
 
-    #: Registry name of the backend (set by subclasses).
+    #: Backend name, the ``backend`` tag of spans and metrics.
     name: str = "abstract"
-    #: Whether preparation produced a (reusable) factorisation.
-    factorized: bool = False
+    #: Fill-reducing column ordering, for the solvers that choose one.
+    ordering: str | None = None
 
-    def __init__(self, matrix, options: SolverOptions) -> None:
+    def __init__(self, matrix) -> None:
         shape = matrix.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise SolverBackendError(
                 f"linear solver needs a square matrix, got shape {shape}")
         self.shape = (int(shape[0]), int(shape[1]))
         self.n = self.shape[0]
-        self.options = options
         self.dtype = np.dtype(complex if np.iscomplexobj(
             matrix.data if sp.issparse(matrix) else matrix) else float)
         # Residual health probe: only solvers built while the monitors
@@ -257,78 +188,39 @@ class LinearSolver:
 #: factorisation shows up — then every Nth).
 RESIDUAL_SAMPLE_EVERY = 16
 
-_BACKENDS: dict[str, type[LinearSolver]] = {}
+
+def column_ordering(matrix) -> str:
+    """SuperLU's column ordering for ``matrix``: ``"MMD_AT_PLUS_A"`` for
+    the RC-pencil shape (real, numerically symmetric, positive diagonal),
+    ``"COLAMD"`` for everything else."""
+    if (np.iscomplexobj(matrix.data if sp.issparse(matrix) else matrix)
+            or not is_symmetric(matrix)):
+        return "COLAMD"
+    diag = (matrix.diagonal() if sp.issparse(matrix)
+            else np.diagonal(np.asarray(matrix)))
+    return ("MMD_AT_PLUS_A" if diag.size and np.all(diag > 0.0)
+            else "COLAMD")
 
 
-def register_backend(name: str) -> Callable[[type], type]:
-    """Class decorator adding a :class:`LinearSolver` to the registry."""
-    def wrap(cls: type) -> type:
-        cls.name = name
-        _BACKENDS[name] = cls
-        return cls
-    return wrap
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_BACKENDS)
-
-
-@register_backend("splu")
 class SpluSolver(LinearSolver):
-    """General sparse LU (SuperLU) — the workhorse direct backend."""
+    """Sparse LU (SuperLU) for every matrix above :data:`DENSE_MAX_ORDER`.
 
-    factorized = True
-
-    def __init__(self, matrix, options: SolverOptions) -> None:
-        super().__init__(matrix, options)
-        self._factor = splu_factor(to_csc(matrix),
-                                   check_finite=options.check_finite)
-
-    def solve(self, rhs) -> np.ndarray:
-        dense, single = self._prepare_rhs(rhs)
-        out = self._factor.solve(dense)
-        self._record_residual(dense, out)
-        return out[:, 0] if single else out
-
-
-@register_backend("cholesky")
-class CholeskySolver(LinearSolver):
-    """SPD-oriented factorisation for the symmetric RC-grid case.
-
-    SciPy ships no sparse Cholesky, so this uses the documented SuperLU
-    approximation: symmetric-mode ordering (``MMD_AT_PLUS_A``) with diagonal
-    pivoting disabled, which preserves the symmetric fill pattern and is the
-    standard drop-in for SPD conductance pencils.  Requesting it for an
-    unsymmetric matrix raises :class:`SolverBackendError`; if the
-    symmetric-mode factorisation fails numerically the solver falls back to
-    plain sparse LU rather than failing the solve.
+    The column ordering follows the matrix's *numeric* symmetry, not its
+    pattern (an RLC MNA pencil has a symmetric pattern but is not
+    symmetric): a real symmetric matrix with a positive diagonal is
+    ordered ``MMD_AT_PLUS_A`` in ``SymmetricMode`` with diagonal pivots,
+    which keeps the symmetric fill pattern of an SPD conductance pencil;
+    every other matrix is ordered ``COLAMD`` with partial pivoting.  A
+    failed factorisation raises :class:`SingularSystemError`.
+    ``ordering`` defaults to :func:`column_ordering` of ``matrix``.
     """
 
-    factorized = True
+    name = "splu"
 
-    def __init__(self, matrix, options: SolverOptions) -> None:
-        super().__init__(matrix, options)
-        if not is_symmetric(matrix):
-            raise SolverBackendError(
-                "cholesky backend requires a (numerically) symmetric matrix; "
-                "use 'splu' or 'gmres' for unsymmetric pencils")
-        csc = to_csc(matrix)
-        csc.sort_indices()
-        if (options.check_finite and csc.nnz
-                and not np.all(np.isfinite(csc.data))):
-            raise SingularSystemError("matrix contains non-finite entries")
-        try:
-            factor = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-            probe = factor.solve(np.ones(self.n, dtype=self.dtype))
-            if not np.all(np.isfinite(probe)):
-                raise RuntimeError("non-finite probe solution")
-        except RuntimeError:
-            # Symmetric but indefinite/ill-conditioned: LU still applies.
-            factor = splu_factor(csc, check_finite=options.check_finite)
-        self._factor = factor
+    def __init__(self, matrix, ordering: str | None = None) -> None:
+        super().__init__(matrix)
+        self.ordering = ordering or column_ordering(matrix)
+        self._factor = splu_factor(to_csc(matrix), ordering=self.ordering)
 
     def solve(self, rhs) -> np.ndarray:
         dense, single = self._prepare_rhs(rhs)
@@ -337,16 +229,15 @@ class CholeskySolver(LinearSolver):
         return out[:, 0] if single else out
 
 
-@register_backend("dense")
 class DenseSolver(LinearSolver):
     """Dense LAPACK LU — right-sized for small reduced (ROM) pencils."""
 
-    factorized = True
+    name = "dense"
 
-    def __init__(self, matrix, options: SolverOptions) -> None:
-        super().__init__(matrix, options)
+    def __init__(self, matrix) -> None:
+        super().__init__(matrix)
         A = np.ascontiguousarray(as_dense(matrix), dtype=self.dtype)
-        if options.check_finite and A.size and not np.all(np.isfinite(A)):
+        if A.size and not np.all(np.isfinite(A)):
             raise SingularSystemError("matrix contains non-finite entries")
         try:
             self._lu, self._piv = scipy.linalg.lu_factor(
@@ -374,153 +265,11 @@ class DenseSolver(LinearSolver):
         return out[:, 0] if single else out
 
 
-def jacobi_preconditioner(matrix) -> spla.LinearOperator:
-    """Diagonal (Jacobi) preconditioner ``M^{-1} ~ diag(A)^{-1}``.
-
-    Zero or non-finite diagonal entries — a node with no conductance to
-    ground (cap-only or inductor-branch rows in an RLC grid), or an empty
-    matrix — are passed through with unit scale instead of raising, so the
-    preconditioner stays well defined on any grid the iterative solvers can
-    handle.
-    """
-    A = to_csr(matrix)
-    diag = np.asarray(A.diagonal())
-    inv_diag = np.ones_like(diag)
-    usable = np.isfinite(diag) & (diag != 0.0)
-    inv_diag[usable] = 1.0 / diag[usable]
-    return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-
-
-def ilu_preconditioner(matrix, drop_tol: float = 1e-4,
-                       fill_factor: float = 10.0) -> spla.LinearOperator:
-    """Incomplete-LU preconditioner (the standard choice for grid matrices)."""
-    A = matrix.tocsc() if sp.issparse(matrix) else sp.csc_matrix(matrix)
-    try:
-        ilu = spla.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
-    except RuntimeError as exc:
-        raise SimulationError(f"ILU factorisation failed: {exc}") from exc
-    return spla.LinearOperator(A.shape, matvec=ilu.solve)
-
-
-class IterativeSolver(LinearSolver):
-    """Preconditioned Krylov iteration (CG / GMRES).
-
-    This is the lineage of the paper's reference [2]: before MOR, large
-    power grids were solved with preconditioned Krylov methods, and grids
-    too large to factorise still are.  The "factorisation" that the cache
-    reuses is the preconditioner (ILU or the Jacobi diagonal).
-    """
-
-    factorized = False
-    _method = "cg"
-
-    def __init__(self, matrix, options: SolverOptions) -> None:
-        super().__init__(matrix, options)
-        if self.dtype == np.dtype(complex) and self._method == "cg":
-            raise SolverBackendError(
-                "cg backend supports real symmetric matrices only; use "
-                "'gmres' for complex pencils")
-        self._A = to_csr(matrix)
-        if (options.check_finite and self._A.nnz
-                and not np.all(np.isfinite(self._A.data))):
-            raise SingularSystemError("matrix contains non-finite entries")
-        self._M = self._build_preconditioner(options)
-
-    def _build_preconditioner(self, options: SolverOptions):
-        kind = options.preconditioner
-        if kind == "jacobi":
-            return jacobi_preconditioner(self._A)
-        if kind == "ilu":
-            return ilu_preconditioner(self._A)
-        if kind == "none":
-            return None
-        raise SolverBackendError(f"unknown preconditioner {kind!r}")
-
-    def _solve_column(self, b: np.ndarray) -> np.ndarray:
-        opts = self.options
-        if self._method == "cg":
-            x, info = spla.cg(self._A, b, rtol=opts.tol,
-                              maxiter=opts.max_iterations, M=self._M)
-        else:
-            x, info = spla.gmres(self._A, b, rtol=opts.tol,
-                                 maxiter=opts.max_iterations, M=self._M)
-        if info != 0:
-            raise SolverBackendError(
-                f"{self._method} failed to converge within "
-                f"{opts.max_iterations} iterations (info={info})")
-        return x
-
-    def solve(self, rhs) -> np.ndarray:
-        dense, single = self._prepare_rhs(rhs)
-        out = np.empty_like(dense)
-        for j in range(dense.shape[1]):
-            out[:, j] = self._solve_column(dense[:, j])
-        self._record_residual(dense, out)
-        return out[:, 0] if single else out
-
-
-@register_backend("cg")
-class CGSolver(IterativeSolver):
-    """Conjugate gradients — the canonical SPD grid solver (reference [2])."""
-
-    _method = "cg"
-
-
-@register_backend("gmres")
-class GMRESSolver(IterativeSolver):
-    """GMRES — the iterative fallback for unsymmetric/complex pencils."""
-
-    _method = "gmres"
-
-
-# --------------------------------------------------------------------------- #
-# Auto-selection
-# --------------------------------------------------------------------------- #
-def select_backend(matrix, options: SolverOptions | None = None) -> str:
-    """Pick a backend name for ``matrix``.
-
-    Explicit choices are honoured (with ``"iterative"`` resolved to CG or
-    GMRES by a symmetry probe).  ``"auto"`` applies the size/symmetry
-    heuristics:
-
-    * order ``<= dense_threshold``  → ``"dense"``  (tiny ROM pencils),
-    * order ``>= iterative_threshold``, real, symmetric with positive
-      diagonal (the SPD RC-grid pencil shape) → ``"cg"`` (grids too large
-      to factor — the regime of the paper's reference [2]),
-    * symmetric with positive diagonal below the threshold → ``"cholesky"``,
-    * everything else → ``"splu"``.
-
-    Auto-selection never picks GMRES: an unsymmetric or indefinite pencil
-    carries no convergence guarantee at the default tolerance, so very
-    large RLC grids stay on sparse LU unless the caller opts into
-    ``backend="gmres"``/``"iterative"`` explicitly.
-    """
-    opts = options or SolverOptions()
-    n = int(matrix.shape[0])
-    complex_valued = np.iscomplexobj(
-        matrix.data if sp.issparse(matrix) else matrix)
-
-    if opts.backend != "auto":
-        if opts.backend == "iterative":
-            if not complex_valued and is_symmetric(matrix):
-                return "cg"
-            return "gmres"
-        if opts.backend not in _BACKENDS:
-            raise SolverBackendError(
-                f"unknown solver backend {opts.backend!r}; available: "
-                f"{available_backends()} (or 'auto'/'iterative')")
-        return opts.backend
-
-    if n <= opts.dense_threshold:
-        return "dense"
-    if not complex_valued and is_symmetric(matrix):
-        diag = matrix.diagonal() if sp.issparse(matrix) \
-            else np.diagonal(np.asarray(matrix))
-        if diag.size and np.all(np.real(diag) > 0.0):
-            if n >= opts.iterative_threshold:
-                return "cg"
-            return "cholesky"
-    return "splu"
+def select_backend(matrix) -> type[LinearSolver]:
+    """The solver class for ``matrix``: :class:`DenseSolver` up to
+    :data:`DENSE_MAX_ORDER`, :class:`SpluSolver` above."""
+    return (DenseSolver if int(matrix.shape[0]) <= DENSE_MAX_ORDER
+            else SpluSolver)
 
 
 # --------------------------------------------------------------------------- #
@@ -547,9 +296,9 @@ class FactorizationCache:
     """Thread-safe LRU cache of prepared :class:`LinearSolver` objects.
 
     Keys combine the matrix fingerprint (or a caller-provided key such as
-    ``(pencil fingerprint, shift s0)``), the backend name and the
-    result-relevant solver options.  A hit returns the *same* solver object
-    that was stored, so repeated solves are bit-identical to the cold run;
+    ``(pencil fingerprint, shift s0)``) and the backend name.  A hit
+    returns the *same* solver object that was stored, so repeated solves
+    are bit-identical to the cold run;
     eviction merely forces a re-factorisation, which is deterministic and
     therefore also changes nothing numerically.
     """
@@ -688,36 +437,45 @@ def clear_default_cache() -> None:
 # --------------------------------------------------------------------------- #
 # Entry points
 # --------------------------------------------------------------------------- #
-def get_solver(matrix, *, options: SolverOptions | None = None,
+def _factorize(factory: type[LinearSolver], matrix,
+               cache_result: str) -> LinearSolver:
+    # Choosing SuperLU's ordering probes symmetry, which is not
+    # factorisation work: it stays outside the span.
+    kwargs = ({"ordering": column_ordering(matrix)}
+              if factory is SpluSolver else {})
+    with trace_span("linalg.factorize", backend=factory.name,
+                    cache=cache_result) as span:
+        solver = factory(matrix, **kwargs)
+        if solver.ordering is not None:
+            span.set_tag("ordering", solver.ordering)
+    return solver
+
+
+def get_solver(matrix, *, key: Hashable | None = None,
                cache: FactorizationCache | None = None,
-               key: Hashable | None = None) -> LinearSolver:
+               cached: bool = True) -> LinearSolver:
     """Return a (possibly cached) :class:`LinearSolver` for ``matrix``.
 
     Parameters
     ----------
     matrix:
         Square dense or sparse matrix.
-    options:
-        Optional :class:`SolverOptions` controlling backend choice, caching
-        and iterative parameters.
-    cache:
-        Explicit cache to use; defaults to :func:`default_cache`.  Caching is
-        skipped entirely when ``options.use_cache`` is False.
     key:
         Optional caller-provided cache key identifying the matrix (e.g.
         ``(pencil fingerprint, shift s0)`` for shifted pencils); when absent
-        the content fingerprint of ``matrix`` is used.  The backend name and
-        the result-relevant options are always appended to the key.
+        the content fingerprint of ``matrix`` is used.  The backend name is
+        always appended to the key.
+    cache:
+        Explicit cache to use; defaults to :func:`default_cache`.
+    cached:
+        ``False`` factors without touching any cache — for throwaway
+        matrices such as the full model's per-frequency pencils.
     """
-    opts = options or SolverOptions()
-    backend = select_backend(matrix, opts)
-    factory = _BACKENDS[backend]
-    if not opts.use_cache:
-        with trace_span("linalg.factorize", backend=backend, cache="off"):
-            return factory(matrix, opts)
+    factory = select_backend(matrix)
+    if not cached:
+        return _factorize(factory, matrix, "off")
     store = cache if cache is not None else default_cache()
     base = key if key is not None else matrix_fingerprint(matrix)
-    full_key = (base, backend, opts.cache_signature(backend))
     built_here = False
 
     def _build() -> LinearSolver:
@@ -726,20 +484,17 @@ def get_solver(matrix, *, options: SolverOptions | None = None,
         nonlocal built_here
         built_here = True
         default_metrics().increment("linalg.factorize.cache",
-                                    backend=backend, result="miss")
-        with trace_span("linalg.factorize", backend=backend, cache="miss"):
-            return factory(matrix, opts)
+                                    backend=factory.name, result="miss")
+        return _factorize(factory, matrix, "miss")
 
-    solver = store.get_or_build(full_key, _build)
+    solver = store.get_or_build((base, factory.name), _build)
     if not built_here:
         default_metrics().increment("linalg.factorize.cache",
-                                    backend=backend, result="hit")
+                                    backend=factory.name, result="hit")
     return solver
 
 
-def solve(matrix, rhs, *, options: SolverOptions | None = None,
-          cache: FactorizationCache | None = None,
-          key: Hashable | None = None) -> np.ndarray:
+def solve(matrix, rhs, *, key: Hashable | None = None,
+          cache: FactorizationCache | None = None) -> np.ndarray:
     """One-shot convenience: ``get_solver(matrix, ...).solve(rhs)``."""
-    return get_solver(matrix, options=options, cache=cache,
-                      key=key).solve(rhs)
+    return get_solver(matrix, key=key, cache=cache).solve(rhs)

@@ -33,12 +33,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import DeflationError, ReductionError
 from repro.obs.tracing import trace_span
-from repro.linalg.backends import (
-    FactorizationCache,
-    SolverOptions,
-    get_solver,
-    matrix_fingerprint,
-)
+from repro.linalg.backends import get_solver, matrix_fingerprint
 from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL, OrthoStats
 from repro.linalg.recycle import RecycleWorkspace
 from repro.linalg.sparse_utils import to_csr
@@ -63,28 +58,24 @@ class ShiftedOperator:
         Expansion point.  Real non-negative values are typical for power-grid
         reduction (the paper uses a single real point); complex values are
         supported for multipoint/rational extensions.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` choosing the
-        backend used for the pencil (auto-selected by default).
-    cache:
-        Optional explicit :class:`~repro.linalg.backends.FactorizationCache`;
-        by default the process-wide cache is consulted, keyed on
-        ``(pencil fingerprint, s0)``, so operators built repeatedly on the
-        same pencil (multipoint sweeps, repeated reductions, IR-drop after a
-        reduction) share one factorisation.
+    cached:
+        Whether the factorisation goes through the process-wide cache,
+        keyed on ``(pencil fingerprint, s0)``, so operators built
+        repeatedly on the same pencil (multipoint sweeps, repeated
+        reductions, IR-drop after a reduction) share one factorisation.
+        The full model's per-frequency evaluators pass ``False``.
 
     Notes
     -----
-    The shifted pencil is prepared once through the backend registry
-    (sparse LU for a generic pencil, Cholesky-style for SPD RC pencils,
-    dense LAPACK for tiny reduced pencils, CG/GMRES above the iterative
-    threshold).  ``solve`` then handles whole right-hand-side blocks at
-    once, matching Algorithm 1 step 2/4.1 of the paper.
+    The shifted pencil is factored once by
+    :func:`~repro.linalg.backends.get_solver` (dense LAPACK for tiny
+    reduced pencils, SuperLU above).  ``solve`` then handles whole
+    right-hand-side blocks at once, matching Algorithm 1 step 2/4.1 of
+    the paper.
     """
 
     def __init__(self, C, G, s0: complex = 0.0, *,
-                 solver: SolverOptions | None = None,
-                 cache: FactorizationCache | None = None) -> None:
+                 cached: bool = True) -> None:
         self.C = to_csr(C)
         self.G = to_csr(G)
         if self.C.shape != self.G.shape:
@@ -102,10 +93,9 @@ class ShiftedOperator:
         else:
             pencil = (self.s0 * self.C.astype(complex)
                       - self.G.astype(complex)).tocsc()
-        self.solver_options = solver or SolverOptions()
-        self._solver = get_solver(
-            pencil, options=self.solver_options, cache=cache,
-            key=(matrix_fingerprint(pencil), self.s0))
+        # Hashing the pencil only pays for itself when it keys the cache.
+        key = (matrix_fingerprint(pencil), self.s0) if cached else None
+        self._solver = get_solver(pencil, key=key, cached=cached)
         self._solve_count = 0
         # Port chunks fanned over a thread pool share one operator per
         # shift; the lock keeps the solve tally exact under that fan-out.
@@ -118,7 +108,7 @@ class ShiftedOperator:
 
     @property
     def backend_name(self) -> str:
-        """Registry name of the backend solving this pencil."""
+        """Name of the backend solving this pencil."""
         return self._solver.name
 
     def solve(self, rhs) -> np.ndarray:

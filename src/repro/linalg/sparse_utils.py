@@ -129,16 +129,28 @@ def estimate_dense_bytes(rows: int, cols: int, itemsize: int = 8) -> int:
     return int(rows) * int(cols) * int(itemsize)
 
 
-def splu_factor(matrix, *, check_finite: bool = True):
+#: SuperLU settings per column ordering.  The symmetric ordering also
+#: keeps SuperLU in ``SymmetricMode`` and pivots on the diagonal wherever
+#: it is nonzero, which preserves the symmetric fill pattern of an SPD
+#: pencil; ``COLAMD`` is SuperLU's default partial pivoting.
+_SUPERLU_SETTINGS = {
+    "COLAMD": {},
+    "MMD_AT_PLUS_A": {"diag_pivot_thresh": 0.0,
+                      "options": {"SymmetricMode": True}},
+}
+
+
+def splu_factor(matrix, *, ordering: str = "COLAMD"):
     """Sparse LU factorisation of ``matrix`` with a library-specific error.
 
     Parameters
     ----------
     matrix:
         Square sparse (or dense) matrix to factorise.
-    check_finite:
-        When ``True``, reject matrices containing NaN/Inf entries early with a
-        clear error instead of letting SuperLU fail obscurely.
+    ordering:
+        SuperLU column ordering: ``"COLAMD"`` (any matrix) or
+        ``"MMD_AT_PLUS_A"`` (the symmetric-mode settings for a symmetric
+        matrix with a positive diagonal).
 
     Returns
     -------
@@ -148,7 +160,8 @@ def splu_factor(matrix, *, check_finite: bool = True):
     Raises
     ------
     SingularSystemError
-        If the matrix is singular (or numerically singular) at this shift.
+        If the matrix holds NaN/Inf entries or is singular (or numerically
+        singular) at this shift.
     """
     csc = to_csc(matrix)
     csc.sort_indices()
@@ -160,10 +173,11 @@ def splu_factor(matrix, *, check_finite: bool = True):
         raise SingularSystemError(
             f"cannot LU-factorise a non-square matrix of shape {csc.shape}"
         )
-    if check_finite and csc.nnz and not np.all(np.isfinite(csc.data)):
+    if csc.nnz and not np.all(np.isfinite(csc.data)):
         raise SingularSystemError("matrix contains non-finite entries")
     try:
-        factor = spla.splu(csc)
+        factor = spla.splu(csc, permc_spec=ordering,
+                           **_SUPERLU_SETTINGS[ordering])
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SingularSystemError(
             f"sparse LU factorisation failed: {exc}"

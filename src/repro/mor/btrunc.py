@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from repro.exceptions import ReductionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator
 from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.sparse_utils import to_csr
@@ -39,8 +38,7 @@ def pmtbr_reduce(system, order: int, *,
                  n_samples: int = 20,
                  budget: ResourceBudget | None = None,
                  keep_projection: bool = False,
-                 singular_value_tol: float = 1e-12,
-                 solver: SolverOptions | None = None):
+                 singular_value_tol: float = 1e-12):
     """Reduce ``system`` to (at most) ``order`` states with Poor Man's TBR.
 
     Parameters
@@ -86,8 +84,7 @@ def pmtbr_reduce(system, order: int, *,
     samples: list[np.ndarray] = []
     B_dense = B.toarray()
     for omega in omegas:
-        op = ShiftedOperator(system.C, system.G, s0=1j * omega,
-                             solver=solver)
+        op = ShiftedOperator(system.C, system.G, s0=1j * omega)
         x = op.solve(B_dense)
         # Keep the ROM real: real and imaginary parts both enter the basis.
         samples.append(np.real(x))

@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 from repro.exceptions import ReductionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
 from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL
 from repro.linalg.sparse_utils import to_csr
@@ -44,8 +43,7 @@ def eks_reduce(system, n_moments: int, *,
                s0: complex = 0.0,
                budget: ResourceBudget | None = None,
                keep_projection: bool = False,
-               deflation_tol: float = DEFAULT_DEFLATION_TOL,
-               solver: SolverOptions | None = None):
+               deflation_tol: float = DEFAULT_DEFLATION_TOL):
     """Reduce ``system`` around a prescribed excitation pattern.
 
     Parameters
@@ -72,9 +70,6 @@ def eks_reduce(system, n_moments: int, *,
         Store the projection basis on the ROM.
     deflation_tol:
         Relative deflation tolerance.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the
-        shifted-pencil solves.
 
     Returns
     -------
@@ -107,7 +102,7 @@ def eks_reduce(system, n_moments: int, *,
                        what="EKS projection basis")
 
     start = time.perf_counter()
-    operator = ShiftedOperator(system.C, system.G, s0=s0, solver=solver)
+    operator = ShiftedOperator(system.C, system.G, s0=s0)
     krylov = block_krylov_basis(operator, start_block, n_moments,
                                 deflation_tol=deflation_tol)
     rom = congruence_project(

@@ -33,7 +33,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import ReductionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
 from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL, OrthoStats
 from repro.linalg.recycle import (
@@ -123,7 +122,6 @@ def prima_reduce(system, n_moments: int, *, s0: complex = 0.0,
                  budget: ResourceBudget | None = None,
                  keep_projection: bool = False,
                  deflation_tol: float = DEFAULT_DEFLATION_TOL,
-                 solver: SolverOptions | None = None,
                  store=None):
     """Reduce ``system`` with PRIMA at one expansion point ``s0``, matching
     ``n_moments`` block moments — the one-point case of
@@ -133,7 +131,7 @@ def prima_reduce(system, n_moments: int, *, s0: complex = 0.0,
     return multipoint_prima_reduce(
         system, n_moments, [s0], budget=budget,
         keep_projection=keep_projection, deflation_tol=deflation_tol,
-        solver=solver, store=store)
+        store=store)
 
 
 @traced("prima.reduce")
@@ -142,7 +140,6 @@ def multipoint_prima_reduce(system, moments_per_point: int,
                             budget: ResourceBudget | None = None,
                             keep_projection: bool = False,
                             deflation_tol: float = DEFAULT_DEFLATION_TOL,
-                            solver: SolverOptions | None = None,
                             recycle: bool = False,
                             recycle_tol: float = DEFAULT_RECYCLE_TOL,
                             store=None):
@@ -169,10 +166,6 @@ def multipoint_prima_reduce(system, moments_per_point: int,
         Store the (large, dense) projection basis on the ROM.
     deflation_tol:
         Relative tolerance for dropping linearly dependent Krylov vectors.
-    solver:
-        Optional :class:`~repro.linalg.backends.SolverOptions` for the
-        per-point shifted-pencil solves (backend choice, caching, iterative
-        parameters).
     recycle:
         Carry the accumulated basis from each expansion point into the
         next and skip the shifted solves of directions it already
@@ -229,8 +222,7 @@ def multipoint_prima_reduce(system, moments_per_point: int,
                                  stats=recycle_stats)
     solve_counts: list[int] = []
     for point in points:
-        operator = ShiftedOperator(system.C, system.G, s0=point,
-                                   solver=solver)
+        operator = ShiftedOperator(system.C, system.G, s0=point)
         if recycle:
             workspace.begin_shift()
         with trace_span("prima.krylov", point=str(point)):

@@ -25,7 +25,6 @@ import time
 import numpy as np
 
 from repro.exceptions import ReductionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator, block_krylov_basis
 from repro.linalg.orthogonalization import DEFAULT_DEFLATION_TOL
 from repro.linalg.sparse_utils import to_csr
@@ -36,7 +35,6 @@ __all__ = ["svdmor_reduce", "terminal_compression_basis"]
 
 
 def terminal_compression_basis(system, alpha: float, *, s0: complex = 0.0,
-                               solver: SolverOptions | None = None,
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Compute the terminal-compression bases ``(U_l, U_r)`` from ``M0``.
 
@@ -57,7 +55,7 @@ def terminal_compression_basis(system, alpha: float, *, s0: complex = 0.0,
     """
     if not 0.0 < alpha <= 1.0:
         raise ReductionError(f"alpha must lie in (0, 1], got {alpha}")
-    operator = ShiftedOperator(system.C, system.G, s0=s0, solver=solver)
+    operator = ShiftedOperator(system.C, system.G, s0=s0)
     B = to_csr(system.B)
     L = to_csr(system.L)
     X = np.asarray(operator.solve(B.toarray()), dtype=float)
@@ -76,8 +74,7 @@ def svdmor_reduce(system, n_moments: int, *, alpha: float = 0.6,
                   s0: complex = 0.0,
                   budget: ResourceBudget | None = None,
                   keep_projection: bool = False,
-                  deflation_tol: float = DEFAULT_DEFLATION_TOL,
-                  solver: SolverOptions | None = None):
+                  deflation_tol: float = DEFAULT_DEFLATION_TOL):
     """Reduce ``system`` with SVDMOR at port-compression ratio ``alpha``.
 
     The returned :class:`~repro.mor.base.ReducedSystem` is expressed back in
@@ -105,8 +102,7 @@ def svdmor_reduce(system, n_moments: int, *, alpha: float = 0.6,
     budget.check_dense(n, m, what="SVDMOR correlation moment solve")
 
     start = time.perf_counter()
-    U_l, U_r = terminal_compression_basis(system, alpha, s0=s0,
-                                          solver=solver)
+    U_l, U_r = terminal_compression_basis(system, alpha, s0=s0)
 
     B_thin = to_csr(system.B).toarray() @ U_r
     L_thin = U_l.T @ to_csr(system.L).toarray()
@@ -121,7 +117,7 @@ def svdmor_reduce(system, n_moments: int, *, alpha: float = 0.6,
         const_input = getattr(system, "const_input", None)
         name = getattr(system, "name", "system")
 
-    operator = ShiftedOperator(system.C, system.G, s0=s0, solver=solver)
+    operator = ShiftedOperator(system.C, system.G, s0=s0)
     krylov = block_krylov_basis(operator, B_thin, n_moments,
                                 deflation_tol=deflation_tol)
     thin_rom = congruence_project(

@@ -70,8 +70,8 @@ DEFAULT_THRESHOLDS: dict[str, dict] = {
     # is numerically losing rank.
     "ortho.loss": {"warn_at": 1e-8, "fail_at": 1e-6},
     # Relative residual ||A x - b|| / ||b|| of sampled backend solves.
-    # Direct factorisations sit near machine precision; iterative
-    # backends near their convergence tolerance.
+    # Both backends factor directly, so healthy solves sit near machine
+    # precision; 1e-8 means an ill-conditioned or badly pivoted pencil.
     "solve.residual": {"warn_at": 1e-8, "fail_at": 1e-4},
     # Fraction of Krylov candidates deflated during one reduce.  Some
     # deflation is normal; losing most of the block means the expansion

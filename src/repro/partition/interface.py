@@ -51,7 +51,6 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import DescriptorSystem
 from repro.exceptions import PartitionError
-from repro.linalg.backends import SolverOptions
 from repro.linalg.krylov import ShiftedOperator
 from repro.obs.health import default_health, health_enabled
 from repro.partition.extract import SeparatorBlock, Subdomain
@@ -167,7 +166,6 @@ def interface_krylov_basis(subdomains: list[Subdomain],
                            separator: SeparatorBlock, order: int, *,
                            s0: complex = 0.0,
                            tol: float = DEFAULT_INTERFACE_TOL,
-                           solver: SolverOptions | None = None,
                            ) -> InterfaceBasis:
     """Schur-complement-aware Krylov basis on the separator states.
 
@@ -194,8 +192,6 @@ def interface_krylov_basis(subdomains: list[Subdomain],
         Expansion point (must match the shard reductions).
     tol:
         Relative SVD truncation tolerance.
-    solver:
-        Optional backend options forwarded to the shard operators.
     """
     if order < 1:
         raise PartitionError("interface basis order must be >= 1")
@@ -219,8 +215,7 @@ def interface_krylov_basis(subdomains: list[Subdomain],
     shift = complex(s0) if complex_point else complex(s0).real
     S = (shift * separator.C - separator.G).toarray().astype(dtype)
     for sub in subdomains:
-        op = ShiftedOperator(sub.system.C, sub.system.G, s0=s0,
-                             solver=solver)
+        op = ShiftedOperator(sub.system.C, sub.system.G, s0=s0)
         operators.append(op)
         boundary = np.asarray(sub.boundary, dtype=np.int64)
         boundaries.append(boundary)

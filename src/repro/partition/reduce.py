@@ -164,12 +164,10 @@ def _shard_basis(method: str, subdomain: Subdomain, n_moments: int,
             rom, rom_stats, _ = bdsm_reduce(
                 subdomain.system, n_moments, s0=s0, budget=budget,
                 options=BDSMOptions(keep_projection=True,
-                                    deflation_tol=opts.deflation_tol,
-                                    solver=opts.solver))
+                                    deflation_tol=opts.deflation_tol))
         else:
             rom, rom_stats, _ = prima_reduce(
-                subdomain.system, n_moments, s0=s0, solver=opts.solver,
-                keep_projection=True, budget=budget,
+                subdomain.system, n_moments, s0=s0, keep_projection=True, budget=budget,
                 deflation_tol=opts.deflation_tol)
         stats.merge(rom_stats)
         return rom
@@ -344,7 +342,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
         ``"prima"`` (one block basis per shard).
     options:
         Optional :class:`~repro.core.bdsm.BDSMOptions`; ``deflation_tol``
-        and ``solver`` apply to both methods.
+        applies to both methods.
     interface:
         Optional :class:`~repro.partition.interface.PartitionedOptions`.
         With ``interface_order`` set, the separator is reduced too: a
@@ -494,7 +492,7 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
         with trace_span("partition.interface_basis"):
             interface_basis = interface_krylov_basis(
                 subdomains, separator, iface_opts.interface_order,
-                s0=s0, tol=iface_opts.interface_tol, solver=opts.solver)
+                s0=s0, tol=iface_opts.interface_tol)
             subdomains = [compress_subdomain(sub, interface_basis)
                           for sub in subdomains]
 

@@ -186,7 +186,9 @@ def hamiltonian_passivity_test(rom, *, n_samples: int = 40,
     # Direct verification: sample the Hermitian part at DC, on a log grid
     # three decades beyond the spectrum on either side, at every pole
     # magnitude (and |Im p| of a complex pole), plus the candidate
-    # crossings (and points on either side of them).
+    # crossings, points on either side of them and the geometric midpoint
+    # of every two consecutive crossings (a violation band lies between
+    # two crossings and may be far narrower than the log grid's step).
     poles = np.diag(A)
     bands = np.concatenate([np.abs(poles), np.abs(poles.imag)])
     bands = bands[bands > 0.0]
@@ -197,6 +199,8 @@ def hamiltonian_passivity_test(rom, *, n_samples: int = 40,
     samples.extend(bands)
     for crossing in crossings:
         samples.extend([0.5 * crossing, crossing, 1.5 * crossing])
+    ordered = sorted(crossings)
+    samples.extend(np.sqrt(np.multiply(ordered[:-1], ordered[1:])))
     samples = sorted(set(float(s) for s in samples if s >= 0.0))
 
     worst_eig = np.inf

@@ -1,4 +1,4 @@
-"""Golden-regression harness: every backend must reproduce stored outputs.
+"""Golden-regression harness: the analyses must reproduce stored outputs.
 
 Two deterministic seed grids — a pure-RC mesh (symmetric SPD pencil) and the
 RLC ``ckt1`` smoke benchmark (unsymmetric pencil) — are pushed through the
@@ -9,13 +9,13 @@ three analyses the paper's application section cares about:
 * transfer-function samples over a log-spaced frequency band.
 
 The reference values live in ``tests/golden/data/<grid>.json`` and are
-(re)generated with the sparse-LU backend by running
+(re)generated by running
 
     PYTHONPATH=src python -m pytest tests/golden -q --update-golden
 
-Each registered solver backend that is applicable to a grid must reproduce
-the goldens to tight tolerance, which pins down both the numerics of the
-backends and any accidental behaviour change in the MOR/analysis stack.
+The library's one solver policy must reproduce the goldens to tight
+tolerance, which pins down both the numerics of the solvers and any
+accidental behaviour change in the MOR/analysis stack.
 
 Setting ``REPRO_GOLDEN_JOBS=N`` (the CI matrix exercises ``2``) routes all
 frequency sweeps through a parallel
@@ -35,9 +35,7 @@ import pytest
 import scipy.linalg
 
 from repro import (
-    BDSMOptions,
     FrequencyAnalysis,
-    SolverOptions,
     SweepEngine,
     bdsm_reduce,
     ir_drop_analysis,
@@ -47,7 +45,8 @@ from repro.circuit import PowerGridSpec, assemble_mna, build_power_grid
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
-#: Backend used to (re)generate the stored reference values.
+#: Label the stored reference values carry: they were generated with
+#: SuperLU forced for every solve; ``--update-golden`` keeps the label.
 REFERENCE_BACKEND = "splu"
 
 #: Moments matched by the BDSM ROM whose poles are pinned.
@@ -76,34 +75,21 @@ GRIDS = {
     "ckt1-smoke": lambda: make_benchmark("ckt1", scale="smoke"),
 }
 
-#: Backends applicable per grid ("cholesky"/"cg" need the symmetric pencil;
-#: "iterative" resolves to CG on real symmetric pencils, GMRES otherwise).
-BACKENDS = {
-    "rc-mesh-6x6": ("auto", "splu", "cholesky", "dense", "iterative",
-                    "gmres"),
-    "ckt1-smoke": ("auto", "splu", "dense", "gmres"),
-}
-
-CASES = [(grid, backend) for grid in GRIDS for backend in BACKENDS[grid]]
+#: One row per grid: the library's solver policy (there is no other).
+CASES = [(grid, "auto") for grid in GRIDS]
 
 
-def _solver_options(backend: str) -> SolverOptions:
-    return SolverOptions(backend=backend, tol=1e-13,
-                         max_iterations=50_000, preconditioner="ilu")
-
-
-def _rom_poles(system, solver: SolverOptions) -> np.ndarray:
+def _rom_poles(system) -> np.ndarray:
     """Spectrum summary of the BDSM ROM's block pencils.
 
     The generalized eigenvalues are collected over all blocks; their real
     and imaginary parts are then sorted *independently* and re-paired.  A
     lexicographic sort of the complex values would be fragile — conjugate
     pairs whose real parts agree to roundoff can swap order between
-    backends — while each sorted 1-D array is stable under tiny jitter, so
+    solvers — while each sorted 1-D array is stable under tiny jitter, so
     this pins the spectrum without pinning an arbitrary ordering.
     """
-    rom, _, _ = bdsm_reduce(system, N_MOMENTS,
-                            options=BDSMOptions(solver=solver))
+    rom, _, _ = bdsm_reduce(system, N_MOMENTS)
     poles = []
     for block in rom.blocks:
         vals = scipy.linalg.eig(block.G, block.C, right=False)
@@ -112,15 +98,14 @@ def _rom_poles(system, solver: SolverOptions) -> np.ndarray:
     return np.sort(poles.real) + 1j * np.sort(poles.imag)
 
 
-def compute_observables(system, backend: str) -> dict[str, np.ndarray]:
-    """The golden quantities of one grid under one solver backend."""
-    solver = _solver_options(backend)
+def compute_observables(system) -> dict[str, np.ndarray]:
+    """The golden quantities of one grid."""
     m = system.B.shape[1]
     loads = np.linspace(1e-3, 2e-3, m)
-    dc = ir_drop_analysis(system, loads, solver=solver).voltages
-    poles = _rom_poles(system, solver)
+    dc = ir_drop_analysis(system, loads).voltages
+    poles = _rom_poles(system)
     sweep = FrequencyAnalysis(omega_min=1e5, omega_max=1e10, n_points=7,
-                              solver=solver, engine=_sweep_engine())
+                              engine=_sweep_engine())
     tf = sweep.sweep_entry(system, output=0, port=1).values
     return {"dc_voltages": np.asarray(dc, dtype=float),
             "rom_poles": poles,
@@ -162,7 +147,7 @@ def test_update_golden(grid, systems, update_golden):
     """Regenerate the stored reference values (only with --update-golden)."""
     if not update_golden:
         pytest.skip("golden update not requested")
-    values = compute_observables(systems[grid], REFERENCE_BACKEND)
+    values = compute_observables(systems[grid])
     GOLDEN_DIR.mkdir(exist_ok=True)
     payload = {"grid": grid, "reference_backend": REFERENCE_BACKEND,
                "n_moments": N_MOMENTS, **_to_json(values)}
@@ -173,7 +158,7 @@ def test_update_golden(grid, systems, update_golden):
 @pytest.mark.parametrize("grid,backend", CASES,
                          ids=[f"{g}-{b}" for g, b in CASES])
 def test_backend_reproduces_golden(grid, backend, systems):
-    """Every applicable backend must match the stored reference outputs."""
+    """The solver policy must match the stored reference outputs."""
     path = golden_path(grid)
     if not path.exists():
         pytest.fail(f"golden file {path} missing; run "
@@ -181,7 +166,7 @@ def test_backend_reproduces_golden(grid, backend, systems):
     stored = _from_json({k: v for k, v in
                          json.loads(path.read_text()).items()
                          if k in RTOL})
-    actual = compute_observables(systems[grid], backend)
+    actual = compute_observables(systems[grid])
     for key, golden in stored.items():
         got = actual[key]
         assert got.shape == golden.shape, key
@@ -203,11 +188,9 @@ def test_parallel_sweep_bit_identical_to_serial(grid, systems):
     a single ULP may differ.
     """
     system = systems[grid]
-    solver = _solver_options(REFERENCE_BACKEND)
-    serial = FrequencyAnalysis(omega_min=1e5, omega_max=1e10, n_points=7,
-                               solver=solver)
+    serial = FrequencyAnalysis(omega_min=1e5, omega_max=1e10, n_points=7)
     parallel = FrequencyAnalysis(omega_min=1e5, omega_max=1e10, n_points=7,
-                                 solver=solver, engine=SweepEngine(jobs=2))
+                                 engine=SweepEngine(jobs=2))
     assert np.array_equal(
         serial.sweep_entry(system, output=0, port=1).values,
         parallel.sweep_entry(system, output=0, port=1).values)
@@ -220,7 +203,7 @@ def test_stored_rom_reproduces_pole_goldens(grid, systems, tmp_path):
     """A ROM round-tripped through the artifact store must still pin the
     golden BDSM pole spectrum — and match the in-memory ROM bit-for-bit.
 
-    This is the persistence counterpart of the backend matrix above: the
+    This is the persistence counterpart of the golden rows above: the
     store may not perturb a single ULP of the model, so the reloaded ROM's
     observables are *identical* to the in-memory ones, which in turn match
     the stored goldens.
@@ -232,9 +215,7 @@ def test_stored_rom_reproduces_pole_goldens(grid, systems, tmp_path):
         pytest.fail(f"golden file {path} missing; run "
                     "pytest tests/golden --update-golden")
     system = systems[grid]
-    solver = _solver_options(REFERENCE_BACKEND)
-    rom, _, _ = bdsm_reduce(system, N_MOMENTS,
-                            options=BDSMOptions(solver=solver))
+    rom, _, _ = bdsm_reduce(system, N_MOMENTS)
 
     store = ModelStore(tmp_path / "store")
     key = store.key_for(system, "BDSM", {"n_moments": N_MOMENTS})
@@ -287,10 +268,7 @@ def test_partitioned_reduce_matches_goldens(grid, systems):
                          json.loads(path.read_text()).items()
                          if k in RTOL})
     system = systems[grid]
-    solver = _solver_options(REFERENCE_BACKEND)
-    rom, _, _ = partitioned_reduce(
-        system, N_MOMENTS, n_parts=2,
-        options=BDSMOptions(solver=solver))
+    rom, _, _ = partitioned_reduce(system, N_MOMENTS, n_parts=2)
 
     # DC IR-drop voltages: moment 0 at s0=0 is matched exactly, so the
     # macromodel must reproduce the stored DC solve to golden tolerance.
@@ -344,18 +322,16 @@ def test_interface_reduced_multilevel_matches_goldens(grid, variant,
                          json.loads(path.read_text()).items()
                          if k in RTOL})
     system = systems[grid]
-    solver = _solver_options(REFERENCE_BACKEND)
     interface = PartitionedOptions(interface_order=N_MOMENTS,
                                    interface_tol=1e-8)
     if variant == "interface-reduced":
         rom, _, _ = partitioned_reduce(
-            system, N_MOMENTS, n_parts=2, interface=interface,
-            options=BDSMOptions(solver=solver))
+            system, N_MOMENTS, n_parts=2, interface=interface)
         assert rom.is_interface_reduced
     else:
         rom, _, _ = multilevel_reduce(
             system, N_MOMENTS, levels=2, n_parts=2, interface=interface,
-            options=BDSMOptions(solver=solver), min_states=16)
+            min_states=16)
         assert rom.partition_info["levels"] == 2
 
     m = system.B.shape[1]
@@ -380,10 +356,10 @@ def test_interface_reduced_multilevel_matches_goldens(grid, variant,
 
 
 def test_goldens_match_reference_backend_exactly(systems):
-    """The reference backend must reproduce its own goldens bit-tightly.
+    """The solver policy must reproduce the goldens bit-tightly.
 
     Guards against accidental regeneration drift: if this fails while the
-    backend comparisons pass, the seed grids or the analyses changed and the
+    golden rows pass, the seed grids or the analyses changed and the
     goldens need a reviewed ``--update-golden`` run.
     """
     for grid, system in systems.items():
@@ -394,7 +370,7 @@ def test_goldens_match_reference_backend_exactly(systems):
         stored = _from_json({k: v for k, v in
                              json.loads(path.read_text()).items()
                              if k in RTOL})
-        actual = compute_observables(system, REFERENCE_BACKEND)
+        actual = compute_observables(system)
         for key, golden in stored.items():
             scale = float(np.max(np.abs(golden))) or 1.0
             assert np.allclose(actual[key], golden, rtol=1e-9,

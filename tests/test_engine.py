@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import threading
 import time
 
@@ -23,18 +22,12 @@ from repro import (
     ir_drop_batch,
 )
 from repro.analysis.engine import (
-    _accepts_solver,
     available_cpus,
     on_pool_thread,
     shared_engine,
 )
 from repro.analysis.sources import PulseSource, StepSource
 from repro.exceptions import SimulationError
-from repro.linalg.backends import (
-    FactorizationCache,
-    SolverOptions,
-    temporary_default_cache,
-)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +43,7 @@ class TestSweepEngineConfig:
         assert engine.resolved_jobs() == 1
         settable = [f.name for f in dataclasses.fields(SweepEngine)
                     if f.init]
-        assert settable == ["jobs", "solver"]
+        assert settable == ["jobs"]
 
     def test_jobs_zero_resolves_to_cpu_count(self, monkeypatch):
         # The CPUs this process may run on, not the machine's count.
@@ -125,22 +118,6 @@ class TestParallelBitIdentity:
                                      engine=SweepEngine(jobs=16))
         assert np.array_equal(serial.sweep(rc_grid_system).values,
                               parallel.sweep(rc_grid_system).values)
-
-    def test_serial_sweep_reuses_default_cache(self, rc_grid_system):
-        """The documented ``set_default_cache`` workflow: the solver
-        options reach the model's own evaluator unchanged, so a repeated
-        serial sweep of the same grid hits the cache."""
-        fa = FrequencyAnalysis(n_points=5,
-                               solver=SolverOptions(backend="splu"))
-        with temporary_default_cache(
-                FactorizationCache(capacity=16)) as cache:
-            first = fa.sweep(rc_grid_system)
-            assert cache.stats().misses == 5
-            second = fa.sweep(rc_grid_system)
-            stats = cache.stats()
-        assert stats.hits == 5
-        assert stats.misses == 5
-        assert np.array_equal(first.values, second.values)
 
 
 class TestModelEvaluatorRequired:
@@ -374,25 +351,3 @@ class TestIrDropBatch:
             scale = max(float(np.max(np.abs(single.voltages))), 1e-300)
             assert np.allclose(st.voltages, single.voltages,
                                rtol=1e-12, atol=1e-12 * scale)
-
-
-class TestProcessWorkerPlumbing:
-    def test_solver_options_pickle_round_trip(self):
-        opts = SolverOptions(backend="cg", tol=1e-10, max_iterations=123,
-                             preconditioner="ilu", use_cache=False)
-        clone = pickle.loads(pickle.dumps(opts))
-        assert clone == opts
-
-    def test_accepts_solver_memoized_per_function(self):
-        def probe(x, *, solver=None):
-            return x
-
-        import repro.analysis.engine as engine_mod
-        real = engine_mod._accepts_solver_uncached
-        assert _accepts_solver(probe)  # prime
-        # A second call must be served from the lru cache.
-        info_before = real.cache_info()
-        assert _accepts_solver(probe)
-        info_after = real.cache_info()
-        assert info_after.hits == info_before.hits + 1
-        assert info_after.misses == info_before.misses

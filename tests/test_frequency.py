@@ -1,7 +1,5 @@
 """Unit tests for repro.analysis.frequency."""
 
-import inspect
-
 import numpy as np
 import pytest
 
@@ -113,29 +111,3 @@ class TestCompare:
         reduced = fa.sweep_entry(rom, 0, 0)
         err = reduced.relative_error_to(full)
         assert np.max(err) < 1e-6
-
-
-class TestHotPathRegressions:
-    def test_signature_not_probed_per_point(self, rc_grid_system,
-                                            monkeypatch):
-        """The ``solver`` keyword probe is memoized, not re-inspected on
-        every frequency point of every sweep."""
-        import repro.analysis.engine as engine_mod
-        from repro.linalg.backends import SolverOptions
-
-        calls = {"n": 0}
-        real_signature = inspect.signature
-
-        def counting_signature(fn, *args, **kwargs):
-            calls["n"] += 1
-            return real_signature(fn, *args, **kwargs)
-
-        monkeypatch.setattr(inspect, "signature", counting_signature)
-        engine_mod._accepts_solver_uncached.cache_clear()
-        fa = FrequencyAnalysis(omega_min=1e6, omega_max=1e10, n_points=9,
-                               solver=SolverOptions(backend="splu",
-                                                    use_cache=False))
-        fa.sweep(rc_grid_system)
-        fa.sweep_entry(rc_grid_system, 0, 0)
-        # one probe per distinct evaluator function, not one per point
-        assert calls["n"] <= 2

@@ -295,6 +295,24 @@ class TestEnforcement:
         with pytest.raises(PassivityError, match="square"):
             enforce_passivity(_non_square_rom(), report)
 
+    def test_gives_up_after_the_pass_cap(self, monkeypatch):
+        """A repaired model that keeps failing its re-test is refused
+        after a few passes, not returned."""
+        import repro.passivity.enforcement as enforcement
+        model = _nonpassive_model()
+        report = hamiltonian_passivity_test(model)
+        retests = []
+
+        def always_failing(rom):
+            retests.append(rom)
+            return report
+
+        monkeypatch.setattr(enforcement, "hamiltonian_passivity_test",
+                            always_failing)
+        with pytest.raises(PassivityError, match="re-test"):
+            enforce_passivity(model, report)
+        assert len(retests) == enforcement.MAX_ENFORCEMENT_PASSES
+
 
 @pytest.fixture(scope="module")
 def enforced():
@@ -324,6 +342,15 @@ class TestEnforcedROM:
         scan = laguerre_passivity_scan(result.model, n_points=24)
         assert scan.is_passive
         assert hamiltonian_passivity_test(result.model).is_passive
+
+    def test_enforced_rom_passes_dense_sweep(self, enforced):
+        """The repaired ROM is passive between its sampled frequencies
+        too: its re-test finds the violation band between two Hamiltonian
+        crossings, and enforcement raises the shift to cover it."""
+        _, _, result = enforced
+        dense = min(float(np.min(hermitian_part_eigenvalues(result.model, w)))
+                    for w in np.logspace(8, 15, 2000))
+        assert dense >= -1e-10
 
     def test_poles_show_the_static_block(self, enforced):
         _, rom, result = enforced

@@ -2,8 +2,8 @@
 
 Three invariants the rest of the library leans on:
 
-* auto-selection always returns a backend that actually solves the system —
-  SPD and unsymmetric alike — to tight residual tolerance;
+* the solver policy always returns a solver that actually solves the
+  system — SPD and unsymmetric alike — to tight residual tolerance;
 * a cache hit returns bit-identical results to the cold solve (it is the
   same factor object);
 * cache eviction never changes results: re-factorising the same matrix is
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.linalg.backends import (
     FactorizationCache,
-    SolverOptions,
     get_solver,
     matrix_fingerprint,
     select_backend,
@@ -64,7 +63,7 @@ class TestAutoSelectionSolves:
     def test_spd_systems(self, n, seed):
         A = _spd_matrix(n, seed)
         b = _rhs(n, seed)
-        solver = get_solver(A, options=SolverOptions(use_cache=False))
+        solver = get_solver(A, cached=False)
         assert _relative_residual(A, solver.solve(b), b) < 1e-9
 
     @given(n=SIZES, seed=SEEDS)
@@ -72,14 +71,16 @@ class TestAutoSelectionSolves:
     def test_unsymmetric_systems(self, n, seed):
         A = _unsymmetric_matrix(n, seed)
         b = _rhs(n, seed)
-        solver = get_solver(A, options=SolverOptions(use_cache=False))
+        solver = get_solver(A, cached=False)
         assert _relative_residual(A, solver.solve(b), b) < 1e-9
 
     @given(n=SIZES, seed=SEEDS)
     @settings(max_examples=20, deadline=None)
     def test_selection_is_deterministic(self, n, seed):
         A = _unsymmetric_matrix(n, seed)
-        assert select_backend(A) == select_backend(A)
+        assert select_backend(A) is select_backend(A)
+        first = get_solver(A, cached=False)
+        assert type(get_solver(A, cached=False)) is type(first)
 
     @given(n=SIZES, seed=SEEDS, k=st.integers(min_value=1, max_value=4))
     @settings(max_examples=20, deadline=None)
@@ -87,7 +88,7 @@ class TestAutoSelectionSolves:
         """Batched multi-RHS solves equal the column-by-column solves."""
         A = _unsymmetric_matrix(n, seed)
         B = np.random.default_rng(seed + 2).normal(size=(n, k))
-        solver = get_solver(A, options=SolverOptions(use_cache=False))
+        solver = get_solver(A, cached=False)
         X = solver.solve(B)
         for j in range(k):
             assert np.allclose(X[:, j], solver.solve(B[:, j]),
@@ -114,8 +115,8 @@ class TestCacheSemantics:
         B = _unsymmetric_matrix(n, seed + 7)
         b = _rhs(n, seed)
         reference = {
-            "A": get_solver(A, options=SolverOptions(use_cache=False)).solve(b),
-            "B": get_solver(B, options=SolverOptions(use_cache=False)).solve(b),
+            "A": get_solver(A, cached=False).solve(b),
+            "B": get_solver(B, cached=False).solve(b),
         }
         cache = FactorizationCache(capacity=1)
         for _ in range(3):  # alternate to force evictions every lookup
