@@ -4,7 +4,7 @@ Scheme for Power Grid Networks" (Zhang, Hu, Cheng, Wong — DATE 2011).
 The package implements the BDSM algorithm (block-diagonal structured model
 order reduction), the full power-grid substrate it operates on (netlists,
 MNA stamping, synthetic industrial-style benchmarks), the baseline reducers
-it is compared against (PRIMA, SVDMOR, EKS, multi-point projection, PMTBR),
+it is compared against (PRIMA, SVDMOR, EKS, multi-point projection),
 frequency/transient simulation of both full and reduced models, and the
 passivity post-processing the paper sketches.  Every reducer returns one
 ROM type, ``StructuredROM``; its modal (pole-residue) form serves transfer
@@ -30,7 +30,6 @@ from repro.analysis import (
     TransientAnalysis,
     TransientResult,
     dynamic_ir_drop,
-    dynamic_ir_drop_batch,
     ir_drop_analysis,
     ir_drop_batch,
 )
@@ -98,7 +97,6 @@ from repro.mor import (
     StructuredROM,
     eks_reduce,
     multipoint_prima_reduce,
-    pmtbr_reduce,
     prima_reduce,
     svdmor_reduce,
 )
@@ -184,7 +182,6 @@ __all__ = [
     "default_cache",
     "disable_tracing",
     "dynamic_ir_drop",
-    "dynamic_ir_drop_batch",
     "eks_reduce",
     "enable_tracing",
     "enforce_passivity",
@@ -202,7 +199,6 @@ __all__ = [
     "parse_netlist",
     "parse_netlist_file",
     "partitioned_reduce",
-    "pmtbr_reduce",
     "prima_reduce",
     "relative_error_curve",
     "rom_structure_report",

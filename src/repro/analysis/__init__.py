@@ -14,17 +14,14 @@ from repro.analysis.frequency import FrequencyAnalysis, FrequencySweepResult
 from repro.analysis.ir_drop import (
     IRDropResult,
     dynamic_ir_drop,
-    dynamic_ir_drop_batch,
     ir_drop_analysis,
     ir_drop_batch,
 )
 from repro.analysis.sources import (
     ConstantSource,
-    PiecewiseLinearSource,
     PulseSource,
     SourceBank,
     StepSource,
-    UnitImpulseSource,
     Waveform,
 )
 from repro.analysis.transient import TransientAnalysis, TransientResult
@@ -35,17 +32,14 @@ __all__ = [
     "FrequencyAnalysis",
     "FrequencySweepResult",
     "IRDropResult",
-    "PiecewiseLinearSource",
     "PulseSource",
     "SourceBank",
     "StepSource",
     "SweepEngine",
     "TransientAnalysis",
     "TransientResult",
-    "UnitImpulseSource",
     "Waveform",
     "dynamic_ir_drop",
-    "dynamic_ir_drop_batch",
     "ir_drop_analysis",
     "ir_drop_batch",
 ]

@@ -8,8 +8,8 @@ resonance analysis".  This module provides:
 * :func:`ir_drop_analysis` — static (DC) IR drop for a given load-current
   vector, on the full model or on a ROM;
 * :meth:`IRDropResult.worst` — the worst-case drop and where it occurs;
-* dynamic IR drop as a thin convenience over
-  :class:`~repro.analysis.transient.TransientAnalysis`.
+* :func:`dynamic_ir_drop` — the worst sag over one
+  :class:`~repro.analysis.transient.TransientAnalysis` run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.exceptions import SimulationError
 from repro.linalg.krylov import ShiftedOperator
 
 __all__ = ["IRDropResult", "ir_drop_analysis", "ir_drop_batch",
-           "dynamic_ir_drop", "dynamic_ir_drop_batch"]
+           "dynamic_ir_drop"]
 
 
 @dataclass
@@ -57,19 +57,6 @@ class IRDropResult:
         name = self.node_names[idx] if self.node_names else f"output{idx}"
         return name, float(self.drops[idx])
 
-    def as_table(self) -> list[dict[str, object]]:
-        """Rows suitable for tabular reporting."""
-        rows = []
-        for idx, drop in enumerate(self.drops):
-            name = self.node_names[idx] if self.node_names else f"output{idx}"
-            rows.append({
-                "node": name,
-                "drop_volts": float(drop),
-                "drop_percent": 100.0 * float(drop) / self.reference_voltage
-                if self.reference_voltage else float("nan"),
-            })
-        return rows
-
 
 def ir_drop_analysis(system, load_currents: np.ndarray, *,
                      reference_voltage: float = 1.0) -> IRDropResult:
@@ -85,7 +72,8 @@ def ir_drop_analysis(system, load_currents: np.ndarray, *,
     load_currents:
         Length-``m`` vector of DC currents drawn at each port.
     reference_voltage:
-        Ideal supply voltage used for percentage reporting.
+        Ideal supply voltage the drops are measured against (recorded in
+        the result).
 
     The DC pencil is factored through the process-wide cache, so an
     analysis right after a reduction at ``s0 = 0`` reuses its
@@ -154,28 +142,11 @@ def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
     Runs a transient simulation and reports, per observed node, the largest
     sag seen at any time point.  Because the analysis only touches the
     descriptor interface, swapping the full model for a BDSM ROM changes
-    nothing except the runtime.  The one-scenario case of
-    :func:`dynamic_ir_drop_batch`.
+    nothing except the runtime.
     """
-    return dynamic_ir_drop_batch(system, [sources], t_stop=t_stop, dt=dt,
-                                 reference_voltage=reference_voltage,
-                                 method=method)[0]
-
-
-def dynamic_ir_drop_batch(system, scenario_banks, *, t_stop: float,
-                          dt: float, reference_voltage: float = 1.0,
-                          method: str = "backward_euler",
-                          ) -> list[IRDropResult]:
-    """Worst-case dynamic IR drop for a batch of source corners.
-
-    All corners share the transient stepping pencil, so the underlying
-    :meth:`~repro.analysis.transient.TransientAnalysis.run_batch` steps
-    them together with one multi-RHS solve per time point.
-    """
-    transient = TransientAnalysis(t_stop=t_stop, dt=dt, method=method)
-    results = transient.run_batch(system, list(scenario_banks))
-    names = list(getattr(system, "output_names", []) or [])
-    return [IRDropResult(node_names=names,
-                         voltages=res.outputs.min(axis=1),
-                         reference_voltage=reference_voltage)
-            for res in results]
+    result = TransientAnalysis(t_stop=t_stop, dt=dt,
+                               method=method).run(system, sources)
+    return IRDropResult(
+        node_names=list(getattr(system, "output_names", []) or []),
+        voltages=result.outputs.min(axis=1),
+        reference_voltage=reference_voltage)

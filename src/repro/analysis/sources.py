@@ -11,9 +11,6 @@ vectorised :meth:`Waveform.sample` for time grids.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.exceptions import SimulationError
@@ -23,8 +20,6 @@ __all__ = [
     "ConstantSource",
     "StepSource",
     "PulseSource",
-    "PiecewiseLinearSource",
-    "UnitImpulseSource",
     "SourceBank",
 ]
 
@@ -120,47 +115,6 @@ class PulseSource(Waveform):
         if self.fall > 0.0 and phase < self.fall:
             return self.amplitude * (1.0 - phase / self.fall)
         return 0.0
-
-
-class PiecewiseLinearSource(Waveform):
-    """Piecewise-linear waveform through ``(time, value)`` breakpoints."""
-
-    def __init__(self, points: Sequence[tuple[float, float]]) -> None:
-        if len(points) < 2:
-            raise SimulationError("PWL source needs at least two points")
-        times = [float(t) for t, _ in points]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise SimulationError("PWL time points must be strictly increasing")
-        self.times = times
-        self.values = [float(v) for _, v in points]
-
-    def __call__(self, t: float) -> float:
-        if t <= self.times[0]:
-            return self.values[0]
-        if t >= self.times[-1]:
-            return self.values[-1]
-        idx = bisect_right(self.times, t) - 1
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        v0, v1 = self.values[idx], self.values[idx + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-class UnitImpulseSource(Waveform):
-    """Discrete approximation of a unit impulse.
-
-    A true Dirac impulse cannot be represented on a time grid; this waveform
-    returns ``1/width`` during the first ``width`` seconds so that its
-    integral is one.  The EKS comparison in the paper excites "all ports with
-    unit-impulse signals"; this is the transient counterpart of that setup.
-    """
-
-    def __init__(self, width: float) -> None:
-        if width <= 0.0:
-            raise SimulationError("impulse width must be positive")
-        self.width = float(width)
-
-    def __call__(self, t: float) -> float:
-        return 1.0 / self.width if 0.0 <= t < self.width else 0.0
 
 
 class SourceBank:

@@ -20,6 +20,7 @@ factorisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,10 @@ class TransientAnalysis:
     _METHODS = ("backward_euler", "trapezoidal")
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_stop) and math.isfinite(self.dt)):
+            raise SimulationError(
+                f"t_stop and dt must be finite, got t_stop={self.t_stop}, "
+                f"dt={self.dt}")
         if self.t_stop <= 0.0:
             raise SimulationError("t_stop must be positive")
         if self.dt <= 0.0 or self.dt > self.t_stop:

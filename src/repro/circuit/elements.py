@@ -8,6 +8,7 @@ lives in :mod:`repro.circuit.mna` so the element classes stay plain data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import CircuitError
@@ -61,9 +62,18 @@ class Element:
         self._validate_value()
 
     def _validate_value(self) -> None:
-        if not isinstance(self.value, (int, float)):
+        if isinstance(self.value, bool) \
+                or not isinstance(self.value, (int, float)):
             raise CircuitError(
                 f"element {self.name!r} has non-numeric value {self.value!r}"
+            )
+        try:
+            finite = math.isfinite(self.value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise CircuitError(
+                f"element {self.name!r} has non-finite value {self.value!r}"
             )
 
     @property

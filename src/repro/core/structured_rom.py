@@ -17,12 +17,8 @@ simulation advantage comes from.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from repro.exceptions import ReductionError
-from repro.linalg.blockdiag import BlockLayout
 from repro.mor.base import ROMBlock, StructuredROM
 
 __all__ = ["ROMBlock", "BlockDiagonalROM"]
@@ -59,22 +55,3 @@ class BlockDiagonalROM(StructuredROM):
                          method="BDSM", s0=s0, n_moments=n_moments,
                          original_size=original_size,
                          original_ports=original_ports, name=name)
-
-    @cached_property
-    def layout(self) -> BlockLayout:
-        """Where each diagonal block sits in ``C_r`` / ``G_r``."""
-        return BlockLayout(tuple(b.order for b in self.blocks))
-
-    def reconstruct_state(self, z: np.ndarray) -> np.ndarray:
-        """Lift a reduced state back to original coordinates (needs bases)."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape[0] != self.size:
-            raise ReductionError(
-                f"reduced state has length {z.shape[0]}, expected {self.size}")
-        if any(block.basis is None for block in self.blocks):
-            raise ReductionError(
-                "this ROM was built without keep_projection=True")
-        x = np.zeros(self.original_size)
-        for i, block in enumerate(self.blocks):
-            x += block.basis @ z[self.layout.block_slice(i)]
-        return x

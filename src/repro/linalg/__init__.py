@@ -21,8 +21,6 @@ Contents
     The workspace the Krylov drivers build into (solve-skipping screening
     against a basis carried across expansion points) and fingerprint-keyed
     shard-basis reuse.
-``blockdiag``
-    The layout (block sizes and offsets) of a block-diagonal matrix.
 ``sparse_utils``
     Sparsity statistics, symmetry checks, and safe sparse factorisations.
 ``moments``
@@ -42,7 +40,6 @@ from repro.linalg.backends import (
     solve,
     temporary_default_cache,
 )
-from repro.linalg.blockdiag import BlockLayout
 from repro.linalg.krylov import (
     KrylovResult,
     ShiftedOperator,
@@ -73,7 +70,6 @@ from repro.linalg.sparse_utils import (
 )
 
 __all__ = [
-    "BlockLayout",
     "CacheStats",
     "DEFAULT_RECYCLE_TOL",
     "FactorizationCache",

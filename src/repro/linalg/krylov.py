@@ -106,11 +106,6 @@ class ShiftedOperator:
         """Number of right-hand-side columns solved so far."""
         return self._solve_count
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the backend solving this pencil."""
-        return self._solver.name
-
     def solve(self, rhs) -> np.ndarray:
         """Solve ``(s0*C - G) X = rhs`` for a vector or a whole block.
 

@@ -45,7 +45,7 @@ comparisons read off the same counters regardless of the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -136,18 +136,6 @@ class OrthoStats:
         )
         merged.merge(other)
         return merged
-
-
-@dataclass
-class _Workspace:
-    """Internal mutable basis being grown column by column."""
-
-    columns: list[np.ndarray] = field(default_factory=list)
-
-    def matrix(self) -> np.ndarray:
-        if not self.columns:
-            return np.empty((0, 0))
-        return np.column_stack(self.columns)
 
 
 def orthonormalize_against(

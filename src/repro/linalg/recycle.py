@@ -142,11 +142,6 @@ class RecycleWorkspace:
         """Total number of columns held (recycled + current shift)."""
         return int(self.basis.shape[1])
 
-    @property
-    def frozen_size(self) -> int:
-        """Columns frozen as the recycled prefix for the current shift."""
-        return self._frozen
-
     def begin_shift(self) -> int:
         """Freeze the accumulated basis as the recycled prefix.
 

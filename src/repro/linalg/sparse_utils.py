@@ -24,7 +24,6 @@ __all__ = [
     "to_csc",
     "to_csr",
     "as_dense",
-    "frobenius_norm",
     "estimate_dense_bytes",
 ]
 
@@ -65,13 +64,6 @@ def nnz_density(matrix) -> float:
     return float(np.count_nonzero(arr)) / arr.size
 
 
-def frobenius_norm(matrix) -> float:
-    """Frobenius norm that works for both dense and sparse inputs."""
-    if sp.issparse(matrix):
-        return float(spla.norm(matrix))
-    return float(np.linalg.norm(np.asarray(matrix)))
-
-
 def is_symmetric(matrix, tol: float = 1e-10) -> bool:
     """Check whether ``matrix`` is (numerically) symmetric.
 
@@ -85,7 +77,7 @@ def is_symmetric(matrix, tol: float = 1e-10) -> bool:
     diff = (m - m.T).tocoo()
     if diff.nnz == 0:
         return True
-    scale = max(frobenius_norm(m), 1.0)
+    scale = max(float(spla.norm(m)), 1.0)
     return float(np.max(np.abs(diff.data))) <= tol * scale
 
 

@@ -19,9 +19,6 @@ Contents
 ``eks``
     EKS: extended-Krylov-subspace style input-dependent reduction
     (Wang & Nguyen) — fast but not reusable under new excitations.
-``btrunc``
-    Poor Man's TBR sampling-based balanced truncation (Phillips & Silveira),
-    the paper's reference [7], usable on small systems as an accuracy anchor.
 """
 
 from repro.mor.base import (
@@ -30,7 +27,6 @@ from repro.mor.base import (
     ResourceBudget,
     StructuredROM,
 )
-from repro.mor.btrunc import pmtbr_reduce
 from repro.mor.eks import eks_reduce
 from repro.mor.prima import (
     multipoint_prima_reduce,
@@ -46,7 +42,6 @@ __all__ = [
     "StructuredROM",
     "eks_reduce",
     "multipoint_prima_reduce",
-    "pmtbr_reduce",
     "prima_reduce",
     "prima_store_options",
     "svdmor_reduce",

@@ -274,7 +274,7 @@ class StructuredROM:
         [          A_k E_k(s) ] [z_k]   [B_k]
         [F_1(s) ... F_k(s) A_s] [z_s]   [B_s]
 
-    Every reducer returns one: a PRIMA/EKS/SVDMOR/PMTBR ROM is one block
+    Every reducer returns one: a PRIMA/EKS/SVDMOR ROM is one block
     driven by all ports (:class:`ReducedSystem`), a BDSM ROM one block
     per port (:class:`~repro.core.structured_rom.BlockDiagonalROM`), a
     partitioned macromodel one block per shard plus the border to the
@@ -754,6 +754,35 @@ class StructuredROM:
                 original_ports=self.original_ports, name=self.name)
         return self._reduced_system
 
+    def reconstruct_state(self, z: np.ndarray) -> np.ndarray:
+        """Lift a reduced state back to original coordinates:
+        ``x = sum_i V_i z[offset_i : offset_i + q_i]``, the blocks' bases
+        side by side times ``z`` (a length-``size`` vector, or ``size x k``
+        for ``k`` states at once).
+
+        Needs the bases (a reduction run with ``keep_projection=True``).
+        A bordered ROM raises :class:`~repro.exceptions.PartitionError`:
+        its shard bases cover only their internal states, and
+        :meth:`~repro.partition.assemble.PartitionedROM.global_basis`
+        places them in the full model.
+        """
+        if self.C_ss is not None:
+            raise PartitionError(
+                f"cannot lift the state of a ROM with a border to "
+                f"{self.interface_order} interface states; use "
+                "global_basis()")
+        z = np.asarray(z)
+        if z.ndim not in (1, 2) or z.shape[0] != self.size:
+            raise ReductionError(
+                f"reduced state has shape {z.shape}, expected "
+                f"({self.size},) or ({self.size}, k)")
+        if any(block.basis is None for block in self.blocks):
+            raise ReductionError(
+                "this ROM was built without keep_projection=True")
+        offsets = np.cumsum([block.order for block in self.blocks])[:-1]
+        return sum(block.basis @ z_i
+                   for block, z_i in zip(self.blocks, np.split(z, offsets)))
+
     def summary(self, *, mor_seconds: float | None = None,
                 ortho_stats: OrthoStats | None = None) -> "ReductionSummary":
         """Build the Table II record for this ROM."""
@@ -782,7 +811,7 @@ class StructuredROM:
 
 class ReducedSystem(StructuredROM):
     """Dense reduced-order descriptor model ``C_r dz/dt = G_r z + B_r u``:
-    one block driven by every port (PRIMA / SVDMOR / EKS / PMTBR ROMs
+    one block driven by every port (PRIMA / SVDMOR / EKS ROMs
     *are* dense — that is the paper's point).
 
     ``C``/``G``/``B``/``L`` stay ``ndarray``s, so the analyses see the
@@ -814,18 +843,6 @@ class ReducedSystem(StructuredROM):
     @projection.setter
     def projection(self, basis) -> None:
         self.blocks[0].basis = basis
-
-    @property
-    def B_complex(self) -> np.ndarray:
-        """The input matrix pre-cast to complex (cached per ROM)."""
-        return self._group((0,))["B"]
-
-    def reconstruct_state(self, z: np.ndarray) -> np.ndarray:
-        """Lift a reduced state back to the original coordinates (``x ~= V z``)."""
-        if self.projection is None:
-            raise ReductionError(
-                "this ROM was built without storing the projection basis")
-        return self.projection @ np.asarray(z, dtype=float)
 
 
 @dataclass

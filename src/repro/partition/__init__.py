@@ -3,7 +3,7 @@
 The paper's block-diagonal structure argument makes *reduction* scale with
 the port count; this subsystem makes it scale with the *node* count too.
 A huge grid is split into ``k`` balanced subdomains
-(:class:`~repro.partition.graph.GridPartitioner`, pluggable strategies),
+(:class:`~repro.partition.graph.GridPartitioner`, ``bfs`` or ``natural``),
 each subdomain becomes a valid descriptor system with its interface
 couplings promoted to preserved ports
 (:func:`~repro.partition.extract.extract_subdomains`), the shards are
@@ -34,7 +34,6 @@ from repro.partition.graph import (
     GridPartitioner,
     PartitionResult,
     available_partitioners,
-    register_partitioner,
     structure_adjacency,
 )
 from repro.partition.interface import (
@@ -67,6 +66,5 @@ __all__ = [
     "multilevel_reduce",
     "partitioned_reduce",
     "partitioned_store_options",
-    "register_partitioner",
     "structure_adjacency",
 ]

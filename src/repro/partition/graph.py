@@ -12,8 +12,7 @@ subdomains mutually decoupled — permuting states to
 block-diagonal (arrowhead) form, which is what the extraction and assembly
 stages of :mod:`repro.partition` rely on.
 
-Partition *strategies* are pluggable through a registry, mirroring
-:mod:`repro.linalg.backends`:
+Two partition *strategies* are available:
 
 ``bfs`` (default)
     Graph-growing: each subdomain is grown breadth-first from a
@@ -28,7 +27,6 @@ Partition *strategies* are pluggable through a registry, mirroring
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +39,6 @@ __all__ = [
     "GridPartitioner",
     "PartitionResult",
     "available_partitioners",
-    "register_partitioner",
     "structure_adjacency",
 ]
 
@@ -71,27 +68,6 @@ def structure_adjacency(system) -> sp.csr_matrix:
     return adj
 
 
-# --------------------------------------------------------------------------- #
-# Strategy registry (pluggable, like repro.linalg.backends)
-# --------------------------------------------------------------------------- #
-#: name -> fn(adj: csr, k: int) -> labels (length-n int array in [0, k)).
-_STRATEGIES: dict[str, Callable] = {}
-
-
-def register_partitioner(name: str) -> Callable:
-    """Class/function decorator registering a partition strategy."""
-    def decorator(fn: Callable) -> Callable:
-        _STRATEGIES[name] = fn
-        return fn
-    return decorator
-
-
-def available_partitioners() -> list[str]:
-    """Names of all registered partition strategies."""
-    return sorted(_STRATEGIES)
-
-
-@register_partitioner("natural")
 def _natural_labels(adj: sp.csr_matrix, k: int) -> np.ndarray:
     """Contiguous index ranges (row-major slabs on mesh benchmarks)."""
     n = adj.shape[0]
@@ -102,7 +78,6 @@ def _natural_labels(adj: sp.csr_matrix, k: int) -> np.ndarray:
     return labels
 
 
-@register_partitioner("bfs")
 def _bfs_labels(adj: sp.csr_matrix, k: int) -> np.ndarray:
     """Balanced graph-growing BFS from peripheral (low-degree) seeds.
 
@@ -145,6 +120,15 @@ def _bfs_labels(adj: sp.csr_matrix, k: int) -> np.ndarray:
                     queue.append(int(nb))
         assigned += grown
     return labels
+
+
+#: name -> fn(adj: csr, k: int) -> labels (length-n int array in [0, k)).
+_STRATEGIES = {"bfs": _bfs_labels, "natural": _natural_labels}
+
+
+def available_partitioners() -> list[str]:
+    """Names of the partition strategies."""
+    return sorted(_STRATEGIES)
 
 
 @dataclass(frozen=True)
@@ -258,16 +242,7 @@ Netlist` (stamped on the fly), or a square sparse adjacency matrix.
         if self.k > n:
             raise PartitionError(
                 f"cannot split {n} states into {self.k} subdomains")
-        labels = np.asarray(_STRATEGIES[self.strategy](adj, self.k),
-                            dtype=np.int64)
-        if labels.shape != (n,):
-            raise PartitionError(
-                f"strategy {self.strategy!r} returned labels of shape "
-                f"{labels.shape}, expected ({n},)")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.k:
-            raise PartitionError(
-                f"strategy {self.strategy!r} produced labels outside "
-                f"[0, {self.k})")
+        labels = _STRATEGIES[self.strategy](adj, self.k)
         interface_mask = _separator_mask(adj, labels)
         parts = []
         for part in range(self.k):

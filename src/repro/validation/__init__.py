@@ -9,7 +9,6 @@ from repro.validation.error_metrics import (
     max_relative_error,
     relative_error_curve,
     rom_agreement_report,
-    transfer_matrix_error,
 )
 from repro.validation.moment_check import (
     MomentCheckResult,
@@ -26,6 +25,5 @@ __all__ = [
     "relative_error_curve",
     "rom_agreement_report",
     "rom_structure_report",
-    "transfer_matrix_error",
     "verify_moment_matching",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 
 __all__ = ["relative_error_curve", "max_relative_error",
-           "transfer_matrix_error", "rom_agreement_report"]
+           "rom_agreement_report"]
 
 
 def relative_error_curve(full, rom, omegas, *, output: int = 0,
@@ -50,22 +50,6 @@ def max_relative_error(full, rom, omegas, *, output: int = 0,
     """Maximum of :func:`relative_error_curve` over the grid."""
     return float(np.max(relative_error_curve(full, rom, omegas,
                                              output=output, port=port)))
-
-
-def transfer_matrix_error(full, rom, s: complex, *,
-                          relative: bool = True,
-                          floor: float = 1e-300) -> float:
-    """Frobenius-norm error of the whole ``p x m`` transfer matrix at ``s``."""
-    H_full = np.asarray(full.transfer_function(s))
-    H_rom = np.asarray(rom.transfer_function(s))
-    if H_full.shape != H_rom.shape:
-        raise ValidationError(
-            f"transfer matrices have different shapes {H_full.shape} vs "
-            f"{H_rom.shape}")
-    err = float(np.linalg.norm(H_rom - H_full))
-    if not relative:
-        return err
-    return err / max(float(np.linalg.norm(H_full)), floor)
 
 
 def rom_agreement_report(reference, candidate, omegas, *,

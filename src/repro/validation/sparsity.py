@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.structured_rom import BlockDiagonalROM
 from repro.exceptions import ValidationError
 from repro.linalg.sparse_utils import nnz_density
 
@@ -32,7 +33,7 @@ class RomStructureReport:
     nnz_total:
         Total stored non-zeros over ``C_r``, ``G_r``, ``B_r``.
     block_sizes:
-        Diagonal block sizes for structured ROMs (empty for dense ones).
+        Diagonal block sizes of a BDSM ROM (empty for any other ROM).
     """
 
     method: str
@@ -69,10 +70,8 @@ def rom_structure_report(rom) -> RomStructureReport:
         "G": nnz_density(rom.G),
         "B": nnz_density(rom.B),
     }
-    block_sizes: list[int] = []
-    layout = getattr(rom, "layout", None)
-    if layout is not None:
-        block_sizes = list(layout.sizes)
+    block_sizes = ([block.order for block in rom.blocks]
+                   if isinstance(rom, BlockDiagonalROM) else [])
     return RomStructureReport(
         method=getattr(rom, "method", type(rom).__name__),
         rom_size=int(rom.size),

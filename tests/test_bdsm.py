@@ -31,7 +31,7 @@ class TestBdsmBasics:
         l = 4
         rom, _, _ = bdsm_reduce(rc_grid_system, l)
         assert rom.size == rc_grid_system.n_ports * l
-        assert all(size == l for size in rom.layout.sizes)
+        assert all(size == l for size in [b.order for b in rom.blocks])
 
     def test_works_on_rlc_grid(self, rlc_grid_system):
         rom, _, _ = bdsm_reduce(rlc_grid_system, 3)

@@ -14,7 +14,7 @@ from repro.circuit import Netlist, assemble_mna
 from repro.core import bdsm_reduce
 from repro.core.cost_model import compare_costs
 from repro.linalg.moments import system_moments
-from repro.linalg.sparse_utils import as_dense, frobenius_norm
+from repro.linalg.sparse_utils import as_dense
 from repro.mor.base import ReducedSystem
 
 
@@ -53,7 +53,6 @@ class TestSparseUtilsEdges:
     def test_as_dense_and_norm_on_sparse(self):
         m = sp.random(6, 6, density=0.3, random_state=0, format="csr")
         assert np.allclose(as_dense(m), m.toarray())
-        assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m.toarray()))
 
 
 class TestMomentsAtComplexPoint:

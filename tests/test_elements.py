@@ -68,6 +68,28 @@ class TestElementValidation:
         with pytest.raises(CircuitError):
             Resistor("R1", "a", "b", "big")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("cls", [Resistor, Capacitor, Inductor,
+                                     CurrentSource, VoltageSource])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_value_rejected(self, cls, value):
+        with pytest.raises(CircuitError, match="non-finite"):
+            cls("X1", "a", "b", value)
+
+    @pytest.mark.parametrize("cls", [Resistor, VoltageSource])
+    def test_bool_value_rejected(self, cls):
+        with pytest.raises(CircuitError, match="non-numeric"):
+            cls("X1", "a", "b", True)
+
+    def test_int_beyond_float_range_rejected(self):
+        with pytest.raises(CircuitError, match="non-finite"):
+            Resistor("R1", "a", "b", 10 ** 400)
+
+    def test_netlist_builder_rejects_nan(self):
+        from repro.circuit.netlist import Netlist
+        with pytest.raises(CircuitError):
+            Netlist().add_resistor("R2", "a", "b", float("nan"))
+
     def test_prefixes(self):
         assert Resistor("R1", "a", "b", 1.0).prefix == "R"
         assert Capacitor("C1", "a", "b", 1.0).prefix == "C"

@@ -16,8 +16,6 @@ from repro import (
     SweepEngine,
     TransientAnalysis,
     bdsm_reduce,
-    dynamic_ir_drop,
-    dynamic_ir_drop_batch,
     ir_drop_analysis,
     ir_drop_batch,
 )
@@ -338,16 +336,3 @@ class TestIrDropBatch:
         m = rc_grid_system.B.shape[1]
         with pytest.raises(SimulationError):
             ir_drop_batch(rc_grid_system, np.empty((0, m)))
-
-    def test_dynamic_batch_matches_individual(self, rc_grid_system):
-        m = rc_grid_system.B.shape[1]
-        banks = [SourceBank.uniform(m, StepSource(1e-3)),
-                 SourceBank.uniform(m, StepSource(2e-3))]
-        stacked = dynamic_ir_drop_batch(rc_grid_system, banks,
-                                        t_stop=1e-5, dt=1e-6)
-        for bank, st in zip(banks, stacked):
-            single = dynamic_ir_drop(rc_grid_system, bank,
-                                     t_stop=1e-5, dt=1e-6)
-            scale = max(float(np.max(np.abs(single.voltages))), 1e-300)
-            assert np.allclose(st.voltages, single.voltages,
-                               rtol=1e-12, atol=1e-12 * scale)

@@ -1,7 +1,5 @@
 """Unit tests for repro.analysis.ir_drop."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -54,13 +52,6 @@ class TestStaticIrDrop:
             ir_drop_batch(rc_grid_system,
                           np.vstack([np.full_like(loads, 1e-3), loads]))
 
-    def test_table_rows(self, rc_grid_system):
-        m = rc_grid_system.n_ports
-        result = ir_drop_analysis(rc_grid_system, np.full(m, 1e-3))
-        rows = result.as_table()
-        assert len(rows) == rc_grid_system.n_outputs
-        assert {"node", "drop_volts", "drop_percent"} <= set(rows[0])
-
 
 class TestIrDropResultEdgeCases:
     def test_worst_with_empty_node_names(self):
@@ -69,21 +60,6 @@ class TestIrDropResultEdgeCases:
         name, drop = result.worst()
         assert name == "output1"
         assert drop == pytest.approx(0.3)
-
-    def test_as_table_with_empty_node_names(self):
-        result = IRDropResult(node_names=[],
-                              voltages=np.array([-0.05, 0.02]))
-        rows = result.as_table()
-        assert [row["node"] for row in rows] == ["output0", "output1"]
-        assert rows[1]["drop_volts"] == 0.0  # positive deviation: no sag
-
-    def test_as_table_with_zero_reference_voltage(self):
-        result = IRDropResult(node_names=["a"],
-                              voltages=np.array([-0.1]),
-                              reference_voltage=0.0)
-        rows = result.as_table()
-        assert rows[0]["drop_volts"] == pytest.approx(0.1)
-        assert math.isnan(rows[0]["drop_percent"])
 
     def test_worst_on_all_positive_voltages_reports_zero_drop(self):
         result = IRDropResult(node_names=["a", "b"],
@@ -101,6 +77,13 @@ class TestDynamicIrDrop:
                                  t_stop=2e-9, dt=1e-10)
         assert np.all(result.drops >= 0.0)
         assert result.worst()[1] > 0.0
+
+    @pytest.mark.parametrize("t_stop, dt", [(1e-9, float("nan")),
+                                            (float("inf"), 1e-10)])
+    def test_non_finite_times_rejected(self, rc_grid_system, t_stop, dt):
+        bank = SourceBank.uniform(rc_grid_system.n_ports, StepSource(1e-3))
+        with pytest.raises(SimulationError, match="finite"):
+            dynamic_ir_drop(rc_grid_system, bank, t_stop=t_stop, dt=dt)
 
     def test_dynamic_drop_bounded_by_settled_static(self, rc_grid_system):
         # After the step settles the dynamic worst case approaches the static

@@ -31,7 +31,7 @@ class TestMultipointBdsm:
         assert isinstance(rom, BlockDiagonalROM)
         assert rom.n_blocks == rc_grid_system.n_ports
         # each block has at most 2 * 2 columns (two points, two moments)
-        assert all(size <= 4 for size in rom.layout.sizes)
+        assert all(size <= 4 for size in [b.order for b in rom.blocks])
 
     def test_matches_moments_at_each_real_point(self, rc_grid_system):
         points = [0.0, 1e9]

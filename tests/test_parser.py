@@ -100,6 +100,12 @@ class TestParseNetlist:
             parse_netlist("title\nR1 a 0 oops\n")
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line", ["C1 n1 0 1e400", "R1 n1 0 1e303meg"])
+    def test_non_finite_value_reports_line_number(self, line):
+        with pytest.raises(NetlistParseError, match="non-finite") as err:
+            parse_netlist(f"title\nI1 n1 0 1m\n{line}\n")
+        assert err.value.line_number == 3
+
     def test_self_loop_element_reported_with_line(self):
         with pytest.raises(NetlistParseError):
             parse_netlist("title\nR1 a a 1.0\n")

@@ -30,7 +30,6 @@ from repro.partition import (
     multilevel_reduce,
     partitioned_reduce,
     partitioned_store_options,
-    register_partitioner,
     structure_adjacency,
 )
 from repro.partition.reduce import _project_subdomain
@@ -110,19 +109,6 @@ class TestGridPartitioner:
     def test_more_parts_than_states_rejected(self, rc_grid_system):
         with pytest.raises(PartitionError):
             GridPartitioner(k=10_000).partition(rc_grid_system)
-
-    def test_custom_strategy_registration(self, rc_grid_system):
-        @register_partitioner("_test_alternating")
-        def alternating(adj, k):
-            return np.arange(adj.shape[0]) % k
-
-        try:
-            result = GridPartitioner(
-                k=2, strategy="_test_alternating").partition(rc_grid_system)
-            assert result.strategy == "_test_alternating"
-        finally:
-            from repro.partition.graph import _STRATEGIES
-            _STRATEGIES.pop("_test_alternating", None)
 
     def test_k1_has_empty_interface(self, rc_grid_system):
         result = GridPartitioner(k=1).partition(rc_grid_system)

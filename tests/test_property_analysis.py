@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.analysis import SourceBank, TransientAnalysis
 from repro.analysis.sources import (
     ConstantSource,
-    PiecewiseLinearSource,
     PulseSource,
     StepSource,
 )
@@ -33,7 +32,7 @@ def _small_system(seed: int):
 
 @st.composite
 def waveforms(draw):
-    kind = draw(st.sampled_from(["constant", "step", "pulse", "pwl"]))
+    kind = draw(st.sampled_from(["constant", "step", "pulse", "ramp"]))
     amplitude = draw(st.floats(min_value=1e-4, max_value=5e-3))
     if kind == "constant":
         return ConstantSource(amplitude)
@@ -43,8 +42,7 @@ def waveforms(draw):
     if kind == "pulse":
         return PulseSource(amplitude, period=1e-9, width=3e-10,
                            rise=1e-10, fall=1e-10)
-    return PiecewiseLinearSource([(0.0, 0.0), (5e-10, amplitude),
-                                  (1.5e-9, amplitude / 2)])
+    return StepSource(amplitude, rise_time=5e-10)
 
 
 class TestLinearityProperties:

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linalg.blockdiag import BlockLayout
 from repro.linalg.orthogonalization import (
     modified_gram_schmidt,
     theoretical_inner_products,
@@ -101,26 +100,3 @@ class TestCostFormulaProperties:
         ratio = (theoretical_inner_products(m, l, clustered=False)
                  / max(theoretical_inner_products(m, l, clustered=True), 1))
         assert ratio >= (m * l - 1) / (l - 1) - 1e-9
-
-
-class TestBlockLayoutProperties:
-    @SETTINGS
-    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
-                    max_size=8))
-    def test_offsets_partition_the_range(self, sizes):
-        layout = BlockLayout(tuple(sizes))
-        covered = []
-        for i in range(layout.n_blocks):
-            sl = layout.block_slice(i)
-            covered.extend(range(sl.start, sl.stop))
-        assert covered == list(range(layout.total))
-
-    @SETTINGS
-    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
-                    max_size=6), st.integers(min_value=0, max_value=10 ** 6))
-    def test_block_of_index_consistent_with_slices(self, sizes, raw_index):
-        layout = BlockLayout(tuple(sizes))
-        index = raw_index % layout.total
-        block = layout.block_of_index(index)
-        sl = layout.block_slice(block)
-        assert sl.start <= index < sl.stop

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +50,35 @@ class TestPackageSurface:
             problems += [f"{info.name}: {name}" for name in exported
                          if not hasattr(module, name)]
         assert problems == []
+
+    def test_qualified_doc_references_resolve(self):
+        # A deleted name still cited as :func:`repro.x.y` (or ``~repro``)
+        # in a docstring or ``#:`` comment fails here.  Backslash line
+        # continuations inside a role are joined first.
+        role = re.compile(r":(?:func|class|meth|mod|data|attr|exc):"
+                          r"`~?(repro(?:\.\w+)+)`")
+        src = Path(repro.__file__).parent
+        refs = {(path.relative_to(src).as_posix(), name)
+                for path in sorted(src.rglob("*.py"))
+                for name in role.findall(
+                    path.read_text().replace("\\\n", ""))}
+        assert len(refs) > 100
+
+        def resolves(name: str) -> bool:
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                for attr in parts[cut:]:
+                    if not hasattr(obj, attr):
+                        return False
+                    obj = getattr(obj, attr)
+                return True
+            return False
+
+        assert sorted(ref for ref in refs if not resolves(ref[1])) == []
 
     def test_linalg_does_not_import_analysis(self):
         # linalg is the substrate every other subpackage builds on; an

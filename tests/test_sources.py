@@ -5,11 +5,9 @@ import pytest
 
 from repro.analysis.sources import (
     ConstantSource,
-    PiecewiseLinearSource,
     PulseSource,
     SourceBank,
     StepSource,
-    UnitImpulseSource,
 )
 from repro.exceptions import SimulationError
 
@@ -61,41 +59,6 @@ class TestPulse:
             PulseSource(1.0, period=0.0, width=1.0)
         with pytest.raises(SimulationError):
             PulseSource(1.0, period=2.0, width=1.0, rise=1.0, fall=1.0)
-
-
-class TestPWL:
-    def test_interpolation_and_clamping(self):
-        w = PiecewiseLinearSource([(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)])
-        assert w(-1.0) == 0.0
-        assert w(0.5) == pytest.approx(1.0)
-        assert w(2.0) == 2.0
-        assert w(10.0) == 2.0
-
-    def test_needs_two_points(self):
-        with pytest.raises(SimulationError):
-            PiecewiseLinearSource([(0.0, 1.0)])
-
-    def test_times_must_increase(self):
-        with pytest.raises(SimulationError):
-            PiecewiseLinearSource([(0.0, 1.0), (0.0, 2.0)])
-
-
-class TestUnitImpulse:
-    def test_integral_is_one(self):
-        width = 1e-10
-        w = UnitImpulseSource(width)
-        dt = width / 100
-        times = np.arange(0.0, 5 * width, dt)
-        assert np.sum(w.sample(times)) * dt == pytest.approx(1.0, rel=0.05)
-
-    def test_zero_outside_window(self):
-        w = UnitImpulseSource(1e-9)
-        assert w(2e-9) == 0.0
-        assert w(-1e-12) == 0.0
-
-    def test_positive_width_required(self):
-        with pytest.raises(SimulationError):
-            UnitImpulseSource(0.0)
 
 
 class TestSourceBank:

@@ -8,7 +8,6 @@ from repro.exceptions import SingularSystemError
 from repro.linalg.sparse_utils import (
     as_dense,
     estimate_dense_bytes,
-    frobenius_norm,
     is_symmetric,
     nnz_density,
     sparsity_info,
@@ -52,11 +51,6 @@ class TestDensityAndNorms:
 
     def test_nnz_density_empty(self):
         assert nnz_density(np.zeros((0, 0))) == 0.0
-
-    def test_frobenius_norm_matches_numpy(self, rng):
-        arr = rng.normal(size=(5, 5))
-        assert frobenius_norm(sp.csr_matrix(arr)) == pytest.approx(
-            np.linalg.norm(arr))
 
 
 class TestSymmetry:

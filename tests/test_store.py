@@ -133,7 +133,6 @@ def _reducers():
         eks_reduce,
         multipoint_bdsm_reduce,
         partitioned_reduce,
-        pmtbr_reduce,
         svdmor_reduce,
     )
     from repro.partition import PartitionedOptions, multilevel_reduce
@@ -144,7 +143,6 @@ def _reducers():
             sys_, 2, [0.0, 1e9], recycle=True)[0],
         "eks": lambda sys_: eks_reduce(sys_, 3)[0],
         "svdmor": lambda sys_: svdmor_reduce(sys_, 3)[0],
-        "pmtbr": lambda sys_: pmtbr_reduce(sys_, 12)[0],
         "partitioned": lambda sys_: partitioned_reduce(
             sys_, 3, n_parts=3)[0],
         "multilevel": lambda sys_: multilevel_reduce(

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import BDSMOptions, bdsm_reduce
+from repro.core import BDSMOptions, bdsm_reduce, multipoint_bdsm_reduce
 from repro.core.structured_rom import BlockDiagonalROM, ROMBlock
-from repro.exceptions import ReductionError
+from repro.exceptions import PartitionError, ReductionError
+from repro.mor import prima_reduce
+from repro.partition import multilevel_reduce
 
 
 def _manual_block(index, l=2, p=3, seed=0):
@@ -125,11 +127,32 @@ class TestToReducedSystemCache:
                            rom.transfer_function(1j * 1e6))
 
 
+def _roms_with_bases(system):
+    """One ROM of every border-free type, each keeping its bases."""
+    keep = BDSMOptions(keep_projection=True)
+    return {
+        "bdsm": bdsm_reduce(system, 2, options=keep)[0],
+        "multipoint-bdsm": multipoint_bdsm_reduce(
+            system, 2, [0.0, 1e9], options=keep)[0],
+        "prima": prima_reduce(system, 2, keep_projection=True)[0],
+    }
+
+
+@pytest.fixture(scope="module", params=["rc-grid", "ckt1-smoke"])
+def lift_system(request):
+    if request.param == "rc-grid":
+        return request.getfixturevalue("rc_grid_system")
+    return request.getfixturevalue("smoke_benchmark")
+
+
 class TestStateReconstruction:
+    """``StructuredROM.reconstruct_state``: one lift for every ROM."""
+
     def test_requires_kept_bases(self, rc_grid_system):
-        rom, _, _ = bdsm_reduce(rc_grid_system, 2)
-        with pytest.raises(ReductionError):
-            rom.reconstruct_state(np.zeros(rom.size))
+        for rom in (bdsm_reduce(rc_grid_system, 2)[0],
+                    prima_reduce(rc_grid_system, 2)[0]):
+            with pytest.raises(ReductionError, match="keep_projection"):
+                rom.reconstruct_state(np.zeros(rom.size))
 
     def test_reconstruction_shape(self, rc_grid_system):
         rom, _, _ = bdsm_reduce(rc_grid_system, 2,
@@ -137,11 +160,42 @@ class TestStateReconstruction:
         x = rom.reconstruct_state(np.ones(rom.size))
         assert x.shape == (rc_grid_system.size,)
 
+    def test_lift_is_concatenated_basis_times_state(self, lift_system):
+        rng = np.random.default_rng(3)
+        for name, rom in _roms_with_bases(lift_system).items():
+            V = np.hstack([block.basis for block in rom.blocks])
+            assert V.shape == (lift_system.size, rom.size), name
+            for z in (rng.normal(size=rom.size),
+                      rng.normal(size=(rom.size, 3))):
+                want = V @ z
+                got = rom.reconstruct_state(z)
+                assert got.shape == want.shape, name
+                assert np.linalg.norm(got - want) \
+                    <= 1e-12 * np.linalg.norm(want), name
+
     def test_wrong_state_length(self, rc_grid_system):
         rom, _, _ = bdsm_reduce(rc_grid_system, 2,
                                 options=BDSMOptions(keep_projection=True))
         with pytest.raises(ReductionError):
             rom.reconstruct_state(np.ones(rom.size + 1))
+
+    @pytest.mark.parametrize("shape", ["short", "long", "scalar", "3-d"])
+    def test_wrong_state_shape(self, rc_grid_system, shape):
+        for name, rom in _roms_with_bases(rc_grid_system).items():
+            z = {"short": np.ones(rom.size - 1),
+                 "long": np.ones(rom.size + 1),
+                 "scalar": np.float64(1.0),
+                 "3-d": np.ones((rom.size, 1, 1))}[shape]
+            with pytest.raises(ReductionError, match="reduced state"):
+                rom.reconstruct_state(z)
+
+    def test_bordered_rom_raises_partition_error(self, smoke_benchmark):
+        rom, _, _ = multilevel_reduce(
+            smoke_benchmark, 3, levels=2, n_parts=3, min_states=16,
+            keep_projection=True)
+        assert rom.partition_info["depth"] == 2 and rom.interface_order > 0
+        with pytest.raises(PartitionError, match="border"):
+            rom.reconstruct_state(np.zeros(rom.size))
 
 
 class TestComplexOutputBlocks:

@@ -24,6 +24,16 @@ class TestTransientSetup:
         with pytest.raises(SimulationError):
             TransientAnalysis(**kwargs)
 
+    @pytest.mark.parametrize("t_stop, dt", [
+        (1.0, float("nan")),
+        (float("nan"), 0.1),
+        (float("inf"), 0.1),
+        (float("inf"), float("inf")),
+    ])
+    def test_non_finite_times_rejected(self, t_stop, dt):
+        with pytest.raises(SimulationError, match="finite"):
+            TransientAnalysis(t_stop=t_stop, dt=dt)
+
 
 class TestAnalyticRC:
     @pytest.fixture()

@@ -13,7 +13,6 @@ from repro.validation import (
     rom_structure_report,
     verify_moment_matching,
 )
-from repro.validation.error_metrics import transfer_matrix_error
 
 
 class TestErrorMetrics:
@@ -32,19 +31,6 @@ class TestErrorMetrics:
     def test_empty_grid_rejected(self, rc_grid_system):
         with pytest.raises(ValidationError):
             relative_error_curve(rc_grid_system, rc_grid_system, np.array([]))
-
-    def test_transfer_matrix_error(self, rc_grid_system):
-        rom, _, _ = bdsm_reduce(rc_grid_system, 3)
-        err = transfer_matrix_error(rc_grid_system, rom, 1j * 1e7)
-        assert err < 1e-8
-        absolute = transfer_matrix_error(rc_grid_system, rom, 1j * 1e7,
-                                         relative=False)
-        assert absolute >= 0.0
-
-    def test_transfer_matrix_error_shape_check(self, rc_grid_system,
-                                               rc_ladder_system):
-        with pytest.raises(ValidationError):
-            transfer_matrix_error(rc_grid_system, rc_ladder_system, 1j * 1e6)
 
 
 class TestMomentCheck:
