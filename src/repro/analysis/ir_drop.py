@@ -38,13 +38,10 @@ class IRDropResult:
     voltages:
         Small-signal voltage deviation at each observed node caused by the
         load currents (negative values mean the node sags).
-    reference_voltage:
-        Ideal supply voltage the deviations are measured against.
     """
 
     node_names: list[str]
     voltages: np.ndarray
-    reference_voltage: float = 1.0
 
     @property
     def drops(self) -> np.ndarray:
@@ -58,8 +55,7 @@ class IRDropResult:
         return name, float(self.drops[idx])
 
 
-def ir_drop_analysis(system, load_currents: np.ndarray, *,
-                     reference_voltage: float = 1.0) -> IRDropResult:
+def ir_drop_analysis(system, load_currents: np.ndarray) -> IRDropResult:
     """Static IR-drop: solve ``-G x = B i_load`` and read the observed nodes.
 
     The one-scenario case of :func:`ir_drop_batch`.
@@ -71,21 +67,16 @@ def ir_drop_analysis(system, load_currents: np.ndarray, *,
         ``C, G, B, L`` (the DC solve only uses ``G``, ``B`` and ``L``).
     load_currents:
         Length-``m`` vector of DC currents drawn at each port.
-    reference_voltage:
-        Ideal supply voltage the drops are measured against (recorded in
-        the result).
 
     The DC pencil is factored through the process-wide cache, so an
     analysis right after a reduction at ``s0 = 0`` reuses its
     factorisation.
     """
     loads = np.asarray(load_currents, dtype=float).reshape(1, -1)
-    return ir_drop_batch(system, loads,
-                         reference_voltage=reference_voltage)[0]
+    return ir_drop_batch(system, loads)[0]
 
 
-def ir_drop_batch(system, load_scenarios, *,
-                  reference_voltage: float = 1.0) -> list[IRDropResult]:
+def ir_drop_batch(system, load_scenarios) -> list[IRDropResult]:
     """Static IR-drop for a batch of load corners in one multi-RHS solve.
 
     All scenarios share the DC pencil ``-G``, so instead of one
@@ -102,8 +93,6 @@ def ir_drop_batch(system, load_scenarios, *,
     load_scenarios:
         ``(K, m)`` array (or sequence of length-``m`` vectors) of DC port
         currents, one row per corner.
-    reference_voltage:
-        As for :func:`ir_drop_analysis`.
 
     Returns
     -------
@@ -129,13 +118,11 @@ def ir_drop_batch(system, load_scenarios, *,
     Y = np.asarray(system.L @ X)
     names = list(getattr(system, "output_names", []) or [])
     return [IRDropResult(node_names=names,
-                         voltages=np.ascontiguousarray(Y[:, j]),
-                         reference_voltage=reference_voltage)
+                         voltages=np.ascontiguousarray(Y[:, j]))
             for j in range(loads.shape[0])]
 
 
 def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
-                    reference_voltage: float = 1.0,
                     method: str = "backward_euler") -> IRDropResult:
     """Worst-case dynamic IR drop over a transient run.
 
@@ -148,5 +135,4 @@ def dynamic_ir_drop(system, sources: SourceBank, *, t_stop: float, dt: float,
                                method=method).run(system, sources)
     return IRDropResult(
         node_names=list(getattr(system, "output_names", []) or []),
-        voltages=result.outputs.min(axis=1),
-        reference_voltage=reference_voltage)
+        voltages=result.outputs.min(axis=1))

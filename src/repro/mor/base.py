@@ -757,8 +757,7 @@ class StructuredROM:
     def reconstruct_state(self, z: np.ndarray) -> np.ndarray:
         """Lift a reduced state back to original coordinates:
         ``x = sum_i V_i z[offset_i : offset_i + q_i]``, the blocks' bases
-        side by side times ``z`` (a length-``size`` vector, or ``size x k``
-        for ``k`` states at once).
+        side by side times the length-``size`` vector ``z``.
 
         Needs the bases (a reduction run with ``keep_projection=True``).
         A bordered ROM raises :class:`~repro.exceptions.PartitionError`:
@@ -772,10 +771,10 @@ class StructuredROM:
                 f"{self.interface_order} interface states; use "
                 "global_basis()")
         z = np.asarray(z)
-        if z.ndim not in (1, 2) or z.shape[0] != self.size:
+        if z.shape != (self.size,):
             raise ReductionError(
                 f"reduced state has shape {z.shape}, expected "
-                f"({self.size},) or ({self.size}, k)")
+                f"({self.size},)")
         if any(block.basis is None for block in self.blocks):
             raise ReductionError(
                 "this ROM was built without keep_projection=True")

@@ -297,14 +297,12 @@ class ModelServer:
             with trace_span("serve.engine_eval", op="transient", model=name):
                 return analysis.run(model, sources, x0=x0, label=name)
 
-    def ir_drop(self, name: str, load_currents, *,
-                reference_voltage: float = 1.0) -> IRDropResult:
+    def ir_drop(self, name: str, load_currents) -> IRDropResult:
         """Static IR-drop report of one registered model."""
         model = self.registry.resolve(name)
         with self._locked(name):
             with trace_span("serve.engine_eval", op="ir_drop", model=name):
-                return ir_drop_analysis(model, load_currents,
-                                        reference_voltage=reference_voltage)
+                return ir_drop_analysis(model, load_currents)
 
     # ------------------------------------------------------------------ #
     # Queued front end

@@ -165,29 +165,19 @@ class TestStateReconstruction:
         for name, rom in _roms_with_bases(lift_system).items():
             V = np.hstack([block.basis for block in rom.blocks])
             assert V.shape == (lift_system.size, rom.size), name
-            for z in (rng.normal(size=rom.size),
-                      rng.normal(size=(rom.size, 3))):
-                want = V @ z
-                got = rom.reconstruct_state(z)
-                assert got.shape == want.shape, name
-                assert np.linalg.norm(got - want) \
-                    <= 1e-12 * np.linalg.norm(want), name
+            z = rng.normal(size=rom.size)
+            want = V @ z
+            got = rom.reconstruct_state(z)
+            assert got.shape == want.shape, name
+            assert np.linalg.norm(got - want) \
+                <= 1e-12 * np.linalg.norm(want), name
 
     def test_wrong_state_length(self, rc_grid_system):
-        rom, _, _ = bdsm_reduce(rc_grid_system, 2,
-                                options=BDSMOptions(keep_projection=True))
-        with pytest.raises(ReductionError):
-            rom.reconstruct_state(np.ones(rom.size + 1))
-
-    @pytest.mark.parametrize("shape", ["short", "long", "scalar", "3-d"])
-    def test_wrong_state_shape(self, rc_grid_system, shape):
         for name, rom in _roms_with_bases(rc_grid_system).items():
-            z = {"short": np.ones(rom.size - 1),
-                 "long": np.ones(rom.size + 1),
-                 "scalar": np.float64(1.0),
-                 "3-d": np.ones((rom.size, 1, 1))}[shape]
-            with pytest.raises(ReductionError, match="reduced state"):
-                rom.reconstruct_state(z)
+            for z in (np.ones(rom.size - 1), np.ones(rom.size + 1),
+                      np.ones((rom.size, 1))):
+                with pytest.raises(ReductionError, match="reduced state"):
+                    rom.reconstruct_state(z)
 
     def test_bordered_rom_raises_partition_error(self, smoke_benchmark):
         rom, _, _ = multilevel_reduce(
