@@ -36,6 +36,7 @@ fan-out never oversubscribes the cores or waits on its own pool.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.obs.tracing import attach_context, capture_context, trace_span
+from repro.obs.tracing import trace_span
 
 __all__ = ["SweepEngine", "AdaptiveSweepResult", "available_cpus",
            "on_pool_thread", "shared_engine"]
@@ -97,21 +98,19 @@ def _require_evaluator(system) -> None:
             "engine evaluates a model through its own evaluator")
 
 
-def _thread_chunk_call(kernel, task, ctx):
-    """Run one chunk of a parallel dispatch under the submitter's trace
-    context.
+def _thread_chunk_call(kernel, task):
+    """Run one chunk of a parallel dispatch inside an ``engine.chunk``
+    span (a plain timer while tracing is disabled).
 
-    Contextvars do not follow work onto pool threads, so the context
-    captured at dispatch is re-attached here; the ``engine.chunk`` span
-    (a no-op while tracing is disabled) then parents every span the
-    kernel opens, on a pool thread and on the dispatching thread alike.
-    The kernel itself is untouched — results stay bit-identical to the
-    serial path.
+    Pool threads run their chunks in a copy of the dispatcher's
+    context, so the span sits under the dispatching span and parents
+    every span the kernel opens, on a pool thread and on the dispatching
+    thread alike.  The kernel itself is untouched — results stay bit-identical
+    to the serial path.
     """
-    with attach_context(ctx):
-        with trace_span("engine.chunk", executor="thread",
-                        kernel=getattr(kernel, "__name__", str(kernel))):
-            return kernel(task)
+    with trace_span("engine.chunk", executor="thread",
+                    kernel=getattr(kernel, "__name__", str(kernel))):
+        return kernel(task)
 
 
 # --------------------------------------------------------------------------- #
@@ -290,13 +289,13 @@ class SweepEngine:
         more malloc arena and BLAS buffer set kept for the process's
         life.  Helpers still queued once the caller runs dry (the pool is
         busy with another dispatch) are cancelled, not waited for.
-        Parallel dispatches capture the submitting trace context so
-        worker spans re-attach to the dispatching span.
+        Each helper runs in a copy of the caller's context, so worker
+        spans parent under the dispatching span and checks recorded on
+        a worker reach the caller's open health scopes.
         """
         workers = self.workers_for(len(tasks))
         if workers <= 1:
             return [kernel(task) for task in tasks]
-        ctx = capture_context()
         results = [None] * len(tasks)
         pending = iter(range(len(tasks)))
         lock = threading.Lock()
@@ -309,14 +308,14 @@ class SweepEngine:
                 if index is None:
                     return
                 try:
-                    results[index] = _thread_chunk_call(kernel, tasks[index],
-                                                        ctx)
+                    results[index] = _thread_chunk_call(kernel, tasks[index])
                 except BaseException:
                     failed.append(index)
                     raise
 
         pool = self._get_pool()
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        helpers = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(workers - 1)]
         try:
             with _running_pool_tasks():
                 drain()

@@ -87,12 +87,14 @@ script:
     format.
 
 ``python -m repro reduce --health --ledger runs/ledger.jsonl``
-    Observed run: ``--health`` turns on the numerical-health monitors
-    (orthogonality loss after every blocked merge, sampled solve
-    residuals, deflation/recycle rates, interface SVD tails) and prints
-    the watchdog verdict; ``--ledger`` appends a flight-recorder record
-    (git SHA, config fingerprint, duration, span rollup, counters,
-    health) to a JSONL file.  Both flags ride on ``reduce``, ``bench``,
+    Observed run: ``--health`` runs the command inside one health scope
+    (:func:`~repro.obs.health.collect_health`), which turns on the
+    numerical-health monitors for it (orthogonality loss after every
+    blocked merge, sampled solve residuals, deflation/recycle rates,
+    interface SVD tails), and prints the scope's watchdog verdict;
+    ``--ledger`` appends a flight-recorder record (git SHA, config
+    fingerprint, duration, span rollup, counters, health) to a JSONL
+    file.  Both flags ride on ``reduce``, ``bench``,
     ``query`` and ``serve-bench``; ``repro obs report --ledger PATH``
     summarizes the recorded runs and their duration trends.
 
@@ -121,6 +123,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -152,12 +155,10 @@ from repro.linalg import default_cache
 from repro.obs import (
     RunLedger,
     check_budget,
-    default_health,
+    collect_health,
     diff_profiles,
-    disable_health_monitors,
     disable_tracing,
     drain_spans,
-    enable_health_monitors,
     enable_tracing,
     format_diff,
     load_profile,
@@ -858,10 +859,11 @@ def _add_trace_out(cmd: argparse.ArgumentParser) -> None:
                           "span rollup, counters, health verdict) to PATH; "
                           "summarize with `repro obs report --ledger PATH`")
     cmd.add_argument("--health", action="store_true",
-                     help="enable the numerical-health monitors for this "
-                          "run (orthogonality loss, solve residuals, "
-                          "deflation/recycle rates, interface SVD tails) "
-                          "and print the watchdog verdict afterwards")
+                     help="run the command inside one health scope, "
+                          "which turns the numerical-health monitors on "
+                          "for it (orthogonality loss, solve residuals, "
+                          "deflation/recycle rates, interface SVD tails), "
+                          "and print the scope's verdict afterwards")
 
 
 def _run_observed(args: argparse.Namespace) -> dict:
@@ -1139,14 +1141,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # even without --trace-out (tracing is bit-transparent to the run).
     if trace_out is not None or ledger_path is not None:
         enable_tracing()
-    health_mark = None
-    if use_health:
-        enable_health_monitors()
-        health_mark = default_health().mark()
+    health_scope = collect_health() if use_health else nullcontext()
+    health_report = None
     start = time.perf_counter()
     exit_code = 1
     try:
-        exit_code = handler(args)
+        with health_scope as health_report:
+            exit_code = handler(args)
         return exit_code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1161,10 +1162,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             path = write_chrome_trace(spans, trace_out)
             print(f"chrome trace written to {path} "
                   f"({len(spans)} spans)")
-        health_report = None
-        if use_health:
-            health_report = default_health().report(since=health_mark)
-            disable_health_monitors()
+        if health_report is not None:
             print(f"health: {health_report.summary()}")
             for check in (health_report.failed()
                           + health_report.warned()):

@@ -77,9 +77,10 @@ from repro.mor.base import (
     ResourceBudget,
     expansion_point_options,
     expansion_points_checked,
+    memoized_reduce,
     real_columns_per_input,
 )
-from repro.obs.health import begin_reduce_health, finish_reduce_health
+from repro.obs.health import reduce_with_health
 from repro.obs.tracing import current_span, trace_span, traced
 
 __all__ = ["BDSMOptions", "MIN_CHUNK_SOLVE_WORK", "bdsm_reduce",
@@ -261,21 +262,25 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     points = expansion_points_checked(moments_per_point, expansion_points)
     opts = options or BDSMOptions()
     budget = budget or ResourceBudget.unlimited()
+    label = "BDSM" if len(points) == 1 else "BDSM-mp"
+
+    def build():
+        return _build(system, moments_per_point, points, opts, budget,
+                      recycle, recycle_tol, label)
+
+    return memoized_reduce(
+        store, system, "BDSM",
+        bdsm_store_options(moments_per_point, points, options=opts,
+                           recycle=recycle, recycle_tol=recycle_tol),
+        lambda: reduce_with_health(build, method=label))
+
+
+def _build(system, moments_per_point: int, points: list,
+           opts: BDSMOptions, budget: ResourceBudget, recycle: bool,
+           recycle_tol: float, label: str):
+    """One fresh BDSM reduce; see :func:`multipoint_bdsm_reduce`."""
     single = len(points) == 1
     s0 = points[0] if single else points
-
-    store_key = None
-    store_options = None
-    if store is not None:
-        store_options = bdsm_store_options(
-            moments_per_point, points, options=opts, recycle=recycle,
-            recycle_tol=recycle_tol)
-        store_key = store.key_for(system, "BDSM", store_options)
-        load_start = time.perf_counter()
-        cached = store.fetch_key(store_key)
-        if cached is not None:
-            return cached, OrthoStats(), time.perf_counter() - load_start
-
     C = to_csr(system.C)
     G = to_csr(system.G)
     B = to_csr(system.B)
@@ -314,7 +319,6 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         return engine.map_scenarios(fn, items)
 
     start = time.perf_counter()
-    health_mark = begin_reduce_health()
     operators = fan_out(
         lambda point: ShiftedOperator(C, G, s0=point), points)
 
@@ -361,7 +365,6 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         if recycle_stats is not None:
             recycle_stats.merge(chunk_recycle)
 
-    label = "BDSM" if single else "BDSM-mp"
     rom = BlockDiagonalROM(
         blocks, n_outputs=p, s0=s0, n_moments=moments_per_point,
         original_size=n, original_ports=m,
@@ -370,10 +373,4 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
                         for op in operators]
     if recycle_stats is not None:
         rom.recycle_stats = recycle_stats  # type: ignore[attr-defined]
-    finish_reduce_health(health_mark, rom, stats, method=label,
-                         recycle_stats=recycle_stats)
-    elapsed = time.perf_counter() - start
-    if store is not None:
-        store.put(store_key, rom, method="BDSM", options=store_options,
-                  system_name=getattr(system, "name", None))
-    return rom, stats, elapsed
+    return rom, stats, time.perf_counter() - start

@@ -42,7 +42,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from repro.exceptions import SingularSystemError, SolverBackendError
-from repro.obs.health import default_health, health_enabled
+from repro.obs.health import health_enabled, record_health
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import trace_span
 from repro.linalg.sparse_utils import (
@@ -133,11 +133,11 @@ class LinearSolver:
         self.n = self.shape[0]
         self.dtype = np.dtype(complex if np.iscomplexobj(
             matrix.data if sp.issparse(matrix) else matrix) else float)
-        # Residual health probe: only solvers built while the monitors
-        # are enabled keep a matrix reference (so the disabled path pays
-        # nothing and holds nothing alive).  Cached solvers constructed
-        # before enabling therefore never probe — clear the cache when
-        # switching monitoring on mid-process.
+        # Residual health probe: only solvers built inside a health
+        # scope keep a matrix reference (so the disabled path pays
+        # nothing and holds nothing alive), and they probe only while a
+        # scope is open.  Cached solvers constructed outside any scope
+        # never probe — clear the cache before opening one to see them.
         self._solves = 0
         self._health_matrix = matrix if health_enabled() else None
 
@@ -160,18 +160,19 @@ class LinearSolver:
         """Sampled relative-residual probe of the health monitors.
 
         Costs one SpMM per sampled solve (the first, then every
-        :data:`RESIDUAL_SAMPLE_EVERY`-th), nothing at all when the
-        monitors were off at construction time.
+        :data:`RESIDUAL_SAMPLE_EVERY`-th) inside a health scope, nothing
+        at all for a solver built outside one.
         """
         self._solves += 1
         A = self._health_matrix
-        if A is None or (self._solves - 1) % RESIDUAL_SAMPLE_EVERY:
+        if (A is None or (self._solves - 1) % RESIDUAL_SAMPLE_EVERY
+                or not health_enabled()):
             return
         residual = np.asarray(A @ solution) - rhs
         denom = float(np.linalg.norm(rhs))
         value = (float(np.linalg.norm(residual)) / denom
                  if denom > 0.0 else 0.0)
-        default_health().record(
+        record_health(
             "solve.residual", value, backend=self.name,
             detail=f"n={self.n} nrhs={rhs.shape[1]} solve={self._solves}")
 

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.exceptions import DeflationError
-from repro.obs.health import default_health, health_enabled
+from repro.obs.health import health_enabled, record_health, scope_sample
 
 __all__ = [
     "OrthoStats",
@@ -73,8 +73,6 @@ HEALTH_LOSS_COLUMNS = 32
 #: Fresh QR factorisations (no ``init`` basis) are probed one-in-N;
 #: cross-basis merges are always probed.  See :func:`_should_probe`.
 HEALTH_FRESH_PROBE_EVERY = 8
-
-_fresh_probe_count = 0
 
 
 def orthogonality_loss(basis: np.ndarray, *,
@@ -594,7 +592,7 @@ def block_orthonormalize(
             merged = np.column_stack(
                 [init[:, i] if i < n_existing else basis[:, i - n_existing]
                  for i in idx])
-        default_health().record(
+        record_health(
             "ortho.loss", orthogonality_loss(merged),
             detail=f"n={n} columns={total} "
                    f"deflated={stats.deflations}")
@@ -608,15 +606,12 @@ def _should_probe(init) -> bool:
     cross-basis CGS2 is where orthogonality actually breaks, and those
     merges are few (multipoint points, recycle absorptions).  Fresh QR
     factorisations (``init is None`` — e.g. one per BDSM port cluster)
-    rarely drift, so only every :data:`HEALTH_FRESH_PROBE_EVERY`-th is
-    probed; this is what keeps the monitors-enabled reduce inside the
-    ``health_overhead`` 5% budget on cluster-heavy reduces.
+    rarely drift, so only every :data:`HEALTH_FRESH_PROBE_EVERY`-th of
+    a health scope is probed; this is what keeps the monitors-enabled
+    reduce inside the ``health_overhead`` 5% budget on cluster-heavy
+    reduces.
     """
-    if init is not None:
-        return True
-    global _fresh_probe_count
-    _fresh_probe_count += 1
-    return (_fresh_probe_count - 1) % HEALTH_FRESH_PROBE_EVERY == 0
+    return init is not None or scope_sample(HEALTH_FRESH_PROBE_EVERY)
 
 
 def theoretical_inner_products(m: int, l: int, *, clustered: bool) -> int:

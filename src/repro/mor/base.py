@@ -23,17 +23,19 @@ Four pieces live here:
     The per-run record (method, CPU time, ROM size, non-zeros, matched
     moments, reusability) that the Table I / Table II harnesses aggregate.
 
-Expansion-point helpers
-    :func:`expansion_points_checked`, :func:`real_columns_per_input` and
-    :func:`expansion_point_options` — the argument check, dense-budget
-    column bound and store-key record the Krylov reducers (BDSM, PRIMA)
-    share, whatever the number of expansion points.
+Krylov-reducer helpers
+    :func:`expansion_points_checked`, :func:`real_columns_per_input`,
+    :func:`expansion_point_options` and :func:`memoized_reduce` — the
+    argument check, dense-budget column bound, store-key record and
+    store round trip the Krylov reducers (BDSM, PRIMA) share, whatever
+    the number of expansion points.
 """
 
 from __future__ import annotations
 
 import cmath
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +50,7 @@ from repro.linalg.orthogonalization import OrthoStats
 from repro.linalg.recycle import DEFAULT_RECYCLE_TOL
 from repro.linalg.sparse_utils import estimate_dense_bytes, nnz_density
 from repro.mor.modal import MODAL_TOL, ModalFormError, modal_block, probe_point
-from repro.obs.health import default_health, health_enabled
+from repro.obs.health import health_enabled, record_health
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import trace_span
 
@@ -60,6 +62,7 @@ __all__ = [
     "StructuredROM",
     "expansion_point_options",
     "expansion_points_checked",
+    "memoized_reduce",
     "real_columns_per_input",
 ]
 
@@ -103,6 +106,30 @@ def expansion_point_options(moments_per_point: int, expansion_points, *,
     if recycle:
         record["recycle_tol"] = float(recycle_tol)
     return record
+
+
+def memoized_reduce(store, system, method: str, options: dict, build):
+    """Run one reduce ``build() -> (rom, stats, seconds)`` through
+    :meth:`~repro.store.ModelStore.get_or_reduce` of ``store``.
+
+    A store hit returns the loaded ROM with empty
+    :class:`~repro.linalg.orthogonalization.OrthoStats` and the key and
+    load time; a miss runs ``build``, stores its ROM and returns its own
+    triple.  Without a store this is just ``build()``.
+    """
+    if store is None:
+        return build()
+    built = []
+
+    def builder():
+        built.append(build())
+        return built[0][0]
+
+    start = time.perf_counter()
+    rom, hit = store.get_or_reduce(system, method, options, builder)
+    if hit:
+        return rom, OrthoStats(), time.perf_counter() - start
+    return built[0]
 
 
 @dataclass
@@ -304,9 +331,10 @@ class StructuredROM:
     sparse CSR — so the generic analyses run on any ROM.
     Blocks must not change after the first query or assembly.
 
-    ``health`` is the :class:`~repro.obs.health.HealthReport` the reducer
-    attached (``None`` while monitoring is off); artifacts do not persist
-    it.
+    ``health`` is the :class:`~repro.obs.health.HealthReport` of the
+    reducer's own health scope (``None`` when it ran outside any
+    :func:`~repro.obs.health.collect_health` block); artifacts do not
+    persist it.
     """
 
     _dense = staticmethod(_dense)
@@ -595,7 +623,7 @@ class StructuredROM:
                     "rom.modal_fallback",
                     reason=getattr(exc, "reason", "probe"))
                 if health_enabled():
-                    default_health().record(
+                    record_health(
                         "rom.modal_fallback", 1.0,
                         detail=f"{self.name}: {exc}", method=self.method)
                 return ()

@@ -46,9 +46,10 @@ from repro.mor.base import (
     ResourceBudget,
     expansion_point_options,
     expansion_points_checked,
+    memoized_reduce,
     real_columns_per_input,
 )
-from repro.obs.health import begin_reduce_health, finish_reduce_health
+from repro.obs.health import reduce_with_health
 from repro.obs.tracing import trace_span, traced
 
 __all__ = ["congruence_project", "multipoint_prima_reduce", "prima_reduce",
@@ -191,23 +192,30 @@ def multipoint_prima_reduce(system, moments_per_point: int,
     """
     points = expansion_points_checked(moments_per_point, expansion_points)
     budget = budget or ResourceBudget.unlimited()
-    single = len(points) == 1
+    method = "PRIMA" if len(points) == 1 else "multipoint-PRIMA"
 
-    store_key = None
-    store_options = None
-    if store is not None:
-        store_options = prima_store_options(
-            moments_per_point, points, deflation_tol=deflation_tol,
-            keep_projection=keep_projection, recycle=recycle,
-            recycle_tol=recycle_tol)
-        store_key = store.key_for(system, "PRIMA", store_options)
-        load_start = time.perf_counter()
-        cached = store.fetch_key(store_key)
-        if cached is not None:
-            if not single:
-                cached.expansion_points = points  # type: ignore[attr-defined]
-            return cached, OrthoStats(), time.perf_counter() - load_start
+    def build():
+        return _build(system, moments_per_point, points, budget,
+                      keep_projection, deflation_tol, recycle, recycle_tol,
+                      method)
 
+    rom, stats, seconds = memoized_reduce(
+        store, system, "PRIMA",
+        prima_store_options(moments_per_point, points,
+                            deflation_tol=deflation_tol,
+                            keep_projection=keep_projection,
+                            recycle=recycle, recycle_tol=recycle_tol),
+        lambda: reduce_with_health(build, method=method))
+    if len(points) > 1:
+        rom.expansion_points = points  # type: ignore[attr-defined]
+    return rom, stats, seconds
+
+
+def _build(system, moments_per_point: int, points: list,
+           budget: ResourceBudget, keep_projection: bool,
+           deflation_tol: float, recycle: bool, recycle_tol: float,
+           method: str):
+    """One fresh PRIMA reduce; see :func:`multipoint_prima_reduce`."""
     n = system.C.shape[0]
     m = system.B.shape[1]
     q_upper = m * real_columns_per_input(moments_per_point, points)
@@ -215,7 +223,6 @@ def multipoint_prima_reduce(system, moments_per_point: int,
     budget.check_dense(q_upper, 2 * q_upper, what="PRIMA dense ROM")
 
     start = time.perf_counter()
-    health_mark = begin_reduce_health()
     stats = OrthoStats()
     recycle_stats = RecycleStats() if recycle else None
     workspace = RecycleWorkspace(n, recycle_tol=recycle_tol,
@@ -233,21 +240,12 @@ def multipoint_prima_reduce(system, moments_per_point: int,
         stats.merge(krylov.stats)
         solve_counts.append(operator.solve_count)
 
-    method = "PRIMA" if single else "multipoint-PRIMA"
     with trace_span("prima.project"):
         rom = congruence_project(
             system, workspace.basis, method=method, s0=points[0],
             n_moments=moments_per_point, reusable=True,
             keep_projection=keep_projection)
-    if not single:
-        rom.expansion_points = points  # type: ignore[attr-defined]
     rom.solve_counts = solve_counts  # type: ignore[attr-defined]
     if recycle_stats is not None:
         rom.recycle_stats = recycle_stats  # type: ignore[attr-defined]
-    finish_reduce_health(health_mark, rom, stats, method=method,
-                         recycle_stats=recycle_stats)
-    elapsed = time.perf_counter() - start
-    if store is not None:
-        store.put(store_key, rom, method="PRIMA", options=store_options,
-                  system_name=getattr(system, "name", None))
-    return rom, stats, elapsed
+    return rom, stats, time.perf_counter() - start

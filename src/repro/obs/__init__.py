@@ -4,8 +4,8 @@
 time go".  It has two halves:
 
 * :mod:`repro.obs.tracing` — a hierarchical span tracer with contextvar
-  parent propagation, explicit capture/attach hand-off across
-  ``SweepEngine`` and ``ModelServer`` worker threads, exception-safe
+  parent propagation (``SweepEngine`` and ``ModelServer`` worker threads
+  run their tasks in a copy of the submitter's context), exception-safe
   closing, and a cheap disabled path (gated by the ``obs_overhead`` perf
   workload);
 * :mod:`repro.obs.metrics` — counters, gauges and bounded-reservoir
@@ -25,8 +25,9 @@ the ``--trace-out`` flags are thin wrappers over them.
 The *consume* side sits on top of those producers:
 
 * :mod:`repro.obs.health` — numerical-health monitors with threshold
-  watchdogs (:class:`HealthMonitors`), emitting structured
-  :class:`HealthReport` verdicts that reducers attach to ``rom.health``;
+  watchdogs, collected by context-scoped :func:`collect_health` blocks
+  into structured :class:`HealthReport` verdicts (each reducer opens a
+  nested scope and attaches it to ``rom.health``);
 * :mod:`repro.obs.ledger` — the append-only JSONL run flight recorder
   behind ``--ledger`` / ``repro obs report``;
 * :mod:`repro.obs.diff` — trace profiles and the phase-attributed
@@ -59,15 +60,11 @@ from repro.obs.export import (
 )
 from repro.obs.health import (
     HealthCheck,
-    HealthMonitors,
     HealthReport,
-    begin_reduce_health,
     classify,
-    default_health,
-    disable_health_monitors,
-    enable_health_monitors,
-    finish_reduce_health,
+    collect_health,
     health_enabled,
+    record_health,
 )
 from repro.obs.ledger import (
     RunLedger,
@@ -86,10 +83,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import (
     Span,
-    TraceContext,
     Tracer,
-    attach_context,
-    capture_context,
     current_span,
     default_tracer,
     disable_tracing,
@@ -104,7 +98,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "HealthCheck",
-    "HealthMonitors",
     "HealthReport",
     "Histogram",
     "MetricsRegistry",
@@ -113,24 +106,17 @@ __all__ = [
     "RunLedger",
     "Span",
     "TelemetryServer",
-    "TraceContext",
     "Tracer",
-    "attach_context",
-    "begin_reduce_health",
-    "capture_context",
     "check_budget",
     "classify",
-    "finish_reduce_health",
+    "collect_health",
     "config_fingerprint",
     "current_span",
-    "default_health",
     "default_metrics",
     "default_tracer",
     "diff_profiles",
-    "disable_health_monitors",
     "disable_tracing",
     "drain_spans",
-    "enable_health_monitors",
     "enable_tracing",
     "format_diff",
     "health_enabled",
@@ -138,6 +124,7 @@ __all__ = [
     "parse_budget",
     "percentile",
     "read_ledger",
+    "record_health",
     "span_rollup",
     "span_tree_report",
     "summarize_ledger",

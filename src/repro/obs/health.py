@@ -3,25 +3,29 @@
 The tracing/metrics layer answers *where did the time go*; this module
 answers *are the numerics (and the service) still healthy*.  Call sites
 throughout the library — the blocked orthonormalisation kernel, the
-solver backends, the reducers, the interface-reduction SVD, the serving
-stats — compute a cheap scalar (orthogonality loss, relative residual,
-deflation rate, SVD tail energy, p99 latency) and hand it to
-:meth:`HealthMonitors.record`, which
+solver backends, the reducers, the interface-reduction SVD — compute a
+cheap scalar (orthogonality loss, relative residual, deflation rate, SVD
+tail energy) and hand it to :func:`record_health`, which
 
 * classifies it against per-monitor warn/fail thresholds into a
   structured :class:`HealthCheck`,
 * publishes it as a ``health.<monitor>`` gauge in the default metrics
   registry (so ``/metrics`` and ``repro stats`` expose the latest
   value), and
-* appends it to a bounded in-memory log from which :meth:`report`
-  assembles a :class:`HealthReport` — the object reducers attach to
-  ``rom.health`` and ``/healthz`` serves as its verdict.
+* appends it to every :func:`collect_health` scope open in the calling
+  context.
 
-Monitoring is **off by default** (:func:`health_enabled` is the single
-cheap gate every instrumented call site checks first), so the disabled
-path costs one function call and stays inside the ``obs_overhead``
-budget; the ``health_overhead`` perf workload pins the *enabled* cost to
-within 5% of a monitors-off reduce.
+Monitoring is a **scope, not a switch**: ``with collect_health() as
+report`` turns the monitors on for the code it runs (and for the copies
+of its context that the library's thread hand-offs run pooled work in),
+and nowhere else.  Scopes nest: every reducer opens its own inside an
+open one (:func:`reduce_with_health`) and attaches it as ``rom.health``,
+so two reduces running at once never see each other's checks.
+Outside any scope :func:`health_enabled` — the single cheap gate every
+instrumented call site checks first — is false, so the disabled path
+costs one context-variable read and stays inside the ``obs_overhead``
+budget; the ``health_overhead`` perf workload pins the *enabled* cost
+to within 5% of a monitors-off reduce.
 
 Like the rest of :mod:`repro.obs`, this module is stdlib-only: the
 numerics (GEMMs, residual norms, singular values) happen at the call
@@ -30,8 +34,9 @@ sites, which pass plain floats in.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
+import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import default_metrics
@@ -39,30 +44,22 @@ from repro.obs.metrics import default_metrics
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "HealthCheck",
-    "HealthMonitors",
     "HealthReport",
-    "begin_reduce_health",
     "classify",
-    "default_health",
-    "disable_health_monitors",
-    "enable_health_monitors",
-    "finish_reduce_health",
+    "collect_health",
     "health_enabled",
+    "record_health",
+    "reduce_with_health",
+    "scope_sample",
 ]
 
 #: Severity order used to pick a report's overall status.
 _STATUS_RANK = {"ok": 0, "warn": 1, "fail": 2}
 
-#: Checks retained in one :class:`HealthMonitors` log.  Old checks fall
-#: off the front, like the span buffer — a watchdog is about *recent*
-#: behaviour.
-DEFAULT_CHECK_BUFFER = 4096
-
 #: Built-in warn/fail thresholds per monitor name.  ``direction`` says
 #: which side of the threshold is unhealthy: ``"above"`` (the default —
 #: losses, residuals, rates, latencies) or ``"below"``.  Call sites can
-#: override any of these per call; :meth:`HealthMonitors.configure`
-#: overrides them per registry.
+#: override any of these per call.
 DEFAULT_THRESHOLDS: dict[str, dict] = {
     # ||Q^T Q - I||_max of a merged basis after block_orthonormalize.
     # Healthy CGS2 + Householder merges sit at a few ulp (1e-15-ish);
@@ -127,6 +124,28 @@ class HealthCheck:
         return out
 
     @classmethod
+    def evaluate(cls, monitor: str, value: float, *,
+                 warn_at: float | None = None,
+                 fail_at: float | None = None,
+                 direction: str | None = None, detail: str = "",
+                 **labels) -> "HealthCheck":
+        """Classify ``value`` against the thresholds of ``monitor`` in
+        :data:`DEFAULT_THRESHOLDS`, each overridable by argument."""
+        spec = DEFAULT_THRESHOLDS.get(monitor, {})
+        if warn_at is None:
+            warn_at = spec.get("warn_at")
+        if fail_at is None:
+            fail_at = spec.get("fail_at")
+        if direction is None:
+            direction = spec.get("direction", "above")
+        value = float(value)
+        return cls(monitor=monitor, value=value,
+                   status=classify(value, warn_at=warn_at, fail_at=fail_at,
+                                   direction=direction),
+                   warn_at=warn_at, fail_at=fail_at, direction=direction,
+                   detail=detail, labels=labels)
+
+    @classmethod
     def from_dict(cls, data: dict) -> "HealthCheck":
         return cls(monitor=data["monitor"], value=float(data["value"]),
                    status=data.get("status", "ok"),
@@ -141,6 +160,10 @@ class HealthReport:
     """An ordered collection of checks with an aggregate verdict."""
 
     checks: list[HealthCheck] = field(default_factory=list)
+    #: Call counter of :func:`scope_sample` while this is the innermost
+    #: open scope.
+    _samples: itertools.count = field(default_factory=itertools.count,
+                                      init=False, repr=False, compare=False)
 
     @property
     def status(self) -> str:
@@ -205,159 +228,99 @@ def classify(value: float, *, warn_at: float | None,
     return "ok"
 
 
-class HealthMonitors:
-    """Thread-safe registry of health checks with threshold watchdogs."""
-
-    def __init__(self, *, buffer: int = DEFAULT_CHECK_BUFFER,
-                 metrics=None) -> None:
-        self._lock = threading.Lock()
-        self._checks: deque[HealthCheck] = deque(maxlen=buffer)
-        self._dropped = 0
-        self._thresholds = {name: dict(spec)
-                            for name, spec in DEFAULT_THRESHOLDS.items()}
-        self._metrics = metrics
-
-    def configure(self, monitor: str, *, warn_at: float | None = None,
-                  fail_at: float | None = None,
-                  direction: str | None = None) -> None:
-        """Override the default thresholds of one monitor."""
-        with self._lock:
-            spec = self._thresholds.setdefault(monitor, {})
-            if warn_at is not None:
-                spec["warn_at"] = warn_at
-            if fail_at is not None:
-                spec["fail_at"] = fail_at
-            if direction is not None:
-                spec["direction"] = direction
-
-    def record(self, monitor: str, value: float, *,
-               warn_at: float | None = None, fail_at: float | None = None,
-               direction: str | None = None, detail: str = "",
-               **labels) -> HealthCheck:
-        """Classify and log one observation; returns the check.
-
-        Explicit ``warn_at``/``fail_at``/``direction`` override the
-        registry's configured thresholds for this call only.  ``labels``
-        become gauge labels in the metrics registry, so keep their
-        cardinality bounded (backend names, request kinds — not values).
-        """
-        # Lock-free read: _thresholds maps to per-monitor dicts that
-        # configure() mutates in place, and dict reads are atomic under
-        # the GIL — record() is hot, configure() is setup-time.
-        spec = self._thresholds.get(monitor, {})
-        if warn_at is None:
-            warn_at = spec.get("warn_at")
-        if fail_at is None:
-            fail_at = spec.get("fail_at")
-        if direction is None:
-            direction = spec.get("direction", "above")
-        value = float(value)
-        status = classify(value, warn_at=warn_at, fail_at=fail_at,
-                          direction=direction)
-        check = HealthCheck(monitor=monitor, value=value, status=status,
-                            warn_at=warn_at, fail_at=fail_at,
-                            direction=direction, detail=detail,
-                            labels=dict(labels))
-        with self._lock:
-            if len(self._checks) == self._checks.maxlen:
-                self._dropped += 1
-            self._checks.append(check)
-        metrics = self._metrics or default_metrics()
-        metrics.set_gauge(f"health.{monitor}", value, **labels)
-        if status != "ok":
-            metrics.increment("health.verdict", status=status,
-                              monitor=monitor)
-        return check
-
-    def mark(self) -> int:
-        """Opaque position marker for :meth:`report`'s ``since``.
-
-        ``report(since=mark)`` later returns only checks recorded after
-        this call — how reducers scope ``rom.health`` to their own run.
-        """
-        with self._lock:
-            return self._dropped + len(self._checks)
-
-    def report(self, *, since: int = 0) -> HealthReport:
-        """Assemble a report of the checks recorded after ``since``."""
-        with self._lock:
-            skip = max(0, since - self._dropped)
-            checks = list(self._checks)[skip:]
-        return HealthReport(checks=checks)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._checks.clear()
-            self._dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._checks)
-
-
-_DEFAULT_HEALTH = HealthMonitors()
-_HEALTH_ENABLED = False
-
-
-def default_health() -> HealthMonitors:
-    """The process-wide monitor registry instrumented call sites use."""
-    return _DEFAULT_HEALTH
+_SCOPES: ContextVar[tuple[HealthReport, ...]] = ContextVar(
+    "repro_obs_health_scopes", default=())
 
 
 def health_enabled() -> bool:
-    """Cheap gate every instrumented call site checks before computing
+    """Whether a :func:`collect_health` scope is open in this context:
+    the cheap gate every instrumented call site checks before computing
     its health scalar (the scalar, not the gate, is the real cost)."""
-    return _HEALTH_ENABLED
+    return bool(_SCOPES.get())
 
 
-def enable_health_monitors() -> None:
-    global _HEALTH_ENABLED
-    _HEALTH_ENABLED = True
+@contextmanager
+def collect_health():
+    """Open a health scope; yields the :class:`HealthReport` it fills.
+
+    Every check recorded in this context (and in every copy of it a
+    library thread hand-off runs work in) until the block exits is
+    appended to the yielded report and to every enclosing scope's."""
+    report = HealthReport()
+    token = _SCOPES.set(_SCOPES.get() + (report,))
+    try:
+        yield report
+    finally:
+        _SCOPES.reset(token)
 
 
-def disable_health_monitors() -> None:
-    global _HEALTH_ENABLED
-    _HEALTH_ENABLED = False
+def scope_sample(every: int) -> bool:
+    """One-in-``every`` sampling counted per scope: true on the first
+    call in the innermost open scope and on every ``every``-th after it,
+    false outside any scope.  A probe sampled this way takes the same
+    checks in a reduce whatever ran before it or beside it."""
+    scopes = _SCOPES.get()
+    return bool(scopes) and next(scopes[-1]._samples) % every == 0
 
 
-def begin_reduce_health() -> int | None:
-    """Mark the monitor log at the start of one reduce (``None`` while
-    monitoring is off — pass it straight to :func:`finish_reduce_health`,
-    which then does nothing)."""
-    return default_health().mark() if health_enabled() else None
+def record_health(monitor: str, value: float, *,
+                  warn_at: float | None = None,
+                  fail_at: float | None = None,
+                  direction: str | None = None, detail: str = "",
+                  **labels) -> HealthCheck:
+    """Classify one observation, publish it and add it to the open scopes.
 
-
-def finish_reduce_health(mark: int | None, rom, ortho_stats, *,
-                         method: str, recycle_stats=None):
-    """Record the end-of-reduce rate monitors and attach ``rom.health``.
-
-    Shared by every reducer: records the deflation rate (deflated /
-    candidate columns) and — when the reduce recycled bases — the
-    recycle screen rate, then scoops every check recorded since ``mark``
-    (orthogonality losses, solve residuals, interface tails included)
-    into a :class:`HealthReport` attached to the ROM by plain attribute
-    assignment, the same idiom as ``rom.solve_counts``.
-
-    ``rom`` and the stats objects are duck-typed (``rom.size``,
-    ``ortho_stats.deflations``, ``recycle_stats.hits/screened``) so this
-    module stays a stdlib-only leaf.
+    Explicit ``warn_at``/``fail_at``/``direction`` override the
+    :data:`DEFAULT_THRESHOLDS` of ``monitor`` for this call only.  The
+    value becomes the ``health.<monitor>`` gauge of the default metrics
+    registry and a non-ok status one ``health.verdict`` count; ``labels``
+    become gauge labels there, so keep their cardinality bounded
+    (backend names, request kinds — not values).
     """
-    if mark is None:
-        return None
-    monitors = default_health()
-    deflations = int(getattr(ortho_stats, "deflations", 0))
-    kept = int(getattr(rom, "size", 0))
-    monitors.record(
-        "reduce.deflation_rate",
-        deflations / max(1, deflations + kept),
-        method=method, detail=f"deflated={deflations} kept={kept}")
-    screened = int(getattr(recycle_stats, "screened", 0) or 0)
-    if screened:
-        hits = int(getattr(recycle_stats, "hits", 0))
-        monitors.record(
-            "recycle.screen_rate", hits / screened, method=method,
-            detail=f"hits={hits} screened={screened} solves_skipped="
-                   f"{getattr(recycle_stats, 'solves_skipped', 0)}")
-    report = monitors.report(since=mark)
+    check = HealthCheck.evaluate(monitor, value, warn_at=warn_at,
+                                 fail_at=fail_at, direction=direction,
+                                 detail=detail, **labels)
+    metrics = default_metrics()
+    metrics.set_gauge(f"health.{monitor}", check.value, **labels)
+    if check.status != "ok":
+        metrics.increment("health.verdict", status=check.status,
+                          monitor=monitor)
+    for report in _SCOPES.get():
+        report.checks.append(check)
+    return check
+
+
+def reduce_with_health(build, *, method: str):
+    """Run one reduce ``build() -> (rom, ortho_stats, seconds)`` in its
+    own nested health scope and attach that scope as ``rom.health``.
+
+    Shared by every reducer: inside the scope it records the deflation
+    rate (deflated / candidate columns) and — when the ROM carries
+    ``recycle_stats`` — the recycle screen rate, so ``rom.health`` holds
+    exactly the checks of this reduce (orthogonality losses, solve
+    residuals, interface tails included).  With no scope open this is
+    just ``build()``.  The ROM and stats objects are duck-typed
+    (``rom.size``, ``ortho_stats.deflations``,
+    ``recycle_stats.hits/screened``) so this module stays a stdlib-only
+    leaf.
+    """
+    if not health_enabled():
+        return build()
+    with collect_health() as report:
+        rom, ortho_stats, seconds = build()
+        deflations = int(getattr(ortho_stats, "deflations", 0))
+        kept = int(getattr(rom, "size", 0))
+        record_health(
+            "reduce.deflation_rate",
+            deflations / max(1, deflations + kept),
+            method=method, detail=f"deflated={deflations} kept={kept}")
+        recycle_stats = getattr(rom, "recycle_stats", None)
+        screened = int(getattr(recycle_stats, "screened", 0) or 0)
+        if screened:
+            hits = int(getattr(recycle_stats, "hits", 0))
+            record_health(
+                "recycle.screen_rate", hits / screened, method=method,
+                detail=f"hits={hits} screened={screened} solves_skipped="
+                       f"{getattr(recycle_stats, 'solves_skipped', 0)}")
     rom.health = report
-    return report
+    return rom, ortho_stats, seconds

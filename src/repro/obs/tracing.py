@@ -7,7 +7,7 @@ of the ``serve.plan`` request that scheduled it.  Parenthood is tracked
 through a :class:`contextvars.ContextVar`, so ordinary nested ``with``
 blocks produce the right tree with no plumbing.
 
-Three properties drive the design:
+Four properties drive the design:
 
 * **Every span close is aggregated.**  Tracing on or off, a closing
   span observes its duration into the ``span.seconds`` histogram of the
@@ -23,11 +23,13 @@ Three properties drive the design:
 * **Exception safety.**  The span context manager always closes the span
   and flags ``status="error"`` (with the exception repr) on the way out
   of a raising block; the original exception propagates untouched.
-* **Explicit cross-thread propagation.**  Contextvars do not follow work
-  onto pool threads, so the submitting side calls
-  :func:`capture_context` (a tiny :class:`TraceContext`) and the worker
-  thread re-attaches with :func:`attach_context`; worker spans then carry
-  the submitting span as parent (see ``SweepEngine``).
+* **Cross-thread parenthood by context copy.**  Contextvars do not
+  follow work onto other threads by themselves, so every thread hand-off
+  the library makes (``SweepEngine`` tasks, ``ModelServer`` steps, the
+  load generator's clients) runs its task in
+  :func:`contextvars.copy_context` of the submitter; worker spans then
+  carry the submitting span as parent, and the open health scopes of
+  :mod:`repro.obs.health` travel with it.
 
 Stdlib plus :mod:`repro.obs.metrics`; any layer of the library may
 import this module.
@@ -49,10 +51,7 @@ from repro.obs.metrics import default_metrics
 __all__ = [
     "SPAN_SECONDS",
     "Span",
-    "TraceContext",
     "Tracer",
-    "attach_context",
-    "capture_context",
     "current_span",
     "default_tracer",
     "disable_tracing",
@@ -151,14 +150,6 @@ class _TimedSpan:
         return None
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Handle to the current span, for cross-thread hand-off."""
-
-    trace_id: str | None = None
-    span_id: str | None = None
-
-
 class Tracer:
     """Span factory + bounded buffer of finished spans."""
 
@@ -203,31 +194,8 @@ class Tracer:
             else:
                 self._finished.append(record)
 
-    # -- context hand-off ---------------------------------------------- #
     def current(self) -> Span | None:
         return self._current.get()
-
-    def capture_context(self) -> TraceContext:
-        span = self._current.get()
-        if span is None:
-            return TraceContext()
-        return TraceContext(trace_id=span.trace_id, span_id=span.span_id)
-
-    @contextmanager
-    def attach(self, context: TraceContext | None):
-        """Re-parent spans opened in this block under ``context``."""
-        if context is None or context.span_id is None:
-            yield
-            return
-        # A synthetic, never-stored anchor standing in for the remote
-        # parent: children link to its ids, it is not itself a span.
-        anchor = Span(name="<attached>", trace_id=context.trace_id,
-                      span_id=context.span_id)
-        token = self._current.set(anchor)
-        try:
-            yield
-        finally:
-            self._current.reset(token)
 
     # -- buffer management --------------------------------------------- #
     def drain(self) -> list[Span]:
@@ -290,17 +258,6 @@ def trace_span(name: str, **tags):
 def current_span() -> Span | None:
     """The span currently open in this context, if any."""
     return _DEFAULT_TRACER.current()
-
-
-def capture_context() -> TraceContext:
-    """Handle to the current span (for worker-thread hand-off)."""
-    return _DEFAULT_TRACER.capture_context()
-
-
-def attach_context(context: TraceContext | None):
-    """Context manager re-parenting spans in the block under
-    ``context`` (captured on the submitting side)."""
-    return _DEFAULT_TRACER.attach(context)
 
 
 def drain_spans() -> list[Span]:

@@ -52,7 +52,7 @@ import scipy.sparse as sp
 from repro.circuit.mna import DescriptorSystem
 from repro.exceptions import PartitionError
 from repro.linalg.krylov import ShiftedOperator
-from repro.obs.health import default_health, health_enabled
+from repro.obs.health import health_enabled, record_health
 from repro.partition.extract import SeparatorBlock, Subdomain
 
 __all__ = [
@@ -325,7 +325,7 @@ def interface_krylov_basis(subdomains: list[Subdomain],
         total = float(np.sum(sv * sv))
         tail = (float(np.sqrt(np.sum(sv[rank:] ** 2) / total))
                 if total > 0.0 else 0.0)
-        default_health().record(
+        record_health(
             "interface.svd_tail", tail,
             warn_at=10.0 * float(tol), fail_at=100.0 * float(tol),
             detail=f"rank={rank} candidates={stack.shape[1]} "

@@ -56,12 +56,7 @@ from repro.partition.interface import (
     compress_subdomain,
     interface_krylov_basis,
 )
-from repro.obs.health import (
-    begin_reduce_health,
-    default_health,
-    finish_reduce_health,
-    health_enabled,
-)
+from repro.obs.health import health_enabled, record_health, reduce_with_health
 from repro.obs.tracing import trace_span, traced
 
 __all__ = ["multilevel_reduce", "partitioned_reduce",
@@ -315,7 +310,6 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
                        options: BDSMOptions | None = None,
                        interface: PartitionedOptions | None = None,
                        engine: SweepEngine | None = None,
-                       n_workers: int = 1,
                        budget: ResourceBudget | None = None,
                        store=None, keep_projection: bool = False,
                        recycle: bool = False,
@@ -355,10 +349,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
     engine:
         Optional :class:`~repro.analysis.engine.SweepEngine` whose worker
         threads reduce the shards concurrently (shards are independent
-        once extracted).  Takes precedence over ``n_workers``.
-    n_workers:
-        Convenience worker count; values above 1 create a transient
-        thread-pool engine for the shard fan-out.
+        once extracted).
     budget:
         Optional :class:`~repro.mor.base.ResourceBudget`, forwarded to the
         per-shard reducers.
@@ -388,7 +379,7 @@ def partitioned_reduce(system, n_moments: int, *, s0: complex = 0.0,
     return _reduce(system, n_moments, levels=1,
                    min_states=MIN_RECURSION_STATES, s0=s0, n_parts=n_parts,
                    partitioner=partitioner, method=method, options=options,
-                   interface=interface, engine=engine, n_workers=n_workers,
+                   interface=interface, engine=engine,
                    budget=budget, store=store,
                    keep_projection=keep_projection, recycle=recycle,
                    basis_cache=basis_cache)
@@ -401,7 +392,6 @@ def multilevel_reduce(system, n_moments: int, *, levels: int = 1,
                       options: BDSMOptions | None = None,
                       interface: PartitionedOptions | None = None,
                       engine: SweepEngine | None = None,
-                      n_workers: int = 1,
                       budget: ResourceBudget | None = None,
                       store=None, keep_projection: bool = False,
                       min_states: int = MIN_RECURSION_STATES,
@@ -422,7 +412,7 @@ def multilevel_reduce(system, n_moments: int, *, levels: int = 1,
     that records a ``partition.recursion_fallback`` warn naming the shard.
 
     All accuracy knobs (``n_moments``, ``s0``, ``interface``) apply at
-    *every* level; the worker fan-out (``engine`` / ``n_workers``) applies
+    *every* level; the worker fan-out (``engine``) applies
     to the top level only — recursive calls run serially inside their
     worker so the pool is never oversubscribed.
 
@@ -439,19 +429,29 @@ def multilevel_reduce(system, n_moments: int, *, levels: int = 1,
     return _reduce(system, n_moments, levels=levels, min_states=min_states,
                    s0=s0, n_parts=n_parts, partitioner=partitioner,
                    method=method, options=options, interface=interface,
-                   engine=engine, n_workers=n_workers, budget=budget,
+                   engine=engine, budget=budget,
                    store=store, keep_projection=keep_projection,
                    recycle=recycle, basis_cache=basis_cache)
 
 
-def _reduce(system, n_moments: int, *, levels: int, min_states: int,
-            s0: complex, n_parts: int, partitioner: str, method: str,
-            options: BDSMOptions | None,
-            interface: PartitionedOptions | None,
-            engine: SweepEngine | None, n_workers: int,
-            budget: ResourceBudget | None, store, keep_projection: bool,
-            recycle: bool, basis_cache: ShardBasisCache | None,
+def _reduce(system, n_moments: int, **kwargs,
             ) -> tuple[PartitionedROM, OrthoStats, float]:
+    """The one partitioned driver: :func:`_build` in its own health
+    scope."""
+    label = f"partitioned-{str(kwargs['method']).upper()}"
+    return reduce_with_health(
+        lambda: _build(system, n_moments, label=label, **kwargs),
+        method=label)
+
+
+def _build(system, n_moments: int, *, levels: int, min_states: int,
+           s0: complex, n_parts: int, partitioner: str, method: str,
+           options: BDSMOptions | None,
+           interface: PartitionedOptions | None,
+           engine: SweepEngine | None,
+           budget: ResourceBudget | None, store, keep_projection: bool,
+           recycle: bool, basis_cache: ShardBasisCache | None, label: str,
+           ) -> tuple[PartitionedROM, OrthoStats, float]:
     """The one partitioned driver body; see :func:`multilevel_reduce`.
 
     Partitions, extracts, reduces the interface, fans the shards out,
@@ -470,17 +470,13 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
     if method not in _METHODS:
         raise PartitionError(
             f"unknown partitioned method {method!r}; choose from {_METHODS}")
-    if n_workers < 1:
-        raise PartitionError("n_workers must be >= 1")
     opts = options or BDSMOptions()
     budget = budget or ResourceBudget.unlimited()
     if basis_cache is None and recycle:
         basis_cache = ShardBasisCache()
     iface_opts = interface or PartitionedOptions()
-    label = f"partitioned-{method.upper()}"
 
     start = time.perf_counter()
-    health_mark = begin_reduce_health()
     with trace_span("partition.partition"):
         result = GridPartitioner(k=n_parts,
                                  strategy=partitioner).partition(system)
@@ -516,7 +512,7 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
                 # part swallowed whole by its separator): reduce it
                 # directly instead of failing the whole hierarchy.
                 if health_enabled():
-                    default_health().record(
+                    record_health(
                         "partition.recursion_fallback", 1.0, method=label,
                         detail=(f"shard {subdomain.index} ({subdomain.size}"
                                 f" states) reduced directly: {exc}"))
@@ -538,17 +534,10 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
             reduced.basis = basis
         return reduced, stats
 
-    transient_engine = None
-    if engine is None and n_workers > 1 and len(subdomains) > 1:
-        engine = transient_engine = SweepEngine(jobs=n_workers)
-    try:
-        if engine is not None and len(subdomains) > 1:
-            outcomes = engine.map_scenarios(process, subdomains)
-        else:
-            outcomes = [process(sub) for sub in subdomains]
-    finally:
-        if transient_engine is not None:
-            transient_engine.close()
+    if engine is not None and len(subdomains) > 1:
+        outcomes = engine.map_scenarios(process, subdomains)
+    else:
+        outcomes = [process(sub) for sub in subdomains]
 
     stats = OrthoStats()
     reduced_subdomains: list[ReducedSubdomain] = []
@@ -596,5 +585,4 @@ def _reduce(system, n_moments: int, *, levels: int, min_states: int,
             interface_basis=(None if interface_basis is None
                              else interface_basis.W),
         )
-    finish_reduce_health(health_mark, rom, stats, method=label)
     return rom, stats, time.perf_counter() - start

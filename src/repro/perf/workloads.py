@@ -65,6 +65,7 @@ the CI gate enforces:
 
 from __future__ import annotations
 
+import contextvars
 import json
 import time
 from pathlib import Path
@@ -83,6 +84,7 @@ from repro.linalg.orthogonalization import (
     modified_gram_schmidt,
 )
 from repro.mor.prima import multipoint_prima_reduce, prima_reduce
+from repro.obs.health import collect_health
 from repro.obs.metrics import default_metrics
 from repro.obs.tracing import (
     SPAN_SECONDS,
@@ -642,17 +644,7 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
     :class:`~repro.obs.health.HealthReport` is written to
     ``benchmarks/results/health_report.json`` for the CI artifact.
     """
-    from repro.obs.health import (
-        default_health,
-        disable_health_monitors,
-        enable_health_monitors,
-        health_enabled,
-    )
-
     system, n_moments = _grid(benchmark, scale)
-    was_enabled = health_enabled()
-    disable_health_monitors()
-    monitors = default_health()
 
     roms: dict[str, object] = {}
 
@@ -670,42 +662,44 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
             total += time.perf_counter() - start
         return total / inner
 
-    try:
-        # One untimed warmup so BLAS dispatch / allocator state is hot
-        # before either side is measured.
-        clear_default_cache()
-        reduce_cold()
-        rounds = max(6, runner.repeats)
-        ratios = []
-        disabled = enabled = None
-        report = None
-        for round_idx in range(rounds):
-            # Alternate which side goes first: on a thermally throttling
-            # or shared CPU the second sample of a pair runs slower, and
-            # a fixed order would book that bias entirely to one side.
-            if round_idx % 2 == 0:
-                disable_health_monitors()
-                off_s = timed_sample()
-                enable_health_monitors()
-                monitors.reset()
-                on_s = timed_sample()
-                on_report = roms["last"].health
-            else:
-                enable_health_monitors()
-                monitors.reset()
-                on_s = timed_sample()
-                on_report = roms["last"].health
-                disable_health_monitors()
-                off_s = timed_sample()
-            if off_s > 0:
-                ratios.append(on_s / off_s)
-            disabled = off_s if disabled is None else min(disabled, off_s)
-            if enabled is None or on_s < enabled:
-                enabled = on_s
-                report = on_report
-    finally:
-        disable_health_monitors()
-        monitors.reset()
+    # Both sides run in an empty context, so a health scope the caller
+    # opened (``repro bench --health``) turns neither side on: the off
+    # side runs outside any scope, the on side inside its own root one.
+    def off_sample() -> float:
+        return contextvars.Context().run(timed_sample)
+
+    def on_sample() -> float:
+        def scoped() -> float:
+            with collect_health():
+                return timed_sample()
+        return contextvars.Context().run(scoped)
+
+    # One untimed warmup so BLAS dispatch / allocator state is hot
+    # before either side is measured.
+    clear_default_cache()
+    reduce_cold()
+    rounds = max(6, runner.repeats)
+    ratios = []
+    disabled = enabled = None
+    report = None
+    for round_idx in range(rounds):
+        # Alternate which side goes first: on a thermally throttling
+        # or shared CPU the second sample of a pair runs slower, and
+        # a fixed order would book that bias entirely to one side.
+        if round_idx % 2 == 0:
+            off_s = off_sample()
+            on_s = on_sample()
+            on_report = roms["last"].health
+        else:
+            on_s = on_sample()
+            on_report = roms["last"].health
+            off_s = off_sample()
+        if off_s > 0:
+            ratios.append(on_s / off_s)
+        disabled = off_s if disabled is None else min(disabled, off_s)
+        if enabled is None or on_s < enabled:
+            enabled = on_s
+            report = on_report
 
     ratio = float(min(ratios)) if ratios else 1.0
     overhead = ratio - 1.0
@@ -755,8 +749,6 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
         "overhead_budget": HEALTH_OVERHEAD_BUDGET,
     }
     _merge_scale(HEALTH_OVERHEAD_PATH, scale, entry)
-    if was_enabled:
-        enable_health_monitors()
     return entry
 
 

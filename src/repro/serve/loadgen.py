@@ -21,6 +21,7 @@ coalescing exploits.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from dataclasses import dataclass, field
@@ -178,7 +179,10 @@ def run_load(server, requests: list[QueryRequest], *, clients: int = 4,
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
-    threads = [threading.Thread(target=drive, args=(client,),
+    # Each client runs in a copy of the caller's context, so its
+    # serve.plan spans sit under the caller's span.
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(drive, client),
                                 name=f"serve-bench-client-{client}")
                for client in range(clients)]
     started = time.perf_counter()

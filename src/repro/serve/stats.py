@@ -27,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.health import (
-    DEFAULT_THRESHOLDS,
-    HealthCheck,
-    HealthReport,
-    classify,
-)
+from repro.obs.health import HealthCheck, HealthReport
 from repro.serve.planner import REQUEST_KINDS
 
 __all__ = ["KindStats", "ServingStats"]
@@ -149,35 +144,21 @@ class ServingStats:
         * ``serve.queue_depth`` on the *current* depth, and
         * ``serve.error_rate`` over all requests so far.
 
-        Built on demand from a snapshot, with no side effects on the
-        process-wide monitor log — this is the verdict ``/healthz``
-        serves and ``serve-bench`` prints, not a hot-path watchdog.
+        Built on demand from a snapshot; it publishes nothing and adds
+        nothing to any open health scope — this is the verdict
+        ``/healthz`` serves and ``serve-bench`` prints, not a hot-path
+        watchdog.
         """
-        checks: list[HealthCheck] = []
-
-        def check(monitor: str, value: float, detail: str,
-                  **labels) -> None:
-            spec = DEFAULT_THRESHOLDS.get(monitor, {})
-            warn_at = spec.get("warn_at")
-            fail_at = spec.get("fail_at")
-            direction = spec.get("direction", "above")
-            checks.append(HealthCheck(
-                monitor=monitor, value=float(value),
-                status=classify(float(value), warn_at=warn_at,
-                                fail_at=fail_at, direction=direction),
-                warn_at=warn_at, fail_at=fail_at, direction=direction,
-                detail=detail, labels=dict(labels)))
-
-        for kind, entry in sorted(self.kinds.items()):
-            if not entry.requests:
-                continue
-            check("serve.p99_seconds", entry.p99,
-                  f"requests={entry.requests} p50={entry.p50:.6f}",
-                  kind=kind)
-        check("serve.queue_depth", self.queue_depth,
-              f"peak={self.queue_depth_peak}")
+        checks = [HealthCheck.evaluate(
+            "serve.p99_seconds", entry.p99, kind=kind,
+            detail=f"requests={entry.requests} p50={entry.p50:.6f}")
+            for kind, entry in sorted(self.kinds.items()) if entry.requests]
+        checks.append(HealthCheck.evaluate(
+            "serve.queue_depth", self.queue_depth,
+            detail=f"peak={self.queue_depth_peak}"))
         total = self.requests
         if total:
-            check("serve.error_rate", self.errors / total,
-                  f"errors={self.errors} requests={total}")
+            checks.append(HealthCheck.evaluate(
+                "serve.error_rate", self.errors / total,
+                detail=f"errors={self.errors} requests={total}"))
         return HealthReport(checks=checks)

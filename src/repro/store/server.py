@@ -61,6 +61,7 @@ results.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 from collections import Counter
@@ -76,7 +77,7 @@ from repro.analysis.transient import TransientAnalysis, TransientResult
 from repro.exceptions import ServeError, ValidationError
 from repro.obs.endpoint import TelemetryServer
 from repro.obs.metrics import default_metrics
-from repro.obs.tracing import attach_context, capture_context, trace_span
+from repro.obs.tracing import trace_span
 from repro.serve.planner import (
     ExecutionPlan,
     PlanStep,
@@ -372,26 +373,25 @@ class ModelServer:
         self._count(PLANS)
         for kind, n in Counter(r.kind for r in plan.requests).items():
             self._count(REQUESTS, n, kind=kind)
-        # Steps run on pool threads; hand them the submitting span so
-        # their serve.step spans re-attach under it in the trace tree.
-        ctx = capture_context()
+        # Steps run on pool threads, each in a copy of the submitter's
+        # context: their serve.step spans sit under the submitting span
+        # in the trace tree.
         futures = []
         for step in plan.steps:
             self._shift_queue_depth(+1)
             try:
                 futures.append((step, self._get_pool().submit(
-                    self._run_step, step, ctx)))
+                    contextvars.copy_context().run, self._run_step, step)))
             except BaseException:
                 self._shift_queue_depth(-1)
                 raise
         return futures
 
-    def _run_step(self, step: PlanStep, ctx):
+    def _run_step(self, step: PlanStep):
         """Evaluate one queued step, recording its outcome and latency."""
         try:
-            with attach_context(ctx), \
-                    trace_span("serve.step", op=step.op, kind=step.kind,
-                               n_requests=step.n_requests) as span:
+            with trace_span("serve.step", op=step.op, kind=step.kind,
+                            n_requests=step.n_requests) as span:
                 outcome = self._evaluate(step)
         except Exception:
             self._count(ERRORS, step.n_requests, kind=step.kind)

@@ -12,22 +12,14 @@ from repro.circuit import (
     build_power_grid,
     make_benchmark,
 )
-from repro.obs.health import (
-    default_health,
-    disable_health_monitors,
-    enable_health_monitors,
-)
+from repro.obs.health import collect_health
 
 
 @pytest.fixture()
 def monitors():
-    """Enable health monitoring for one test, leaving the process clean."""
-    registry = default_health()
-    registry.reset()
-    enable_health_monitors()
-    yield registry
-    disable_health_monitors()
-    registry.reset()
+    """Run one test inside a root health scope; yields its report."""
+    with collect_health() as report:
+        yield report
 
 
 @pytest.fixture(scope="session")

@@ -3,25 +3,34 @@ trace-diff regression gate (repro.obs.diff), the run flight recorder
 (repro.obs.ledger) and the HTTP telemetry endpoint (repro.obs.endpoint).
 
 The fault-injection cases are the core: a deliberately de-orthogonalised
-merge basis must come back flagged by the ortho watchdog, a seeded
+merge basis must come back flagged by the ortho watchdog, two reduces
+running at once must each report only their own checks, a seeded
 slow-phase profile must trip ``check_budget``, and a live server's
 ``/healthz`` must answer with the stats layer's actual verdict.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import (
+    ModelRegistry,
     ModelServer,
     QueryRequest,
+    SweepEngine,
     bdsm_reduce,
+    clear_default_cache,
     make_benchmark,
+    partitioned_reduce,
+    prima_reduce,
 )
 from repro.linalg.orthogonalization import block_orthonormalize
 from repro.obs.diff import (
@@ -36,12 +45,12 @@ from repro.obs.diff import (
 )
 from repro.obs.endpoint import TelemetryServer
 from repro.obs.health import (
-    HealthMonitors,
     HealthReport,
-    begin_reduce_health,
     classify,
-    finish_reduce_health,
+    collect_health,
     health_enabled,
+    record_health,
+    reduce_with_health,
 )
 from repro.obs.ledger import (
     RunLedger,
@@ -49,7 +58,7 @@ from repro.obs.ledger import (
     read_ledger,
     summarize_ledger,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, default_metrics
 
 
 # --------------------------------------------------------------------- #
@@ -77,61 +86,50 @@ class TestClassify:
             classify(1.0, warn_at=None, fail_at=None, direction="sideways")
 
 
-class TestHealthMonitors:
+class TestRecordHealth:
     def test_record_uses_default_thresholds(self):
-        registry = HealthMonitors(metrics=MetricsRegistry())
-        assert registry.record("ortho.loss", 1e-14).status == "ok"
-        assert registry.record("ortho.loss", 1e-7).status == "warn"
-        assert registry.record("ortho.loss", 1e-3).status == "fail"
+        assert record_health("ortho.loss", 1e-14).status == "ok"
+        assert record_health("ortho.loss", 1e-7).status == "warn"
+        assert record_health("ortho.loss", 1e-3).status == "fail"
 
     def test_record_publishes_gauge_and_verdict_counter(self):
-        metrics = MetricsRegistry()
-        registry = HealthMonitors(metrics=metrics)
-        registry.record("ortho.loss", 1e-3, method="bdsm")
-        snapshot = metrics.snapshot()
-        gauges = {e["name"]: e for e in snapshot["gauges"]}
-        assert gauges["health.ortho.loss"]["value"] == pytest.approx(1e-3)
-        assert gauges["health.ortho.loss"]["labels"] == {"method": "bdsm"}
-        verdicts = [e for e in snapshot["counters"]
-                    if e["name"] == "health.verdict"]
-        assert verdicts and verdicts[0]["labels"]["status"] == "fail"
+        def verdicts() -> float:
+            return sum(e["value"] for e in
+                       default_metrics().snapshot()["counters"]
+                       if e["name"] == "health.verdict"
+                       and e["labels"] == {"status": "fail",
+                                           "monitor": "ortho.loss"})
+
+        before = verdicts()
+        record_health("ortho.loss", 1e-3, method="gauge-probe")
+        gauges = [e for e in default_metrics().snapshot()["gauges"]
+                  if e["name"] == "health.ortho.loss"
+                  and e["labels"] == {"method": "gauge-probe"}]
+        assert gauges and gauges[0]["value"] == pytest.approx(1e-3)
+        assert verdicts() == before + 1
 
     def test_explicit_thresholds_override_defaults(self):
-        registry = HealthMonitors(metrics=MetricsRegistry())
-        check = registry.record("ortho.loss", 1e-7, warn_at=1e-2,
-                                fail_at=1e-1)
+        check = record_health("ortho.loss", 1e-7, warn_at=1e-2,
+                              fail_at=1e-1)
         assert check.status == "ok"
 
-    def test_configure_overrides_per_registry(self):
-        registry = HealthMonitors(metrics=MetricsRegistry())
-        registry.configure("serve.queue_depth", warn_at=2, fail_at=4)
-        assert registry.record("serve.queue_depth", 3).status == "warn"
-
-    def test_mark_scopes_report(self):
-        registry = HealthMonitors(metrics=MetricsRegistry())
-        registry.record("ortho.loss", 1e-3)
-        mark = registry.mark()
-        registry.record("solve.residual", 1e-12)
-        report = registry.report(since=mark)
-        assert [c.monitor for c in report.checks] == ["solve.residual"]
-        assert report.status == "ok"
-
-    def test_bounded_buffer_keeps_mark_arithmetic(self):
-        registry = HealthMonitors(buffer=4, metrics=MetricsRegistry())
-        mark = registry.mark()
-        for i in range(10):
-            registry.record("ortho.loss", 1e-14, detail=str(i))
-        assert len(registry) == 4
-        report = registry.report(since=mark)
-        # Everything before the window fell off the front; the surviving
-        # checks are the newest four.
-        assert [c.detail for c in report.checks] == ["6", "7", "8", "9"]
+    def test_scope_holds_only_checks_recorded_inside(self):
+        record_health("ortho.loss", 1e-3, detail="outside")
+        with collect_health() as outer:
+            record_health("ortho.loss", 1e-14, detail="outer")
+            with collect_health() as inner:
+                record_health("solve.residual", 1e-12, detail="inner")
+            record_health("solve.residual", 1e-12, detail="after")
+        record_health("ortho.loss", 1e-3, detail="closed")
+        assert [c.detail for c in inner.checks] == ["inner"]
+        assert [c.detail for c in outer.checks] == ["outer", "inner",
+                                                    "after"]
+        assert outer.status == inner.status == "ok"
 
     def test_report_round_trip_and_summary(self):
-        registry = HealthMonitors(metrics=MetricsRegistry())
-        registry.record("ortho.loss", 1e-3, detail="merge")
-        registry.record("solve.residual", 1e-12)
-        report = registry.report()
+        with collect_health() as report:
+            record_health("ortho.loss", 1e-3, detail="merge")
+            record_health("solve.residual", 1e-12)
         clone = HealthReport.from_dict(
             json.loads(json.dumps(report.as_dict())))
         assert clone.status == "fail"
@@ -143,11 +141,14 @@ class TestHealthMonitors:
 class TestGating:
     def test_disabled_by_default(self):
         assert not health_enabled()
-        assert begin_reduce_health() is None
+        with collect_health():
+            assert health_enabled()
+        assert not health_enabled()
 
-    def test_finish_with_none_mark_is_inert(self):
+    def test_reduce_outside_a_scope_attaches_nothing(self):
         rom = type("R", (), {"size": 3})()
-        assert finish_reduce_health(None, rom, None, method="x") is None
+        assert reduce_with_health(lambda: (rom, None, 0.0),
+                                  method="x") == (rom, None, 0.0)
         assert not hasattr(rom, "health")
 
 
@@ -164,11 +165,10 @@ class TestFaultInjection:
         existing[:, 0] += 0.05 * existing[:, 1]
         candidates = rng.standard_normal((60, 3))
         block_orthonormalize(candidates, initial_basis=existing)
-        report = monitors.report()
-        worst = report.worst("ortho.loss")
+        worst = monitors.worst("ortho.loss")
         assert worst is not None
         assert worst.status == "fail"
-        assert report.status == "fail"
+        assert monitors.status == "fail"
 
     def test_healthy_reduce_attaches_ok_report(self, monitors):
         system = make_benchmark("ckt1", "laptop")
@@ -180,10 +180,105 @@ class TestFaultInjection:
         assert "ortho.loss" in monitored
 
     def test_reduce_report_is_scoped_to_its_run(self, monitors):
-        monitors.record("ortho.loss", 1e-3, detail="stale-before")
+        record_health("ortho.loss", 1e-3, detail="stale-before")
         system = make_benchmark("ckt1", "laptop")
         rom, _, _ = bdsm_reduce(system, 4)
         assert all(c.detail != "stale-before" for c in rom.health.checks)
+
+
+# --------------------------------------------------------------------- #
+# Concurrent reduces: every ROM reports its own checks only
+# --------------------------------------------------------------------- #
+def _run_in_threads(*targets) -> None:
+    """Run each target on its own thread, in a copy of this context."""
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(target,)) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+def _monitors(report: HealthReport) -> Counter:
+    return Counter(check.monitor for check in report.checks)
+
+
+class TestConcurrentScopes:
+    def test_concurrent_reduces_keep_their_own_checks(self):
+        ckt1 = make_benchmark("ckt1", "smoke")
+        ckt2 = make_benchmark("ckt2", "smoke")
+        reducers = {"PRIMA": lambda: prima_reduce(ckt1, 4)[0],
+                    "BDSM": lambda: bdsm_reduce(ckt2, 4)[0]}
+        alone = {}
+        for method, reduce in reducers.items():
+            clear_default_cache()
+            with collect_health():
+                alone[method] = _monitors(reduce().health)
+
+        clear_default_cache()
+        roms = {}
+        barrier = threading.Barrier(len(reducers))
+
+        def run(method):
+            def target() -> None:
+                barrier.wait()
+                roms[method] = reducers[method]()
+            return target
+
+        with collect_health() as root:
+            _run_in_threads(*(run(method) for method in reducers))
+        for method, rom in roms.items():
+            (rate,) = [check for check in rom.health.checks
+                       if check.monitor == "reduce.deflation_rate"]
+            assert rate.labels == {"method": method}
+            assert _monitors(rom.health) == alone[method]
+        assert _monitors(root) == sum(alone.values(), Counter())
+
+    def test_fail_in_one_thread_leaves_the_other_rom_registrable(self):
+        system = make_benchmark("ckt1", "smoke")
+        reduce_open = threading.Event()
+        fail_recorded = threading.Event()
+
+        class PausedSystem:
+            """``system``, whose first ``C`` read — inside the reduce's
+            own scope — waits for the other thread's fail."""
+
+            def __getattr__(self, name):
+                if name == "C" and not reduce_open.is_set():
+                    reduce_open.set()
+                    assert fail_recorded.wait(timeout=60)
+                return getattr(system, name)
+
+        roms = []
+
+        def reduce() -> None:
+            roms.append(bdsm_reduce(PausedSystem(), 3)[0])
+
+        def fail() -> None:
+            assert reduce_open.wait(timeout=60)
+            record_health("ortho.loss", 1.0, detail="injected")
+            fail_recorded.set()
+
+        with collect_health() as root:
+            _run_in_threads(reduce, fail)
+        (rom,) = roms
+        assert root.worst("ortho.loss").detail == "injected"
+        assert all(check.detail != "injected"
+                   for check in rom.health.checks)
+        assert rom.health.status != "fail"
+        ModelRegistry().register("ckt1/bdsm", rom)
+
+    def test_pooled_partitioned_reduce_holds_every_shard_once(self):
+        system = make_benchmark("ckt2", "smoke")
+        with collect_health() as root, SweepEngine(jobs=2) as engine:
+            rom, _, _ = partitioned_reduce(system, 3, n_parts=4,
+                                           engine=engine)
+        rates = Counter(check.labels["method"]
+                        for check in rom.health.checks
+                        if check.monitor == "reduce.deflation_rate")
+        assert rates == {"BDSM": 4, "partitioned-BDSM": 1}
+        assert (sorted(map(id, root.checks))
+                == sorted(map(id, rom.health.checks)))
 
 
 # --------------------------------------------------------------------- #

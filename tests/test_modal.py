@@ -32,11 +32,7 @@ from repro.circuit import PowerGridSpec, assemble_mna, build_power_grid
 from repro.exceptions import ReductionError
 from repro.mor.modal import MODAL_SYM_TOL, MODAL_TOL, modal_block
 from repro.obs import disable_tracing, drain_spans, enable_tracing
-from repro.obs.health import (
-    default_health,
-    disable_health_monitors,
-    enable_health_monitors,
-)
+from repro.obs.health import collect_health
 from repro.obs.metrics import default_metrics
 from repro.partition import PartitionedOptions, multilevel_reduce
 from repro.store import artifact_meta
@@ -225,16 +221,11 @@ class TestFallback:
                             G=-np.eye(2), B=np.ones((2, 1)),
                             L=np.ones((1, 2)))
         before = _fallbacks("defective")
-        enable_health_monitors()
-        mark = default_health().mark()
-        try:
+        with collect_health() as report:
             H = rom.transfer_function(1j)
-        finally:
-            disable_health_monitors()
         assert rom._modal_form() is None
         assert _fallbacks("defective") == before + 1
-        checks = default_health().report(since=mark).checks
-        assert [(c.monitor, c.status) for c in checks] == [
+        assert [(c.monitor, c.status) for c in report.checks] == [
             ("rom.modal_fallback", "warn")]
         pencil = 1j * rom.C - rom.G
         assert np.allclose(H, rom.L @ np.linalg.solve(pencil, rom.B))

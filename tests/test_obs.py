@@ -1,9 +1,9 @@
 """Tests for the unified observability layer (repro.obs).
 
 Covers the span tracer (nesting/parent attribution, exception safety, the
-disabled no-op path, bounded buffers), explicit context propagation onto
-``SweepEngine`` worker threads (with bit-identity of the traced
-numerics), the ``span.seconds`` aggregate every span close feeds
+disabled no-op path, bounded buffers), span parenthood carried onto
+``SweepEngine`` worker threads by a context copy (with bit-identity of
+the traced numerics), the ``span.seconds`` aggregate every span close feeds
 (tracing on or off), the shared Reservoir/percentile core the serving
 latency series builds on, the three exporters (Chrome trace-event
 JSON, Prometheus text exposition, span-tree report), the serve-stack
@@ -13,6 +13,7 @@ acceptance JSON.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 from pathlib import Path
@@ -34,7 +35,6 @@ from repro.obs import (
     Reservoir,
     Span,
     Tracer,
-    capture_context,
     default_metrics,
     disable_tracing,
     drain_spans,
@@ -47,7 +47,7 @@ from repro.obs import (
     traced,
     tracing_enabled,
 )
-from repro.obs.tracing import SPAN_SECONDS, attach_context
+from repro.obs.tracing import SPAN_SECONDS
 
 
 @pytest.fixture()
@@ -154,19 +154,27 @@ class TestSpans:
 # --------------------------------------------------------------------- #
 class TestContextPropagation:
     def test_capture_attach_reparents(self, tracing):
-        with trace_span("submitter") as parent:
-            ctx = capture_context()
-        with attach_context(ctx):
+        def work() -> None:
             with trace_span("worker.side"):
                 pass
+
+        with trace_span("submitter") as parent:
+            ctx = contextvars.copy_context()
+        worker_thread = threading.Thread(target=ctx.run, args=(work,))
+        worker_thread.start()
+        worker_thread.join()
         worker = _by_name(drain_spans(), "worker.side")[0]
         assert worker.parent_id == parent.span_id
         assert worker.trace_id == parent.trace_id
 
     def test_attach_none_is_inert(self, tracing):
-        with attach_context(None):
+        def work() -> None:
             with trace_span("rootless"):
                 pass
+
+        # An empty context carries no span: work run in it is a root.
+        with trace_span("submitter"):
+            contextvars.Context().run(work)
         assert _by_name(drain_spans(), "rootless")[0].parent_id is None
 
     def test_thread_workers_attach_to_submitting_span(

@@ -181,14 +181,11 @@ class TestPartitionedReduce:
         with SweepEngine(jobs=2) as engine:
             pooled, _, _ = partitioned_reduce(smoke_benchmark, 3,
                                               n_parts=4, engine=engine)
-        via_workers, _, _ = partitioned_reduce(smoke_benchmark, 3,
-                                              n_parts=4, n_workers=2)
-        for other in (pooled, via_workers):
-            assert other.size == serial.size
-            for s in (0.0, 1j * 1e7, 1j * 1e9):
-                assert np.allclose(other.transfer_function(s),
-                                   serial.transfer_function(s),
-                                   rtol=1e-12, atol=1e-300)
+        assert pooled.size == serial.size
+        for s in (0.0, 1j * 1e7, 1j * 1e9):
+            assert np.allclose(pooled.transfer_function(s),
+                               serial.transfer_function(s),
+                               rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_bad_arguments(self, smoke_benchmark, levels):
@@ -202,8 +199,6 @@ class TestPartitionedReduce:
             reduce(smoke_benchmark, 0, n_parts=2)
         with pytest.raises(PartitionError):
             reduce(smoke_benchmark, 2, method="svdmor")
-        with pytest.raises(PartitionError):
-            reduce(smoke_benchmark, 2, n_parts=2, n_workers=0)
 
     def test_store_memoizes_shards(self, smoke_benchmark, tmp_path):
         store = ModelStore(tmp_path / "store")

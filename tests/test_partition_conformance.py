@@ -46,7 +46,7 @@ from repro.circuit.mna import assemble_mna
 from repro.circuit.powergrid import build_power_grid, make_multidomain_spec
 from repro.core.bdsm import bdsm_reduce
 from repro.exceptions import PartitionError
-from repro.obs.health import default_health
+from repro.obs.metrics import default_metrics
 from repro.partition import (
     GridPartitioner,
     InterfaceBasis,
@@ -344,11 +344,18 @@ class TestMultilevelHealth:
 
     def test_fallback_records_nothing_with_monitors_off(
             self, conformance_system):
-        monitors = default_health()
-        before = len(monitors)
+        def fallback_verdicts() -> float:
+            return sum(e["value"] for e in
+                       default_metrics().snapshot()["counters"]
+                       if e["name"] == "health.verdict"
+                       and e["labels"].get("monitor")
+                       == "partition.recursion_fallback")
+
+        before = fallback_verdicts()
         rom, _, _ = multilevel_reduce(conformance_system, INTERFACE_ORDER,
                                       **FALLBACK_CONFIG)
-        assert len(monitors) == before
+        assert rom.partition_info["depth"] == 1
+        assert fallback_verdicts() == before
         assert rom.health is None
 
 
