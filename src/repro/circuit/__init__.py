@@ -1,4 +1,4 @@
-"""Circuit substrate: elements, netlists, MNA stamping and grid generators.
+"""Circuit substrate: netlists, MNA stamping and grid generators.
 
 This package implements everything the paper assumes as given: an RLC
 power-grid netlist (Fig. 3 of the paper) and the modified-nodal-analysis
@@ -6,21 +6,19 @@ descriptor model ``C dx/dt = G x + B u, y = L x`` extracted from it.
 
 Contents
 --------
-``elements``
-    Dataclasses for resistors, capacitors, inductors, current and voltage
-    sources.
 ``netlist``
-    The :class:`~repro.circuit.netlist.Netlist` container with node
-    bookkeeping and consistency checks.
+    The columnar :class:`~repro.circuit.netlist.Netlist`: per element a kind
+    code (R, C, L, I, V), a name, a node-index pair into one node table and
+    a value, with one vectorised insertion path and consistency checks.
 ``parser``
     A SPICE-subset parser / writer round-tripping ``.sp`` decks.
 ``mna``
     Stamping of a netlist into the :class:`~repro.circuit.mna.DescriptorSystem`
-    quadruple ``(C, G, B, L)``.
+    quadruple ``(C, G, B, L)``, one COO call per matrix.
 ``powergrid``
     Parameterised RC/RLC power-grid mesh generator with package inductance,
     multi-domain :class:`~repro.circuit.powergrid.GridRegion` R/C scaling
-    and rectangular blockage voids.
+    and rectangular blockage voids, built from numpy masks.
 ``benchmarks``
     The ``ckt1``–``ckt5`` style synthetic industrial benchmarks used by the
     Table II / Fig. 4 / Fig. 5 reproductions.
@@ -31,14 +29,6 @@ from repro.circuit.benchmarks import (
     BenchmarkSpec,
     benchmark_names,
     make_benchmark,
-)
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    VoltageSource,
 )
 from repro.circuit.mna import DescriptorSystem, assemble_mna
 from repro.circuit.netlist import Netlist
@@ -53,16 +43,10 @@ from repro.circuit.powergrid import (
 __all__ = [
     "BENCHMARKS",
     "BenchmarkSpec",
-    "Capacitor",
-    "CurrentSource",
     "DescriptorSystem",
-    "Element",
     "GridRegion",
-    "Inductor",
     "Netlist",
     "PowerGridSpec",
-    "Resistor",
-    "VoltageSource",
     "assemble_mna",
     "benchmark_names",
     "build_power_grid",

@@ -17,7 +17,9 @@ form
 
 (``v`` node voltages, ``i`` inductor / voltage-source branch currents) and
 returns a :class:`DescriptorSystem` already converted to the paper's
-convention (``G = -G_mna``).
+convention (``G = -G_mna``).  Each matrix is one COO call over the
+netlist's columns: resistors and capacitors share one two-terminal stamp,
+inductor and voltage-source branches share one incidence stamp.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.circuit.elements import GROUND
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GROUND, Netlist
 from repro.exceptions import StampingError
 from repro.linalg.krylov import ShiftedOperator
 from repro.linalg.sparse_utils import sparsity_info, to_csr
@@ -208,21 +209,45 @@ class DescriptorSystem:
                 f"m={self.n_ports}, p={self.n_outputs}, nnz={self.nnz})")
 
 
-def assemble_mna(netlist: Netlist, *,
-                 voltage_sources_as_inputs: bool = False,
-                 validate: bool = True) -> DescriptorSystem:
-    """Stamp a netlist into a :class:`DescriptorSystem`.
+def _two_terminal(nodes: np.ndarray, values: np.ndarray):
+    """COO triplets of admittance-like two-terminal stamps.
 
-    Parameters
-    ----------
-    netlist:
-        The circuit to stamp.
-    voltage_sources_as_inputs:
-        When ``True``, each voltage source contributes an extra input column
-        (its value becomes a time-varying input); when ``False`` (default)
-        the DC values go into :attr:`DescriptorSystem.const_input`.
-    validate:
-        Run :meth:`Netlist.validate` first.
+    Each element puts ``+value`` on ``(a, a)`` and ``(b, b)`` and ``-value``
+    on ``(a, b)`` and ``(b, a)``; entries on a ground terminal (``-1``) are
+    dropped.  The four entries of an element stay adjacent, which fixes the
+    order in which the CSR conversion sums duplicates.
+    """
+    a, b = nodes.T
+    rows = np.stack([a, b, a, b], 1).ravel()
+    cols = np.stack([a, b, b, a], 1).ravel()
+    data = np.stack([values, values, -values, -values], 1).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], data[keep]
+
+
+def _incidence(nodes: np.ndarray, branches: np.ndarray):
+    """COO triplets of branch-current incidence (inductors, voltage sources).
+
+    Branch ``k`` between nodes ``a`` and ``b`` puts ``+1``/``-1`` on
+    ``(a, k)``/``(k, a)`` and ``-1``/``+1`` on ``(b, k)``/``(k, b)``: node
+    rows get ``+i``/``-i`` and the branch row reads ``-(v_a - v_b)``.
+    """
+    a, b = nodes.T
+    rows = np.stack([a, branches, b, branches], 1).ravel()
+    cols = np.stack([branches, a, branches, b], 1).ravel()
+    data = np.tile([1.0, -1.0, -1.0, 1.0], len(branches))
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], data[keep]
+
+
+def _coo(parts, shape) -> sp.csr_matrix:
+    """One CSR matrix from concatenated ``(rows, cols, data)`` triplets."""
+    rows, cols, data = (np.concatenate(column) for column in zip(*parts))
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+def assemble_mna(netlist: Netlist) -> DescriptorSystem:
+    """Validate a netlist and stamp it into a :class:`DescriptorSystem`.
 
     Returns
     -------
@@ -230,149 +255,42 @@ def assemble_mna(netlist: Netlist, *,
         Descriptor model in the paper's sign convention
         (``C dx/dt = G x + B u``), with state ordering: node voltages in
         first-appearance order, then inductor branch currents, then
-        voltage-source branch currents.
+        voltage-source branch currents.  Voltage-source values go into
+        :attr:`DescriptorSystem.const_input`; every current source is one
+        input column.
     """
-    if validate:
-        netlist.validate()
-
+    netlist.validate()
     node_names = netlist.nodes()
-    node_index = {name: i for i, name in enumerate(node_names)}
     n_nodes = len(node_names)
-    inductors = netlist.inductors
-    vsources = netlist.voltage_sources
-    isources = netlist.current_sources
+    resistors, capacitors, inductors, isources, vsources = (
+        netlist.elements(kind) for kind in "RCLIV")
+    branch_nodes = np.concatenate([inductors.nodes, vsources.nodes])
+    n = n_nodes + len(branch_nodes)
+    branches = np.arange(n_nodes, n)
+    n_inductors = len(inductors.names)
 
-    n_branches = len(inductors) + len(vsources)
-    n = n_nodes + n_branches
-    if n == 0:
-        raise StampingError("netlist has no non-ground nodes")
-
-    def node_idx(name: str) -> int | None:
-        return None if name == GROUND else node_index[name]
-
-    g_rows: list[int] = []
-    g_cols: list[int] = []
-    g_data: list[float] = []
-    c_rows: list[int] = []
-    c_cols: list[int] = []
-    c_data: list[float] = []
-
-    def stamp_pair(rows, cols, data, a: int | None, b: int | None,
-                   value: float) -> None:
-        """Stamp a two-terminal admittance-like value into a matrix."""
-        if a is not None:
-            rows.append(a)
-            cols.append(a)
-            data.append(value)
-        if b is not None:
-            rows.append(b)
-            cols.append(b)
-            data.append(value)
-        if a is not None and b is not None:
-            rows.append(a)
-            cols.append(b)
-            data.append(-value)
-            rows.append(b)
-            cols.append(a)
-            data.append(-value)
-
-    for resistor in netlist.resistors:
-        stamp_pair(g_rows, g_cols, g_data,
-                   node_idx(resistor.node_pos), node_idx(resistor.node_neg),
-                   resistor.conductance)
-
-    for capacitor in netlist.capacitors:
-        stamp_pair(c_rows, c_cols, c_data,
-                   node_idx(capacitor.node_pos), node_idx(capacitor.node_neg),
-                   capacitor.value)
-
-    state_names = [f"v({name})" for name in node_names]
-
-    # Inductor branches: node rows get +i / -i, branch row gets
-    # -(v_a - v_b) + L di/dt = 0.
-    branch = n_nodes
-    for inductor in inductors:
-        a = node_idx(inductor.node_pos)
-        b = node_idx(inductor.node_neg)
-        if a is not None:
-            g_rows.append(a)
-            g_cols.append(branch)
-            g_data.append(1.0)
-            g_rows.append(branch)
-            g_cols.append(a)
-            g_data.append(-1.0)
-        if b is not None:
-            g_rows.append(b)
-            g_cols.append(branch)
-            g_data.append(-1.0)
-            g_rows.append(branch)
-            g_cols.append(b)
-            g_data.append(1.0)
-        c_rows.append(branch)
-        c_cols.append(branch)
-        c_data.append(inductor.value)
-        state_names.append(f"i({inductor.name})")
-        branch += 1
-
-    # Voltage-source branches: same incidence; branch equation
-    # -(v_a - v_b) = -V  (constant) or = -u_k(t) when treated as an input.
+    G_mna = _coo([_two_terminal(resistors.nodes, 1.0 / resistors.values),
+                  _incidence(branch_nodes, branches)], (n, n))
+    inductor_rows = branches[:n_inductors]
+    C_mna = _coo([_two_terminal(capacitors.nodes, capacitors.values),
+                  (inductor_rows, inductor_rows, inductors.values)], (n, n))
+    state_names = [f"v({name})" for name in node_names] + [
+        f"i({name})" for name in
+        np.concatenate([inductors.names, vsources.names]).tolist()]
+    # The branch equation of a voltage source reads -(v_a - v_b) = -V.
     const_input = np.zeros(n)
-    extra_inputs: list[tuple[int, str]] = []
-    for vsource in vsources:
-        a = node_idx(vsource.node_pos)
-        b = node_idx(vsource.node_neg)
-        if a is not None:
-            g_rows.append(a)
-            g_cols.append(branch)
-            g_data.append(1.0)
-            g_rows.append(branch)
-            g_cols.append(a)
-            g_data.append(-1.0)
-        if b is not None:
-            g_rows.append(b)
-            g_cols.append(branch)
-            g_data.append(-1.0)
-            g_rows.append(branch)
-            g_cols.append(b)
-            g_data.append(1.0)
-        if voltage_sources_as_inputs:
-            extra_inputs.append((branch, vsource.name))
-        else:
-            const_input[branch] = -vsource.value
-        state_names.append(f"i({vsource.name})")
-        branch += 1
-
-    G_mna = sp.csr_matrix((g_data, (g_rows, g_cols)), shape=(n, n))
-    C_mna = sp.csr_matrix((c_data, (c_rows, c_cols)), shape=(n, n))
+    const_input[branches[n_inductors:]] = -vsources.values
 
     # Input matrix: one column per current source.  The source draws u(t)
-    # out of node_pos and returns it into node_neg, hence the -1/+1 pattern.
-    b_rows: list[int] = []
-    b_cols: list[int] = []
-    b_data: list[float] = []
-    port_names: list[str] = []
-    for col, isource in enumerate(isources):
-        a = node_idx(isource.node_pos)
-        b = node_idx(isource.node_neg)
-        if a is not None:
-            b_rows.append(a)
-            b_cols.append(col)
-            b_data.append(-1.0)
-        if b is not None:
-            b_rows.append(b)
-            b_cols.append(col)
-            b_data.append(1.0)
-        port_names.append(isource.name)
-    m = len(isources)
-    for branch_row, vname in extra_inputs:
-        b_rows.append(branch_row)
-        b_cols.append(m)
-        b_data.append(-1.0)
-        port_names.append(vname)
-        m += 1
+    # out of its first node and returns it into its second, hence -1/+1.
+    m = len(isources.names)
     if m == 0:
         raise StampingError("netlist has no input ports (current sources)")
-    B_mna = sp.csr_matrix((b_data, (b_rows, b_cols)), shape=(n, m))
+    rows = isources.nodes.ravel()
+    keep = rows >= 0
+    B_mna = sp.csr_matrix(
+        (np.tile([-1.0, 1.0], m)[keep],
+         (rows[keep], np.repeat(np.arange(m), 2)[keep])), shape=(n, m))
 
     # Output matrix: observe the requested node voltages.
     output_nodes = netlist.output_nodes
@@ -380,20 +298,14 @@ def assemble_mna(netlist: Netlist, *,
         raise StampingError(
             "netlist declares no output nodes and has no current-source "
             "nodes to default to")
-    l_rows: list[int] = []
-    l_cols: list[int] = []
-    l_data: list[float] = []
-    output_names: list[str] = []
-    for row, node in enumerate(output_nodes):
-        idx = node_idx(node)
-        if idx is None:
-            raise StampingError("cannot observe the ground node")
-        l_rows.append(row)
-        l_cols.append(idx)
-        l_data.append(1.0)
-        output_names.append(f"v({node})")
-    L_mat = sp.csr_matrix((l_data, (l_rows, l_cols)),
-                          shape=(len(output_nodes), n))
+    if GROUND in output_nodes:
+        raise StampingError("cannot observe the ground node")
+    node_index = dict(zip(node_names, range(n_nodes)))
+    p = len(output_nodes)
+    L_mat = sp.csr_matrix(
+        (np.ones(p), (np.arange(p), [node_index[node]
+                                     for node in output_nodes])),
+        shape=(p, n))
 
     # Convert to the paper's sign convention: C dx/dt = G x + B u with
     # G = -G_mna, and the same for the constant excitation.
@@ -403,8 +315,8 @@ def assemble_mna(netlist: Netlist, *,
         B=B_mna,
         L=L_mat,
         state_names=state_names,
-        port_names=port_names,
-        output_names=output_names,
+        port_names=isources.names.tolist(),
+        output_names=[f"v({node})" for node in output_nodes],
         const_input=const_input if np.any(const_input) else None,
         name=netlist.title,
     )

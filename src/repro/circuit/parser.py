@@ -2,8 +2,11 @@
 
 The paper extracts its MNA models "from some industrial SPICE netlists"; this
 module provides the equivalent front end for our synthetic benchmarks so the
-full pipeline (netlist text -> parsed elements -> MNA descriptor -> MOR) is
-exercised end to end.
+full pipeline (netlist text -> netlist columns -> MNA descriptor -> MOR) is
+exercised end to end.  Each element line is one :meth:`Netlist.add
+<repro.circuit.netlist.Netlist.add>` call, so a bad value, name or node pair
+raises :class:`~repro.exceptions.NetlistParseError` with its line number;
+:func:`write_netlist` prints the columns back in insertion order.
 
 Supported grammar (a practical subset of SPICE level-1 decks):
 
@@ -25,16 +28,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
-from repro.circuit.netlist import Netlist
-from repro.exceptions import NetlistParseError
+from repro.circuit.netlist import GROUND, KINDS, Netlist
+from repro.exceptions import CircuitError, NetlistParseError
 
 __all__ = ["parse_netlist", "parse_netlist_file", "write_netlist",
            "parse_value"]
@@ -53,15 +48,10 @@ _SUFFIXES: list[tuple[str, float]] = [
     ("f", 1e-15),
 ]
 
-_PRINT_NODE_RE = re.compile(r"v\(\s*([^)\s]+)\s*\)", re.IGNORECASE)
-
-_ELEMENT_CLASSES: dict[str, type[Element]] = {
-    "R": Resistor,
-    "C": Capacitor,
-    "L": Inductor,
-    "I": CurrentSource,
-    "V": VoltageSource,
-}
+#: ``V(node)`` probes of a ``.PRINT`` card; the node may itself contain
+#: parentheses (``V(V(a))`` probes node ``V(a)``), so a probe ends at the
+#: ``)`` before whitespace or the end of the card.
+_PRINT_NODE_RE = re.compile(r"v\(\s*(\S+?)\s*\)(?=\s|$)", re.IGNORECASE)
 
 
 def parse_value(token: str) -> float:
@@ -126,7 +116,7 @@ def parse_netlist(text: str) -> Netlist:
     merged = _join_continuations(raw_lines)
 
     netlist: Netlist | None = None
-    output_nodes: list[str] = []
+    outputs: list[tuple[str, int, str]] = []  # (node, line number, line)
     title_seen = False
 
     for lineno, raw in merged:
@@ -145,7 +135,8 @@ def parse_netlist(text: str) -> Netlist:
         if upper.startswith(".END"):
             break
         if upper.startswith(".PRINT") or upper.startswith(".PROBE"):
-            output_nodes.extend(_PRINT_NODE_RE.findall(line))
+            outputs.extend((node, lineno, raw)
+                           for node in _PRINT_NODE_RE.findall(line))
             continue
         if upper.startswith("."):
             # Other control cards (.TRAN, .AC, .OPTIONS, ...) are accepted
@@ -160,8 +151,7 @@ def parse_netlist(text: str) -> Netlist:
                 line_number=lineno, line=raw)
         name, node_pos, node_neg = tokens[0], tokens[1], tokens[2]
         prefix = name[0].upper()
-        cls = _ELEMENT_CLASSES.get(prefix)
-        if cls is None:
+        if prefix not in KINDS:
             raise NetlistParseError(
                 f"unsupported element type {prefix!r}",
                 line_number=lineno, line=raw)
@@ -175,15 +165,20 @@ def parse_netlist(text: str) -> Netlist:
             raise NetlistParseError(str(exc), line_number=lineno,
                                     line=raw) from exc
         try:
-            netlist.add(cls(name, node_pos, node_neg, value))
-        except Exception as exc:
+            netlist.add(prefix, name, node_pos, node_neg, value)
+        except CircuitError as exc:
             raise NetlistParseError(str(exc), line_number=lineno,
                                     line=raw) from exc
 
     if netlist is None:
         raise NetlistParseError("netlist text contains no content")
-    if output_nodes:
-        netlist.set_output_nodes(output_nodes)
+    known = {GROUND, *netlist.nodes()}
+    for node, lineno, raw in outputs:
+        if node not in known:
+            raise NetlistParseError(f"output node {node!r} not in the "
+                                    "netlist", line_number=lineno, line=raw)
+    if outputs:
+        netlist.set_output_nodes(node for node, _, _ in outputs)
     return netlist
 
 
@@ -205,8 +200,13 @@ def write_netlist(netlist: Netlist, path: str | Path | None = None) -> str:
     values and the ``.PRINT`` output-node declaration are preserved.
     """
     lines = [netlist.title or "untitled"]
-    for element in netlist:
-        lines.append(element.spice_line())
+    node_names = netlist.nodes() + [GROUND]  # node index -1 is ground
+    every = netlist.elements()
+    for name, (pos, neg), value in zip(every.names.tolist(),
+                                       every.nodes.tolist(),
+                                       every.values.tolist()):
+        lines.append(f"{name} {node_names[pos]} {node_names[neg]} "
+                     f"{value:.12g}")
     outputs = netlist.output_nodes
     if outputs:
         decls = " ".join(f"V({node})" for node in outputs)

@@ -10,6 +10,9 @@ sources that stand in for transistor-level circuit blocks.
 Only the *structure* matters for reproducing the paper's claims: the MOR
 cost model depends on the node count ``n``, the port count ``m`` and the RLC
 character of the pencil, all of which this generator controls directly.
+The mesh is built from numpy masks and index arrays (open nodes, rails,
+per-node region scales), one :meth:`~repro.circuit.netlist.Netlist.add`
+call per element block, so paper-scale grids build in well under a second.
 
 Industrial grids are not homogeneous, and the partitioned-reduction
 subsystem (:mod:`repro.partition`) needs realistically heterogeneous
@@ -32,12 +35,11 @@ workload and ``examples/partitioned_reduce.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.elements import GROUND
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GROUND, Netlist
 from repro.exceptions import CircuitError
 
 __all__ = ["GridRegion", "PowerGridSpec", "build_power_grid",
@@ -80,11 +82,6 @@ class GridRegion:
         if self.r_scale <= 0.0 or self.c_scale <= 0.0:
             raise CircuitError("region R/C scales must be positive")
 
-    def contains(self, row: int, col: int) -> bool:
-        """Whether mesh node ``(row, col)`` lies inside the region."""
-        return (self.row0 <= row < self.row0 + self.rows
-                and self.col0 <= col < self.col0 + self.cols)
-
 
 @dataclass(frozen=True)
 class PowerGridSpec:
@@ -99,8 +96,8 @@ class PowerGridSpec:
     n_pads:
         Number of VDD pads (package connections) along the grid boundary.
         Must fit the boundary: a ``rows x cols`` mesh has
-        ``2 * (rows + cols) - 4`` boundary nodes, and blockage voids may
-        occlude some of them.
+        ``2 * (rows + cols) - 4`` boundary nodes (blockage voids never reach
+        the boundary).
     rail_resistance:
         Nominal rail segment resistance in ohms.
     node_capacitance:
@@ -109,19 +106,13 @@ class PowerGridSpec:
         Per-pad package parasitics; set ``package_inductance`` to 0 to build
         a pure RC grid.
     pad_resistance:
-        Small resistance between the pad node and the ideal VDD source.
-    vdd:
-        Supply voltage of the pads (volts).
+        Small resistance between the pad node and ground (the ideal
+        supply), which keeps the descriptor pencil symmetric.
     variation:
         Relative spread (uniform, +/-) applied to R and C values so the grid
         is not perfectly homogeneous, mimicking extracted netlists.
     load_current:
         Nominal DC magnitude of each load current source (amperes).
-    use_ideal_pads:
-        When ``True`` the pads connect to ideal voltage sources (adds branch
-        unknowns); when ``False`` they connect resistively to ground, which
-        keeps the descriptor pencil symmetric and is the default for MOR
-        studies.
     regions:
         Optional multi-domain :class:`GridRegion` rectangles scaling the
         local R/C densities (later regions win where they overlap).
@@ -146,15 +137,12 @@ class PowerGridSpec:
     package_resistance: float = 0.05
     package_inductance: float = 1e-12
     pad_resistance: float = 1e-3
-    vdd: float = 1.0
     variation: float = 0.2
     load_current: float = 1e-3
-    use_ideal_pads: bool = False
     regions: tuple = ()
     blockages: tuple = ()
     seed: int = 0
     name: str = "powergrid"
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 2 or self.cols < 2:
@@ -211,14 +199,6 @@ class PowerGridSpec:
             ) from exc
         return row0, col0, rows, cols
 
-    def is_blocked(self, row: int, col: int) -> bool:
-        """Whether mesh node ``(row, col)`` lies inside a blockage void."""
-        for rect in self.blockages:
-            row0, col0, rows, cols = self._blockage_rect(rect)
-            if row0 <= row < row0 + rows and col0 <= col < col0 + cols:
-                return True
-        return False
-
     @property
     def n_mesh_nodes(self) -> int:
         """Number of internal mesh nodes (before package/pad nodes)."""
@@ -227,14 +207,11 @@ class PowerGridSpec:
     @property
     def n_open_nodes(self) -> int:
         """Mesh nodes that survive the blockage voids."""
-        if not self.blockages:
-            return self.n_mesh_nodes
-        return sum(1 for row in range(self.rows) for col in range(self.cols)
-                   if not self.is_blocked(row, col))
+        return int(_open_mask(self).sum())
 
     @property
     def boundary_capacity(self) -> int:
-        """Unblocked boundary nodes available as pad attachment points."""
+        """Boundary nodes available as pad attachment points."""
         return len(_boundary_ring(self))
 
     @property
@@ -242,41 +219,48 @@ class PowerGridSpec:
         """Whether the spec includes package inductance (RLC vs RC grid)."""
         return self.package_inductance > 0.0
 
-    def region_scales(self, row: int, col: int) -> tuple[float, float]:
-        """``(r_scale, c_scale)`` at a mesh node (later regions win)."""
-        r_scale = 1.0
-        c_scale = 1.0
-        for region in self.regions:
-            if region.contains(row, col):
-                r_scale = region.r_scale
-                c_scale = region.c_scale
-        return r_scale, c_scale
+
+def _open_mask(spec: PowerGridSpec) -> np.ndarray:
+    """``(rows, cols)`` mask of the mesh nodes outside every blockage void."""
+    mask = np.ones((spec.rows, spec.cols), dtype=bool)
+    for rect in spec.blockages:
+        row0, col0, rows, cols = spec._blockage_rect(rect)
+        mask[row0:row0 + rows, col0:col0 + cols] = False
+    return mask
 
 
-def _node_name(row: int, col: int) -> str:
-    return f"n{row}_{col}"
+def _region_scales(spec: PowerGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node ``(r_scale, c_scale)`` grids (later regions win)."""
+    r_scale = np.ones((spec.rows, spec.cols))
+    c_scale = np.ones((spec.rows, spec.cols))
+    for region in spec.regions:
+        window = (slice(region.row0, region.row0 + region.rows),
+                  slice(region.col0, region.col0 + region.cols))
+        r_scale[window] = region.r_scale
+        c_scale[window] = region.c_scale
+    return r_scale, c_scale
 
 
-def _spread(rng: np.random.Generator, nominal: float, variation: float,
-            ) -> float:
-    """Apply a uniform relative spread to a nominal element value."""
+def _jitter(rng: np.random.Generator, variation: float, shape,
+            ) -> np.ndarray:
+    """Uniform relative spread factors ``1 + variation * U(-1, 1)``; no
+    draw at all for zero variation."""
     if variation <= 0.0:
-        return nominal
-    return float(nominal * (1.0 + variation * rng.uniform(-1.0, 1.0)))
+        return np.ones(shape)
+    return 1.0 + variation * rng.uniform(-1.0, 1.0, shape)
+
+
+def _numbered(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
 def _boundary_ring(spec: PowerGridSpec) -> list[tuple[int, int]]:
-    """Unblocked boundary nodes in clockwise ring order."""
-    ring: list[tuple[int, int]] = []
-    for col in range(spec.cols):
-        ring.append((0, col))
-    for row in range(1, spec.rows):
-        ring.append((row, spec.cols - 1))
-    for col in range(spec.cols - 2, -1, -1):
-        ring.append((spec.rows - 1, col))
-    for row in range(spec.rows - 2, 0, -1):
-        ring.append((row, 0))
-    return [(row, col) for row, col in ring if not spec.is_blocked(row, col)]
+    """Boundary nodes in clockwise ring order (no blockage reaches the
+    ring, so all of them are open)."""
+    return ([(0, col) for col in range(spec.cols)]
+            + [(row, spec.cols - 1) for row in range(1, spec.rows)]
+            + [(spec.rows - 1, col) for col in range(spec.cols - 2, -1, -1)]
+            + [(row, 0) for row in range(spec.rows - 2, 0, -1)])
 
 
 def _pad_positions(spec: PowerGridSpec) -> list[tuple[int, int]]:
@@ -298,16 +282,6 @@ def _pad_positions(spec: PowerGridSpec) -> list[tuple[int, int]]:
         taken.add(ring[idx])
         positions.append(ring[idx])
     return positions
-
-
-def _port_positions(spec: PowerGridSpec,
-                    rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Choose distinct unblocked mesh nodes for the load current sources."""
-    open_nodes = [(row, col) for row in range(spec.rows)
-                  for col in range(spec.cols)
-                  if not spec.is_blocked(row, col)]
-    chosen = rng.choice(len(open_nodes), size=spec.n_ports, replace=False)
-    return [open_nodes[int(idx)] for idx in sorted(chosen)]
 
 
 def make_multidomain_spec(rows: int, cols: int, n_ports: int, *,
@@ -354,82 +328,76 @@ def build_power_grid(spec: PowerGridSpec) -> Netlist:
     load nodes (the voltages whose droop one cares about).  Multi-domain
     ``regions`` scale the local element values and ``blockages`` remove
     nodes entirely (rails route around the voids).
+
+    Each block of elements is one :meth:`Netlist.add` call over index
+    arrays, with one ``rng.uniform`` draw per block in the order rails,
+    capacitors, package, load values (the load nodes are drawn just before
+    their values).
     """
     rng = np.random.default_rng(spec.seed)
     netlist = Netlist(title=spec.name)
+    open_ = _open_mask(spec)
+    r_scale, c_scale = _region_scales(spec)
+    mesh = np.array([f"n{row}_{col}" for row in range(spec.rows)
+                     for col in range(spec.cols)], dtype=object)
+    mesh = mesh.reshape(spec.rows, spec.cols)
 
-    # Mesh rails: horizontal and vertical resistors between adjacent open
-    # nodes.  A rail crossing a region boundary uses the geometric mean of
-    # the two endpoint scales so the transition is symmetric.
-    r_count = 0
-    for row in range(spec.rows):
-        for col in range(spec.cols):
-            if spec.is_blocked(row, col):
-                continue
-            here = _node_name(row, col)
-            r_here = spec.region_scales(row, col)[0]
-            if col + 1 < spec.cols and not spec.is_blocked(row, col + 1):
-                r_count += 1
-                scale = math.sqrt(
-                    r_here * spec.region_scales(row, col + 1)[0])
-                netlist.add_resistor(
-                    f"R{r_count}", here, _node_name(row, col + 1),
-                    scale * _spread(rng, spec.rail_resistance,
-                                    spec.variation))
-            if row + 1 < spec.rows and not spec.is_blocked(row + 1, col):
-                r_count += 1
-                scale = math.sqrt(
-                    r_here * spec.region_scales(row + 1, col)[0])
-                netlist.add_resistor(
-                    f"R{r_count}", here, _node_name(row + 1, col),
-                    scale * _spread(rng, spec.rail_resistance,
-                                    spec.variation))
+    # Mesh rails: from every open node (row-major) to its open right, then
+    # its open lower neighbour.  A rail crossing a region boundary uses the
+    # geometric mean of the two endpoint scales so the transition is
+    # symmetric.
+    rails = np.zeros((spec.rows, spec.cols, 2), dtype=bool)
+    rails[:, :-1, 0] = open_[:, :-1] & open_[:, 1:]
+    rails[:-1, :, 1] = open_[:-1, :] & open_[1:, :]
+    row, col, down = np.nonzero(rails)
+    row2, col2 = row + down, col + 1 - down
+    netlist.add("R", _numbered("R", len(row)), mesh[row, col],
+                mesh[row2, col2],
+                np.sqrt(r_scale[row, col] * r_scale[row2, col2])
+                * (spec.rail_resistance
+                   * _jitter(rng, spec.variation, len(row))))
 
     # Node capacitance to ground (decap + wire parasitics).
-    c_count = 0
-    for row in range(spec.rows):
-        for col in range(spec.cols):
-            if spec.is_blocked(row, col):
-                continue
-            c_count += 1
-            c_scale = spec.region_scales(row, col)[1]
-            netlist.add_capacitor(
-                f"C{c_count}", _node_name(row, col), GROUND,
-                c_scale * _spread(rng, spec.node_capacitance,
-                                  spec.variation))
+    row, col = np.nonzero(open_)
+    netlist.add("C", _numbered("C", len(row)), mesh[row, col], GROUND,
+                c_scale[row, col]
+                * (spec.node_capacitance
+                   * _jitter(rng, spec.variation, len(row))))
 
-    # Package: each pad connects its boundary mesh node to the VDD rail
-    # through a series R-L branch (or just R when inductance is zero).
-    for pad_idx, (row, col) in enumerate(_pad_positions(spec), start=1):
-        mesh_node = _node_name(row, col)
-        pad_node = f"pad{pad_idx}"
-        if spec.has_package:
-            mid_node = f"pkg{pad_idx}"
-            netlist.add_resistor(
-                f"Rpkg{pad_idx}", mesh_node, mid_node,
-                _spread(rng, spec.package_resistance, spec.variation))
-            netlist.add_inductor(
-                f"Lpkg{pad_idx}", mid_node, pad_node,
-                _spread(rng, spec.package_inductance, spec.variation))
-        else:
-            netlist.add_resistor(
-                f"Rpkg{pad_idx}", mesh_node, pad_node,
-                _spread(rng, spec.package_resistance, spec.variation))
-        if spec.use_ideal_pads:
-            netlist.add_voltage_source(
-                f"Vdd{pad_idx}", pad_node, GROUND, spec.vdd)
-        else:
-            netlist.add_resistor(
-                f"Rpad{pad_idx}", pad_node, GROUND, spec.pad_resistance)
+    # Package: each pad's boundary mesh node reaches ground through a
+    # series R-L branch (just R without inductance) and the pad resistor,
+    # added pad by pad.
+    links = [("R", "Rpkg", "pkg", spec.package_resistance),
+             ("L", "Lpkg", "pad", spec.package_inductance)]
+    if not spec.has_package:
+        links = [("R", "Rpkg", "pad", spec.package_resistance)]
+    jitter = _jitter(rng, spec.variation, (spec.n_pads, len(links)))
+    kinds, names, pos, neg, values = [], [], [], [], []
+    for pad, ((row, col), factors) in enumerate(
+            zip(_pad_positions(spec), jitter), start=1):
+        node = mesh[row, col]
+        for (kind, prefix, stop, nominal), factor in zip(links, factors):
+            kinds.append(kind)
+            names.append(f"{prefix}{pad}")
+            pos.append(node)
+            node = f"{stop}{pad}"
+            neg.append(node)
+            values.append(nominal * factor)
+        kinds.append("R")
+        names.append(f"Rpad{pad}")
+        pos.append(node)
+        neg.append(GROUND)
+        values.append(spec.pad_resistance)
+    netlist.add(kinds, names, pos, neg, values)
 
-    # Load ports: current sources drawing current from mesh nodes to ground.
-    port_nodes: list[str] = []
-    for port_idx, (row, col) in enumerate(_port_positions(spec, rng), start=1):
-        node = _node_name(row, col)
-        port_nodes.append(node)
-        netlist.add_current_source(
-            f"Iload{port_idx}", node, GROUND,
-            _spread(rng, spec.load_current, spec.variation))
+    # Load ports: current sources drawing current from distinct open mesh
+    # nodes to ground.
+    open_nodes = mesh[open_]
+    chosen = rng.choice(len(open_nodes), size=spec.n_ports, replace=False)
+    port_nodes = open_nodes[np.sort(chosen)]
+    netlist.add("I", _numbered("Iload", spec.n_ports), port_nodes, GROUND,
+                spec.load_current
+                * _jitter(rng, spec.variation, spec.n_ports))
 
-    netlist.set_output_nodes(port_nodes)
+    netlist.set_output_nodes(port_nodes.tolist())
     return netlist

@@ -263,10 +263,19 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
     opts = options or BDSMOptions()
     budget = budget or ResourceBudget.unlimited()
     label = "BDSM" if len(points) == 1 else "BDSM-mp"
+    # The budget is checked before the store lookup, so a budgeted call
+    # fails the same way whether or not the store already holds the ROM.
+    n, m = system.B.shape
+    columns_per_port = real_columns_per_input(moments_per_point, points)
+    chunk_ranges, engine, workers = _chunk_plan(n, m, columns_per_port, opts)
+    budget.check_dense(
+        n, max(map(len, chunk_ranges), default=0) * columns_per_port
+        * workers, what="BDSM chunked projection bases")
 
     def build():
-        return _build(system, moments_per_point, points, opts, budget,
-                      recycle, recycle_tol, label)
+        return _build(system, moments_per_point, points, opts,
+                      (chunk_ranges, engine, workers), recycle, recycle_tol,
+                      label)
 
     return memoized_reduce(
         store, system, "BDSM",
@@ -275,19 +284,13 @@ def multipoint_bdsm_reduce(system, moments_per_point: int,
         lambda: reduce_with_health(build, method=label))
 
 
-def _build(system, moments_per_point: int, points: list,
-           opts: BDSMOptions, budget: ResourceBudget, recycle: bool,
-           recycle_tol: float, label: str):
-    """One fresh BDSM reduce; see :func:`multipoint_bdsm_reduce`."""
-    single = len(points) == 1
-    s0 = points[0] if single else points
-    C = to_csr(system.C)
-    G = to_csr(system.G)
-    B = to_csr(system.B)
-    L = to_csr(system.L)
-    n, m = B.shape
-    p = L.shape[0]
-    columns_per_port = real_columns_per_input(moments_per_point, points)
+def _chunk_plan(n: int, m: int, columns_per_port: int, opts: BDSMOptions):
+    """``(chunk_ranges, engine, workers)`` of a BDSM reduce.
+
+    The per-cluster chunks are independent (that is the paper's "allows
+    for parallel calculations" remark) and all share the pencil
+    factorisations of one reduce.
+    """
     if opts.port_chunk_size is None:
         chunk_ranges = port_chunks(n, m, columns_per_port)
     else:
@@ -296,22 +299,33 @@ def _build(system, moments_per_point: int, points: list,
             raise ReductionError("port_chunk_size must be >= 1")
         chunk_ranges = [range(first, min(first + chunk, m))
                         for first in range(0, m, chunk)]
-    # The per-cluster chunks are independent (that is the paper's "allows
-    # for parallel calculations" remark) and all share the pencil
-    # factorisations held by ``operators``.
     engine = opts.engine if opts.engine is not None else shared_engine()
     workers = engine.workers_for(len(chunk_ranges))
     if (opts.engine is None
             and n * m * columns_per_port < MIN_CHUNK_SOLVE_WORK):
         workers = 1  # small problems stay off the shared pool
+    return chunk_ranges, engine, workers
+
+
+def _build(system, moments_per_point: int, points: list,
+           opts: BDSMOptions, plan: tuple, recycle: bool,
+           recycle_tol: float, label: str):
+    """One fresh BDSM reduce over the chunk ``plan`` of
+    :func:`_chunk_plan`; see :func:`multipoint_bdsm_reduce`."""
+    chunk_ranges, engine, workers = plan
+    single = len(points) == 1
+    s0 = points[0] if single else points
+    C = to_csr(system.C)
+    G = to_csr(system.G)
+    B = to_csr(system.B)
+    L = to_csr(system.L)
+    n, m = B.shape
+    p = L.shape[0]
     span = current_span()
     if span is not None and span.name == "bdsm.reduce":
         span.set_tag("chunks", len(chunk_ranges))
         span.set_tag("workers", workers)
         span.set_tag("inline", workers == 1)
-    budget.check_dense(
-        n, max(map(len, chunk_ranges), default=0) * columns_per_port
-        * workers, what="BDSM chunked projection bases")
 
     def fan_out(fn, items: list) -> list:
         if workers == 1:

@@ -193,11 +193,16 @@ def multipoint_prima_reduce(system, moments_per_point: int,
     points = expansion_points_checked(moments_per_point, expansion_points)
     budget = budget or ResourceBudget.unlimited()
     method = "PRIMA" if len(points) == 1 else "multipoint-PRIMA"
+    # The budget is checked before the store lookup, so a budgeted call
+    # fails the same way whether or not the store already holds the ROM.
+    n, m = system.B.shape
+    q_upper = m * real_columns_per_input(moments_per_point, points)
+    budget.check_dense(n, q_upper, what="PRIMA projection basis")
+    budget.check_dense(q_upper, 2 * q_upper, what="PRIMA dense ROM")
 
     def build():
-        return _build(system, moments_per_point, points, budget,
-                      keep_projection, deflation_tol, recycle, recycle_tol,
-                      method)
+        return _build(system, moments_per_point, points, keep_projection,
+                      deflation_tol, recycle, recycle_tol, method)
 
     rom, stats, seconds = memoized_reduce(
         store, system, "PRIMA",
@@ -212,16 +217,10 @@ def multipoint_prima_reduce(system, moments_per_point: int,
 
 
 def _build(system, moments_per_point: int, points: list,
-           budget: ResourceBudget, keep_projection: bool,
-           deflation_tol: float, recycle: bool, recycle_tol: float,
-           method: str):
+           keep_projection: bool, deflation_tol: float, recycle: bool,
+           recycle_tol: float, method: str):
     """One fresh PRIMA reduce; see :func:`multipoint_prima_reduce`."""
     n = system.C.shape[0]
-    m = system.B.shape[1]
-    q_upper = m * real_columns_per_input(moments_per_point, points)
-    budget.check_dense(n, q_upper, what="PRIMA projection basis")
-    budget.check_dense(q_upper, 2 * q_upper, what="PRIMA dense ROM")
-
     start = time.perf_counter()
     stats = OrthoStats()
     recycle_stats = RecycleStats() if recycle else None

@@ -53,13 +53,13 @@ def rc_ladder_netlist():
     cross-checks.
     """
     net = Netlist(title="rc-ladder")
-    net.add_resistor("R0", "n1", "0", 10.0)
-    net.add_resistor("R1", "n1", "n2", 1.0)
-    net.add_resistor("R2", "n2", "n3", 1.0)
-    net.add_capacitor("C1", "n1", "0", 1e-6)
-    net.add_capacitor("C2", "n2", "0", 1e-6)
-    net.add_capacitor("C3", "n3", "0", 1e-6)
-    net.add_current_source("I1", "n1", "0", 1e-3)
+    net.add("R", "R0", "n1", "0", 10.0)
+    net.add("R", "R1", "n1", "n2", 1.0)
+    net.add("R", "R2", "n2", "n3", 1.0)
+    net.add("C", "C1", "n1", "0", 1e-6)
+    net.add("C", "C2", "n2", "0", 1e-6)
+    net.add("C", "C3", "n3", "0", 1e-6)
+    net.add("I", "I1", "n1", "0", 1e-3)
     net.set_output_nodes(["n1", "n3"])
     return net
 
@@ -77,9 +77,9 @@ def single_rc_netlist():
     v(t) for a current step I is I*R*(1 - exp(-t/(R*C))).
     """
     net = Netlist(title="single-rc")
-    net.add_resistor("R1", "n1", "0", 100.0)
-    net.add_capacitor("C1", "n1", "0", 1e-6)
-    net.add_current_source("I1", "n1", "0", 1e-3)
+    net.add("R", "R1", "n1", "0", 100.0)
+    net.add("C", "C1", "n1", "0", 1e-6)
+    net.add("I", "I1", "n1", "0", 1e-3)
     net.set_output_nodes(["n1"])
     return net
 

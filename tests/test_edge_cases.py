@@ -23,10 +23,10 @@ class TestTransientWithVddSources:
         # A grid held up by an ideal VDD source settles to VDD at the
         # observed node even with zero port current.
         net = Netlist(title="vdd-transient")
-        net.add_voltage_source("V1", "a", "0", 1.0)
-        net.add_resistor("R1", "a", "b", 1.0)
-        net.add_capacitor("C1", "b", "0", 1e-9)
-        net.add_current_source("I1", "b", "0", 0.0)
+        net.add("V", "V1", "a", "0", 1.0)
+        net.add("R", "R1", "a", "b", 1.0)
+        net.add("C", "C1", "b", "0", 1e-9)
+        net.add("I", "I1", "b", "0", 0.0)
         system = assemble_mna(net)
         assert system.const_input is not None
         for method in ("backward_euler", "trapezoidal"):

@@ -29,11 +29,11 @@ class TestDescriptorNpz:
     def test_const_input_preserved(self, tmp_path):
         from repro.circuit import Netlist, assemble_mna
         net = Netlist(title="vdd-grid")
-        net.add_voltage_source("V1", "a", "0", 1.0)
-        net.add_resistor("R1", "a", "b", 1.0)
-        net.add_resistor("R2", "b", "0", 1.0)
-        net.add_capacitor("C1", "b", "0", 1e-12)
-        net.add_current_source("I1", "b", "0", 1e-3)
+        net.add("V", "V1", "a", "0", 1.0)
+        net.add("R", "R1", "a", "b", 1.0)
+        net.add("R", "R2", "b", "0", 1.0)
+        net.add("C", "C1", "b", "0", 1e-12)
+        net.add("I", "I1", "b", "0", 1e-3)
         system = assemble_mna(net)
         assert system.const_input is not None
         path = tmp_path / "vdd.npz"

@@ -15,9 +15,9 @@ class TestStaticIrDrop:
     def test_simple_resistive_drop(self):
         # 1 mA through 10 ohm to ground -> 10 mV drop at the node.
         net = Netlist(title="drop")
-        net.add_resistor("R1", "a", "0", 10.0)
-        net.add_capacitor("C1", "a", "0", 1e-12)
-        net.add_current_source("I1", "a", "0", 1e-3)
+        net.add("R", "R1", "a", "0", 10.0)
+        net.add("C", "C1", "a", "0", 1e-12)
+        net.add("I", "I1", "a", "0", 1e-3)
         system = assemble_mna(net)
         result = ir_drop_analysis(system, np.array([1e-3]))
         assert result.drops[0] == pytest.approx(0.01)

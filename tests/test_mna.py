@@ -43,10 +43,10 @@ class TestStampingValues:
         # 1A into node a, a--1ohm--b, b--1ohm--gnd:  v_a = 2, v_b = 1 (sign:
         # the source draws current out of the node, so voltages are negative).
         net = Netlist(title="divider")
-        net.add_resistor("R1", "a", "b", 1.0)
-        net.add_resistor("R2", "b", "0", 1.0)
-        net.add_capacitor("C1", "a", "0", 1e-12)
-        net.add_current_source("I1", "a", "0", 1.0)
+        net.add("R", "R1", "a", "b", 1.0)
+        net.add("R", "R2", "b", "0", 1.0)
+        net.add("C", "C1", "a", "0", 1e-12)
+        net.add("I", "I1", "a", "0", 1.0)
         net.set_output_nodes(["a", "b"])
         sys = assemble_mna(net)
         x = sys.dc_operating_point(np.array([1.0]))
@@ -54,28 +54,17 @@ class TestStampingValues:
 
     def test_voltage_source_pins_node(self):
         net = Netlist(title="vdd")
-        net.add_voltage_source("V1", "a", "0", 1.8)
-        net.add_resistor("R1", "a", "b", 1.0)
-        net.add_resistor("R2", "b", "0", 1.0)
-        net.add_capacitor("C1", "b", "0", 1e-12)
-        net.add_current_source("I1", "b", "0", 0.0)
+        net.add("V", "V1", "a", "0", 1.8)
+        net.add("R", "R1", "a", "b", 1.0)
+        net.add("R", "R2", "b", "0", 1.0)
+        net.add("C", "C1", "b", "0", 1e-12)
+        net.add("I", "I1", "b", "0", 0.0)
         net.set_output_nodes(["a", "b"])
         sys = assemble_mna(net)
         x = sys.dc_operating_point()
         # node a is pinned at 1.8 V, node b sits at the divider midpoint
         assert x[0] == pytest.approx(1.8)
         assert x[1] == pytest.approx(0.9)
-
-    def test_voltage_sources_as_inputs(self):
-        net = Netlist(title="vdd-input")
-        net.add_voltage_source("V1", "a", "0", 1.0)
-        net.add_resistor("R1", "a", "0", 2.0)
-        net.add_capacitor("C1", "a", "0", 1e-12)
-        net.add_current_source("I1", "a", "0", 0.0)
-        sys = assemble_mna(net, voltage_sources_as_inputs=True)
-        assert sys.n_ports == 2
-        assert sys.port_names == ["I1", "V1"]
-        assert sys.const_input is None
 
     def test_transfer_function_of_rc_ladder(self, rc_ladder_system):
         # At DC the input impedance seen at n1 equals R0 (10 ohm): the series
@@ -134,8 +123,8 @@ class TestDescriptorSystemInterface:
 
     def test_netlist_without_sources_rejected(self):
         net = Netlist(title="no-input")
-        net.add_resistor("R1", "a", "0", 1.0)
-        net.add_capacitor("C1", "a", "0", 1e-12)
+        net.add("R", "R1", "a", "0", 1.0)
+        net.add("C", "C1", "a", "0", 1e-12)
         with pytest.raises(Exception):
             assemble_mna(net)
 

@@ -1,14 +1,8 @@
 """Unit tests for repro.circuit.parser (SPICE-subset parser/writer)."""
 
+import numpy as np
 import pytest
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
 from repro.circuit.parser import (
     parse_netlist,
     parse_netlist_file,
@@ -28,6 +22,18 @@ I1 n1 0 1m
 .PRINT V(n1) V(n2)
 .END
 """
+
+
+def _element(net, name):
+    """``(kind, node_pos, node_neg, value)`` of one named element."""
+    nodes = net.nodes() + ["0"]
+    for kind in "RCLIV":
+        found = net.elements(kind)
+        for row, element in enumerate(found.names.tolist()):
+            if element == name:
+                pos, neg = found.nodes[row].tolist()
+                return kind, nodes[pos], nodes[neg], found.values[row]
+    raise KeyError(name)
 
 
 class TestParseValue:
@@ -62,14 +68,11 @@ class TestParseNetlist:
     def test_full_deck(self):
         net = parse_netlist(DECK)
         assert net.title == "simple power grid fragment"
-        assert isinstance(net["R1"], Resistor)
-        assert isinstance(net["C1"], Capacitor)
-        assert isinstance(net["L1"], Inductor)
-        assert isinstance(net["Vdd"], VoltageSource)
-        assert isinstance(net["I1"], CurrentSource)
-        assert net["R2"].value == pytest.approx(2000.0)
-        assert net["C1"].value == pytest.approx(1e-11)
-        assert net["Vdd"].value == pytest.approx(1.0)
+        assert [_element(net, name)[0]
+                for name in ("R1", "C1", "L1", "Vdd", "I1")] == list("RCLVI")
+        assert _element(net, "R2")[3] == pytest.approx(2000.0)
+        assert _element(net, "C1")[3] == pytest.approx(1e-11)
+        assert _element(net, "Vdd")[3] == pytest.approx(1.0)
         assert net.output_nodes == ["n1", "n2"]
 
     def test_comments_and_blank_lines_ignored(self):
@@ -80,8 +83,7 @@ class TestParseNetlist:
     def test_continuation_lines(self):
         text = "title\nR1 a\n+ 0 2.0\nI1 a 0 1\n"
         net = parse_netlist(text)
-        assert net["R1"].value == 2.0
-        assert net["R1"].node_neg == "0"
+        assert _element(net, "R1") == ("R", "a", "0", 2.0)
 
     def test_continuation_without_previous_line_rejected(self):
         with pytest.raises(NetlistParseError):
@@ -107,8 +109,38 @@ class TestParseNetlist:
         assert err.value.line_number == 3
 
     def test_self_loop_element_reported_with_line(self):
-        with pytest.raises(NetlistParseError):
+        with pytest.raises(NetlistParseError, match="to itself") as err:
             parse_netlist("title\nR1 a a 1.0\n")
+        assert err.value.line_number == 2
+
+    def test_duplicate_name_reported_with_line(self):
+        with pytest.raises(NetlistParseError, match="duplicate") as err:
+            parse_netlist("title\nR1 a 0 1\nI1 a 0 1\nR1 a 0 2\n")
+        assert err.value.line_number == 4
+
+    def test_unknown_output_node_reported_with_line(self):
+        with pytest.raises(NetlistParseError, match="'zz'") as err:
+            parse_netlist("title\nR1 a 0 1\nI1 a 0 1\n.PRINT V(a) V(zz)\n")
+        assert err.value.line_number == 4
+
+    def test_print_node_with_parentheses(self):
+        net = parse_netlist("title\nR1 V(a) 0 1\nI1 V(a) 0 1\n"
+                            ".PRINT V(V(a)) v(V(a))\n")
+        assert net.output_nodes == ["V(a)", "V(a)"]
+        assert parse_netlist(write_netlist(net)).output_nodes == \
+            net.output_nodes
+
+    def test_library_bug_is_not_relabelled(self, monkeypatch):
+        # Only CircuitError becomes a parse error; anything else is a bug
+        # and propagates as itself.
+        from repro.circuit.netlist import Netlist
+
+        def broken(self, *args):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(Netlist, "add", broken)
+        with pytest.raises(ZeroDivisionError):
+            parse_netlist("title\nR1 a 0 1\n")
 
     def test_empty_text_rejected(self):
         with pytest.raises(NetlistParseError):
@@ -130,10 +162,11 @@ class TestRoundTrip:
         original = parse_netlist(DECK)
         text = write_netlist(original)
         reparsed = parse_netlist(text)
-        assert [e.name for e in original] == [e.name for e in reparsed]
-        for a, b in zip(original, reparsed):
-            assert a.value == pytest.approx(b.value)
-            assert a.nodes == b.nodes
+        a, b = original.elements(), reparsed.elements()
+        assert a.names.tolist() == b.names.tolist()
+        assert np.allclose(a.values, b.values)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert original.nodes() == reparsed.nodes()
         assert original.output_nodes == reparsed.output_nodes
 
     def test_file_roundtrip(self, tmp_path):

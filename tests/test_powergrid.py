@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 
 from repro.circuit import PowerGridSpec, assemble_mna, build_power_grid
+from repro.circuit.parser import write_netlist
 from repro.exceptions import CircuitError
+
+
+def _named(net, kind, prefix):
+    """``{name: (node_pos, node_neg, value)}`` of one kind's elements whose
+    name starts with ``prefix``."""
+    nodes = net.nodes() + ["0"]
+    found = net.elements(kind)
+    return {name: (nodes[pos], nodes[neg], value)
+            for name, (pos, neg), value in zip(found.names.tolist(),
+                                               found.nodes.tolist(),
+                                               found.values.tolist())
+            if name.startswith(prefix)}
 
 
 class TestPowerGridSpec:
@@ -44,41 +57,46 @@ class TestBuildPowerGrid:
         assert summary["current_sources"] == 3
         net.validate()
 
-    def test_counts_rlc_grid_with_ideal_pads(self):
+    def test_package_chain_per_pad(self):
+        # Each pad: mesh -Rpkg- pkg -Lpkg- pad -Rpad- ground, written pad by
+        # pad.
         spec = PowerGridSpec(rows=4, cols=4, n_ports=2, n_pads=3,
-                             package_inductance=1e-12, use_ideal_pads=True,
-                             seed=2)
+                             package_inductance=1e-12, seed=2)
         net = build_power_grid(spec)
-        summary = net.summary()
-        assert summary["inductors"] == 3
-        assert summary["voltage_sources"] == 3
+        assert net.summary()["inductors"] == 3
+        lines = [line.split()[:3] for line in write_netlist(net).splitlines()
+                 if line.startswith(("Rpkg", "Lpkg", "Rpad"))]
+        assert lines[:3] == [["Rpkg1", "n0_0", "pkg1"],
+                             ["Lpkg1", "pkg1", "pad1"],
+                             ["Rpad1", "pad1", "0"]]
+        assert len(lines) == 9
         net.validate()
 
     def test_output_nodes_are_port_nodes(self):
         spec = PowerGridSpec(rows=5, cols=5, n_ports=4, seed=3)
         net = build_power_grid(spec)
         assert len(net.output_nodes) == 4
-        port_nodes = {s.node_pos for s in net.current_sources}
+        port_nodes = {pos for pos, _, _ in _named(net, "I", "I").values()}
         assert set(net.output_nodes) == port_nodes
 
     def test_deterministic_for_same_seed(self):
         spec = PowerGridSpec(rows=5, cols=5, n_ports=4, seed=9)
         a = build_power_grid(spec)
         b = build_power_grid(spec)
-        assert [e.spice_line() for e in a] == [e.spice_line() for e in b]
+        assert write_netlist(a) == write_netlist(b)
 
     def test_different_seed_changes_values(self):
         a = build_power_grid(PowerGridSpec(rows=5, cols=5, n_ports=4, seed=1))
         b = build_power_grid(PowerGridSpec(rows=5, cols=5, n_ports=4, seed=2))
-        assert [e.spice_line() for e in a] != [e.spice_line() for e in b]
+        assert write_netlist(a) != write_netlist(b)
 
     def test_zero_variation_gives_nominal_values(self):
         spec = PowerGridSpec(rows=3, cols=3, n_ports=1, variation=0.0,
                              rail_resistance=2.5, seed=0)
         net = build_power_grid(spec)
-        rail_values = {r.value for r in net.resistors
-                       if r.name.startswith("R") and not
-                       r.name.startswith(("Rpkg", "Rpad"))}
+        rail_values = {value for name, (_, _, value)
+                       in _named(net, "R", "R").items()
+                       if not name.startswith(("Rpkg", "Rpad"))}
         assert rail_values == {2.5}
 
     def test_stamps_into_solvable_system(self):
@@ -106,11 +124,9 @@ class TestPadCapacityValidation:
                              package_inductance=0.0, seed=1)
         assert spec.boundary_capacity == 8
         net = build_power_grid(spec)
-        assert sum(1 for r in net.resistors
-                   if r.name.startswith("Rpad")) == 8
+        assert len(_named(net, "R", "Rpad")) == 8
         # Every pad grabbed a distinct boundary node.
-        pad_nodes = {r.node_pos for r in net.resistors
-                     if r.name.startswith("Rpkg")}
+        pad_nodes = {pos for pos, _, _ in _named(net, "R", "Rpkg").values()}
         assert len(pad_nodes) == 8
 
     def test_blockage_reduces_capacity(self):
@@ -128,10 +144,9 @@ class TestMultiDomainGrids:
         scaled = PowerGridSpec(rows=6, cols=6, n_ports=2, variation=0.0,
                                node_capacitance=1e-15, regions=(region,),
                                seed=0)
-        caps_base = {c.name: c.value for c in build_power_grid(base).capacitors}
-        caps_scaled = {c.name: c.value
-                       for c in build_power_grid(scaled).capacitors}
-        ratios = {round(caps_scaled[name] / caps_base[name], 9)
+        caps_base = _named(build_power_grid(base), "C", "C")
+        caps_scaled = _named(build_power_grid(scaled), "C", "C")
+        ratios = {round(caps_scaled[name][2] / caps_base[name][2], 9)
                   for name in caps_base}
         assert ratios == {1.0, 10.0}
 
@@ -153,8 +168,7 @@ class TestMultiDomainGrids:
         assert spec.n_open_nodes == 64 - 4
         net = build_power_grid(spec)
         blocked = {f"n{r}_{c}" for r in (3, 4) for c in (3, 4)}
-        for element in net:
-            assert blocked.isdisjoint(element.nodes)
+        assert blocked.isdisjoint(net.nodes())
         net.validate()
         system = assemble_mna(net)
         assert np.all(np.isfinite(system.transfer_function(0.0)))

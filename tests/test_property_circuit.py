@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import PowerGridSpec, assemble_mna, build_power_grid
 from repro.circuit.parser import parse_netlist, write_netlist
+from repro.exceptions import NetlistParseError
 from repro.linalg.sparse_utils import is_symmetric
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -40,8 +41,9 @@ class TestGridStampingProperties:
     def test_state_count_accounting(self, spec):
         netlist = build_power_grid(spec)
         system = assemble_mna(netlist)
-        expected = netlist.n_nodes + len(netlist.inductors) \
-            + len(netlist.voltage_sources)
+        summary = netlist.summary()
+        expected = netlist.n_nodes + summary["inductors"] \
+            + summary["voltage_sources"]
         assert system.size == expected
         assert system.n_ports == spec.n_ports
 
@@ -74,6 +76,66 @@ class TestGridStampingProperties:
         reparsed = parse_netlist(write_netlist(netlist))
         assert reparsed.summary() == netlist.summary()
         assert reparsed.output_nodes == netlist.output_nodes
-        for a, b in zip(netlist, reparsed):
-            assert a.name == b.name
-            assert np.isclose(a.value, b.value, rtol=1e-9)
+        assert reparsed.nodes() == netlist.nodes()
+        a, b = netlist.elements(), reparsed.elements()
+        assert a.names.tolist() == b.names.tolist()
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.allclose(a.values, b.values, rtol=1e-9)
+
+
+_GOOD_VALUES = ["1", "2k", "10pF", "3.3v", "+2.5", ".5u", "1e-3",
+                "DC 1"]
+_BAD_VALUES = ["-1", "0", "1e400", "1e303meg", "abc", "nan", "DC"]
+_NODES = ["0", "a", "b", "c", "n1_2", "V(a)"]
+
+
+@st.composite
+def element_lines(draw):
+    """One element line; about one in four carries a bad token (unknown
+    kind, empty or repeated name, self-loop, bad value, missing tokens)."""
+    name = draw(st.sampled_from("RCLIV")) + str(draw(st.integers(0, 20)))
+    pos, neg = draw(st.lists(st.sampled_from(_NODES), min_size=2,
+                             max_size=2, unique=True))
+    value = draw(st.sampled_from(_GOOD_VALUES))
+    flaw = draw(st.sampled_from(["none"] * 6 + [
+        "kind", "name", "loop", "value", "short"]))
+    if flaw == "kind":
+        name = draw(st.sampled_from(["Q", "X", "*"])) + name[1:]
+    elif flaw == "name":
+        name = draw(st.sampled_from(["R1", "I1", "r1"]))
+    elif flaw == "loop":
+        neg = pos
+    elif flaw == "value":
+        value = draw(st.sampled_from(_BAD_VALUES))
+    tokens = [name, pos, neg, value]
+    return " ".join(tokens[:3] if flaw == "short" else tokens)
+
+
+@st.composite
+def spice_decks(draw):
+    lines = ["random deck"]
+    lines += draw(st.lists(element_lines(), max_size=8))
+    if draw(st.booleans()):
+        lines.append(".PRINT " + " ".join(
+            f"V({draw(st.sampled_from(_NODES + ['zz']))})"
+            for _ in range(draw(st.integers(1, 2)))))
+    return "\n".join(lines) + "\n"
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(spice_decks())
+    def test_decks_parse_and_round_trip_or_raise_parse_errors(self, deck):
+        try:
+            netlist = parse_netlist(deck)
+        except NetlistParseError:
+            return
+        reparsed = parse_netlist(write_netlist(netlist))
+        assert reparsed.title == netlist.title
+        assert reparsed.nodes() == netlist.nodes()
+        assert reparsed.output_nodes == netlist.output_nodes
+        assert reparsed.summary() == netlist.summary()
+        a, b = netlist.elements(), reparsed.elements()
+        assert a.names.tolist() == b.names.tolist()
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.allclose(a.values, b.values, rtol=1e-9, atol=0.0)

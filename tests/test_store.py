@@ -16,6 +16,8 @@ import pytest
 from repro import (
     ModelStore,
     ReducedSystem,
+    ResourceBudget,
+    ResourceBudgetExceeded,
     bdsm_reduce,
     load_artifact,
     make_benchmark,
@@ -337,6 +339,22 @@ class TestModelStore:
         assert store.clear() == 1
         assert store.entries() == []
         assert store.total_bytes() == 0
+
+    @pytest.mark.parametrize("reduce", [prima_reduce, bdsm_reduce],
+                             ids=["prima", "bdsm"])
+    def test_dense_budget_checked_before_store_lookup(self, system, tmp_path,
+                                                      reduce):
+        # A budgeted call fails the same way cold and after an unbudgeted
+        # call stored the ROM: the store must not bypass the budget.
+        store = ModelStore(tmp_path / "store")
+        budget = ResourceBudget(max_dense_bytes=1000)
+        with pytest.raises(ResourceBudgetExceeded):
+            reduce(system, 4, budget=budget, store=store)
+        reduce(system, 4, store=store)
+        assert len(store.entries()) == 1
+        with pytest.raises(ResourceBudgetExceeded):
+            reduce(system, 4, budget=budget, store=store)
+        assert store.stats().hits == 0
 
     def test_stats_snapshot_is_isolated(self, tmp_path):
         store = ModelStore(tmp_path / "store")
