@@ -85,13 +85,18 @@ def _fail_first(bad: np.ndarray, message) -> None:
 
 
 def _finite_floats(names: list[str], values) -> np.ndarray:
-    """``values`` as one float per element; the first non-numeric or
-    non-finite value raises :class:`CircuitError`."""
+    """``values`` as one float per element (a single value is shared); the
+    first non-numeric or non-finite value raises :class:`CircuitError`."""
     try:
-        raw = np.broadcast_to(np.asarray(values), (len(names),))
-    except ValueError as exc:
+        raw = np.asarray(values)
+    except ValueError as exc:  # a ragged sequence
+        raise CircuitError(f"{len(names)} element name(s) but ragged "
+                           "values") from exc
+    if raw.ndim == 0:
+        raw = np.broadcast_to(raw, (len(names),))
+    if raw.shape != (len(names),):
         raise CircuitError(f"{len(names)} element name(s) but values of "
-                           f"shape {np.shape(values)}") from exc
+                           f"shape {raw.shape}")
     if raw.dtype.kind in "iuf" and np.isfinite(raw).all():
         return raw.astype(float)
     for name, value in zip(names, raw.tolist()):

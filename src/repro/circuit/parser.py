@@ -3,10 +3,11 @@
 The paper extracts its MNA models "from some industrial SPICE netlists"; this
 module provides the equivalent front end for our synthetic benchmarks so the
 full pipeline (netlist text -> netlist columns -> MNA descriptor -> MOR) is
-exercised end to end.  Each element line is one :meth:`Netlist.add
-<repro.circuit.netlist.Netlist.add>` call, so a bad value, name or node pair
-raises :class:`~repro.exceptions.NetlistParseError` with its line number;
-:func:`write_netlist` prints the columns back in insertion order.
+exercised end to end.  The element lines are collected as columns and
+added with one :meth:`Netlist.add <repro.circuit.netlist.Netlist.add>` call;
+a bad value, name or node pair raises
+:class:`~repro.exceptions.NetlistParseError` with the number of the first
+bad line.  :func:`write_netlist` prints the columns back in insertion order.
 
 Supported grammar (a practical subset of SPICE level-1 decks):
 
@@ -16,7 +17,8 @@ Supported grammar (a practical subset of SPICE level-1 decks):
 * ``L<name> n+ n- value`` — inductor,
 * ``I<name> n+ n- value`` — independent current source (input port),
 * ``V<name> n+ n- value`` — independent voltage source,
-* ``.PRINT V(node) [V(node) ...]`` — declares output nodes,
+* ``.PRINT V(node) [V(node) ...]`` — declares output nodes (probes may be
+  separated by commas; other tokens such as ``TRAN`` are ignored),
 * ``*`` comments, ``$``/``;`` trailing comments, ``+`` line continuations,
 * engineering suffixes ``f p n u m k meg g t`` and unit tails (``1.2k``,
   ``10pF``, ``2.5MEG``),
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+
+import numpy as np
 
 from repro.circuit.netlist import GROUND, KINDS, Netlist
 from repro.exceptions import CircuitError, NetlistParseError
@@ -48,10 +52,14 @@ _SUFFIXES: list[tuple[str, float]] = [
     ("f", 1e-15),
 ]
 
-#: ``V(node)`` probes of a ``.PRINT`` card; the node may itself contain
-#: parentheses (``V(V(a))`` probes node ``V(a)``), so a probe ends at the
-#: ``)`` before whitespace or the end of the card.
-_PRINT_NODE_RE = re.compile(r"v\(\s*(\S+?)\s*\)(?=\s|$)", re.IGNORECASE)
+#: One ``V(node)`` probe token of a ``.PRINT`` card, matched in full; the
+#: node may itself contain parentheses (``V(V(a))`` probes node ``V(a)``).
+_PRINT_NODE_RE = re.compile(r"v\((.+)\)", re.IGNORECASE)
+#: Blanks just inside a probe's parentheses (``V( a )``), dropped before the
+#: card is split into probe tokens.
+_PRINT_PAD_RE = re.compile(r"(?<=\()\s+|\s+(?=\))")
+#: Separators between probe tokens: blanks, or a comma after a ``)``.
+_PRINT_SEP_RE = re.compile(r"\s+|(?<=\)),")
 
 
 def parse_value(token: str) -> float:
@@ -110,12 +118,55 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _add_rows(netlist: Netlist, rows: list[tuple]) -> None:
+    """Add parsed element rows ``(line number, line, kind, name, node+,
+    node-, value)`` with one :meth:`Netlist.add` call.
+
+    If the call rejects them, the rows are re-added one by one to a scratch
+    netlist, so the error names the first bad line.
+    """
+    if not rows:
+        return
+    _, _, *columns = zip(*rows)
+    try:
+        netlist.add(*columns)
+    except CircuitError:
+        scratch = Netlist()
+        for lineno, raw, *row in rows:
+            try:
+                scratch.add(*row)
+            except CircuitError as exc:
+                raise NetlistParseError(str(exc), line_number=lineno,
+                                        line=raw) from exc
+        raise
+
+
+def _print_nodes(card: str, lineno: int, raw: str, rows: list[tuple]):
+    """``(node, line number, line)`` of each ``V(node)`` probe of a card."""
+    for token in _PRINT_SEP_RE.split(_PRINT_PAD_RE.sub("", card))[1:]:
+        if not token.upper().startswith("V("):
+            continue
+        match = _PRINT_NODE_RE.fullmatch(token)
+        if match is None:
+            raise _syntax_error(rows, f"malformed output probe {token!r}",
+                                lineno, raw)
+        yield match.group(1), lineno, raw
+
+
+def _syntax_error(rows: list[tuple], message: str, lineno: int,
+                  raw: str) -> NetlistParseError:
+    """The error for a bad line, unless an earlier element line is bad."""
+    _add_rows(Netlist(), rows)
+    return NetlistParseError(message, line_number=lineno, line=raw)
+
+
 def parse_netlist(text: str) -> Netlist:
     """Parse a SPICE-subset deck from a string into a :class:`Netlist`."""
     raw_lines = text.splitlines()
     merged = _join_continuations(raw_lines)
 
     netlist: Netlist | None = None
+    rows: list[tuple] = []  # (line number, line, kind, name, n+, n-, value)
     outputs: list[tuple[str, int, str]] = []  # (node, line number, line)
     title_seen = False
 
@@ -129,14 +180,12 @@ def parse_netlist(text: str) -> Netlist:
             netlist = Netlist(title=line)
             title_seen = True
             continue
-        assert netlist is not None
 
         upper = line.upper()
         if upper.startswith(".END"):
             break
         if upper.startswith(".PRINT") or upper.startswith(".PROBE"):
-            outputs.extend((node, lineno, raw)
-                           for node in _PRINT_NODE_RE.findall(line))
+            outputs.extend(_print_nodes(line, lineno, raw, rows))
             continue
         if upper.startswith("."):
             # Other control cards (.TRAN, .AC, .OPTIONS, ...) are accepted
@@ -145,16 +194,13 @@ def parse_netlist(text: str) -> Netlist:
 
         tokens = line.split()
         if len(tokens) < 4:
-            raise NetlistParseError(
-                "element line needs at least 4 tokens "
-                "(name, node+, node-, value)",
-                line_number=lineno, line=raw)
+            raise _syntax_error(rows, "element line needs at least 4 tokens "
+                                "(name, node+, node-, value)", lineno, raw)
         name, node_pos, node_neg = tokens[0], tokens[1], tokens[2]
         prefix = name[0].upper()
         if prefix not in KINDS:
-            raise NetlistParseError(
-                f"unsupported element type {prefix!r}",
-                line_number=lineno, line=raw)
+            raise _syntax_error(rows, f"unsupported element type {prefix!r}",
+                                lineno, raw)
         # Independent sources may carry a "DC" keyword before the value.
         value_token = tokens[3]
         if value_token.upper() == "DC" and len(tokens) >= 5:
@@ -162,16 +208,12 @@ def parse_netlist(text: str) -> Netlist:
         try:
             value = parse_value(value_token)
         except ValueError as exc:
-            raise NetlistParseError(str(exc), line_number=lineno,
-                                    line=raw) from exc
-        try:
-            netlist.add(prefix, name, node_pos, node_neg, value)
-        except CircuitError as exc:
-            raise NetlistParseError(str(exc), line_number=lineno,
-                                    line=raw) from exc
+            raise _syntax_error(rows, str(exc), lineno, raw) from exc
+        rows.append((lineno, raw, prefix, name, node_pos, node_neg, value))
 
     if netlist is None:
         raise NetlistParseError("netlist text contains no content")
+    _add_rows(netlist, rows)
     known = {GROUND, *netlist.nodes()}
     for node, lineno, raw in outputs:
         if node not in known:
@@ -200,13 +242,15 @@ def write_netlist(netlist: Netlist, path: str | Path | None = None) -> str:
     values and the ``.PRINT`` output-node declaration are preserved.
     """
     lines = [netlist.title or "untitled"]
-    node_names = netlist.nodes() + [GROUND]  # node index -1 is ground
     every = netlist.elements()
-    for name, (pos, neg), value in zip(every.names.tolist(),
-                                       every.nodes.tolist(),
-                                       every.values.tolist()):
-        lines.append(f"{name} {node_names[pos]} {node_names[neg]} "
-                     f"{value:.12g}")
+    # Node index -1 is ground, the last entry of the table.
+    terminals = np.array(netlist.nodes() + [GROUND], dtype=object)[
+        every.nodes]
+    lines += [f"{name} {pos} {neg} {value:.12g}"
+              for name, pos, neg, value in zip(every.names.tolist(),
+                                               terminals[:, 0].tolist(),
+                                               terminals[:, 1].tolist(),
+                                               every.values.tolist())]
     outputs = netlist.output_nodes
     if outputs:
         decls = " ".join(f"V({node})" for node in outputs)

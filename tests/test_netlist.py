@@ -52,6 +52,8 @@ class TestConstruction:
             Netlist().add("R", ["R1", "R2"], ["a"], "0", 1.0)
         with pytest.raises(CircuitError, match="2 element name"):
             Netlist().add("R", ["R1", "R2"], "a", "0", [1.0, 2.0, 3.0])
+        with pytest.raises(CircuitError, match="2 element name"):
+            Netlist().add("R", ["R1", "R2"], "a", "0", [1.0])
 
     def test_contains(self):
         net = _minimal_netlist()

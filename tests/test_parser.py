@@ -130,6 +130,29 @@ class TestParseNetlist:
         assert parse_netlist(write_netlist(net)).output_nodes == \
             net.output_nodes
 
+    @pytest.mark.parametrize("card", [
+        ".PRINT V(a) V(b)", ".PRINT V(a), V(b)", ".PRINT V(a),V(b)",
+        ".PRINT TRAN V( a ) v(b)",
+    ])
+    def test_print_probe_separators(self, card):
+        net = parse_netlist(f"title\nR1 a b 1\nI1 b 0 1\n{card}\n")
+        assert net.output_nodes == ["a", "b"]
+
+    @pytest.mark.parametrize("probe", ["V(a", "V()", "V(a)V(b"])
+    def test_malformed_print_probe_reported_with_line(self, probe):
+        with pytest.raises(NetlistParseError, match="malformed") as err:
+            parse_netlist(f"title\nR1 a 0 1\nI1 a 0 1\n.PRINT V(a) {probe}\n")
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("later", ["R2 b 0 abc", "R2 b 0", "Q1 b 0 1",
+                                       ".PRINT V(", "R2 b 0 -1"])
+    def test_first_bad_line_reported(self, later):
+        # Element lines are added in one batch at the end, but an earlier
+        # bad element line still wins over a later error of any kind.
+        with pytest.raises(NetlistParseError, match="to itself") as err:
+            parse_netlist(f"title\nR0 b 0 1\nR1 a a 1\n{later}\n")
+        assert err.value.line_number == 3
+
     def test_library_bug_is_not_relabelled(self, monkeypatch):
         # Only CircuitError becomes a parse error; anything else is a bug
         # and propagates as itself.
@@ -164,7 +187,7 @@ class TestRoundTrip:
         reparsed = parse_netlist(text)
         a, b = original.elements(), reparsed.elements()
         assert a.names.tolist() == b.names.tolist()
-        assert np.allclose(a.values, b.values)
+        assert a.values.tolist() == pytest.approx(b.values.tolist())
         assert np.array_equal(a.nodes, b.nodes)
         assert original.nodes() == reparsed.nodes()
         assert original.output_nodes == reparsed.output_nodes

@@ -116,9 +116,12 @@ def spice_decks(draw):
     lines = ["random deck"]
     lines += draw(st.lists(element_lines(), max_size=8))
     if draw(st.booleans()):
-        lines.append(".PRINT " + " ".join(
-            f"V({draw(st.sampled_from(_NODES + ['zz']))})"
-            for _ in range(draw(st.integers(1, 2)))))
+        probes = [f"V({draw(st.sampled_from(_NODES + ['zz']))})"
+                  for _ in range(draw(st.integers(1, 2)))]
+        probes += draw(st.lists(st.sampled_from(["V(", "V()", "TRAN"]),
+                                max_size=1))
+        lines.append(".PRINT " + draw(st.sampled_from([" ", ", ", ","]))
+                     .join(probes))
     return "\n".join(lines) + "\n"
 
 
