@@ -239,14 +239,15 @@ def write_netlist(netlist: Netlist, path: str | Path | None = None) -> str:
     """Render a :class:`Netlist` back to SPICE text (optionally to a file).
 
     The output round-trips through :func:`parse_netlist`: element order,
-    values and the ``.PRINT`` output-node declaration are preserved.
+    values (bit for bit: each is printed as its ``repr``) and the
+    ``.PRINT`` output-node declaration are preserved.
     """
     lines = [netlist.title or "untitled"]
     every = netlist.elements()
     # Node index -1 is ground, the last entry of the table.
     terminals = np.array(netlist.nodes() + [GROUND], dtype=object)[
         every.nodes]
-    lines += [f"{name} {pos} {neg} {value:.12g}"
+    lines += [f"{name} {pos} {neg} {value!r}"
               for name, pos, neg, value in zip(every.names.tolist(),
                                                terminals[:, 0].tolist(),
                                                terminals[:, 1].tolist(),

@@ -26,7 +26,7 @@ script:
     (:func:`repro.partition.multilevel_reduce`, the one partitioned driver;
     ``--levels 1`` is plain ``partitioned_reduce``).  A shard too small to
     split again is reduced directly, the summary prints the depth actually
-    reached, and under ``--health`` that shows as a
+    reached, and under ``--trace-out`` that shows as a
     ``partition.recursion_fallback`` warn.
 
 ``python -m repro sweep --benchmark ckt1 --moments 6 --output 1 --port 2``
@@ -65,38 +65,37 @@ script:
     Run a cold traced reduction (plus, with ``--serve``, one served sweep
     through a temporary :class:`~repro.store.ModelServer`) and print the
     hierarchical span tree — the quickest "where did the time go" view.
-    ``--out trace.json`` additionally writes the Chrome trace-event JSON
-    (load it in Perfetto or ``chrome://tracing``).  The same Chrome trace
-    is available from real runs via ``--trace-out PATH`` on ``reduce``,
-    ``query``, ``serve-bench`` and ``bench``.
+    ``--out trace.json`` additionally writes the run artifact described
+    below (without a health verdict: the canned run opens no health
+    scope).
 
 ``python -m repro stats --benchmark ckt1 --method bdsm --serve``
     Same canned run, but print the collected counters, gauges and
     histograms (span timings as ``repro_span_seconds{span=...}``) in the
     Prometheus text exposition format (``--out`` writes the exposition to
-    a file for a file-based scrape; ``--json-out`` writes the raw metrics
-    snapshot, re-renderable later via ``--from FILE``).
+    a file for a file-based scrape; ``--from FILE`` renders the metrics of
+    a run artifact instead).
 
 ``python -m repro trace --diff benchmarks/baselines/trace_profile.json --budget 20%``
     Trace-diff regression gating: roll the current run (or ``--from
-    FILE`` — a Chrome trace or profile JSON) up by span path, attribute
+    FILE`` — a run artifact or profile JSON) up by span path, attribute
     the time delta against the baseline to phases, and exit non-zero
-    when any phase blew the budget.  ``--mode share`` gates
-    share-of-total instead of absolute seconds (hardware-portable — the
-    CI perf-smoke mode); ``--profile-out`` writes the committed-baseline
-    format.
+    when any phase blew the budget.  Above the phase table it prints
+    both sides' run records (git revision, duration, exit code, health).
+    ``--mode share`` gates share-of-total instead of absolute seconds
+    (hardware-portable — the CI perf-smoke mode); ``--profile-out``
+    writes the committed-baseline format.
 
-``python -m repro reduce --health --ledger runs/ledger.jsonl``
-    Observed run: ``--health`` runs the command inside one health scope
-    (:func:`~repro.obs.health.collect_health`), which turns on the
-    numerical-health monitors for it (orthogonality loss after every
-    blocked merge, sampled solve residuals, deflation/recycle rates,
-    interface SVD tails), and prints the scope's watchdog verdict;
-    ``--ledger`` appends a flight-recorder record (git SHA, config
-    fingerprint, duration, span rollup, counters, health) to a JSONL
-    file.  Both flags ride on ``reduce``, ``bench``,
-    ``query`` and ``serve-bench``; ``repro obs report --ledger PATH``
-    summarizes the recorded runs and their duration trends.
+``python -m repro reduce --trace-out run.json``
+    Observed run, one artifact: ``--trace-out`` (on ``reduce``, ``bench``,
+    ``query`` and ``serve-bench``) records spans, runs the command inside
+    one health scope (:func:`~repro.obs.health.collect_health`: the
+    orthogonality, solve-residual, deflation/recycle and interface-tail
+    monitors), prints its verdict and writes a Chrome trace-event JSON
+    (Perfetto / ``chrome://tracing`` load it) whose ``otherData`` holds
+    the run record (command, arguments, git SHA and dirty flag, duration,
+    exit code), the metrics snapshot and the health verdict.  Reducer
+    root spans carry their inner-product, deflation and solve counts.
 
 ``python -m repro bench --quick --check``
     Run the named performance workloads of :mod:`repro.perf.workloads`
@@ -121,9 +120,12 @@ package version.
 from __future__ import annotations
 
 import argparse
+import json
+import subprocess
 import sys
+import time
 from collections.abc import Sequence
-from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -153,9 +155,9 @@ from repro.mor.prima import prima_store_options
 from repro.io import format_table
 from repro.linalg import default_cache
 from repro.obs import (
-    RunLedger,
     check_budget,
     collect_health,
+    default_metrics,
     diff_profiles,
     disable_tracing,
     drain_spans,
@@ -163,9 +165,7 @@ from repro.obs import (
     format_diff,
     load_profile,
     parse_budget,
-    read_ledger,
     span_tree_report,
-    summarize_ledger,
     to_prometheus,
     trace_profile,
     write_chrome_trace,
@@ -427,15 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="(trace) prune spans shorter than this "
                                   "many milliseconds from the tree")
         obs_cmd.add_argument("--out", metavar="PATH", default=None,
-                             help="also write the Chrome trace JSON "
-                                  "(trace) or the text exposition (stats) "
-                                  "to PATH")
+                             help="also write the run artifact (trace) or "
+                                  "the text exposition (stats) to PATH")
         obs_cmd.add_argument("--from", dest="from_file", metavar="FILE",
                              default=None,
                              help="skip the canned run and read FILE "
-                                  "instead: a Chrome trace / trace profile "
-                                  "(trace) or a `stats --json-out` "
-                                  "snapshot (stats)")
+                                  "instead: a run artifact (written by "
+                                  "--trace-out or `trace --out`), or a "
+                                  "trace profile (trace only)")
         if observe == "trace":
             obs_cmd.add_argument("--profile-out", metavar="PATH",
                                  default=None,
@@ -457,26 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "absolute seconds (same machine); "
                                       "'share' gates share-of-total "
                                       "(hardware-portable, what CI uses)")
-        else:
-            obs_cmd.add_argument("--json-out", metavar="PATH", default=None,
-                                 help="also write the metrics "
-                                      "snapshot as JSON (re-renderable "
-                                      "via `repro stats --from PATH`)")
-
-    flight_cmd = sub.add_parser(
-        "obs", help="flight-recorder utilities (`obs report`)")
-    flight_sub = flight_cmd.add_subparsers(dest="obs_action", required=True)
-    report_cmd = flight_sub.add_parser(
-        "report", help="summarize a run ledger: durations, trends, "
-                       "health verdicts per recorded run")
-    # dest differs from the generic --ledger recorder flag on purpose:
-    # reporting on a ledger must not append a record to it.
-    report_cmd.add_argument("--ledger", dest="ledger_file", metavar="PATH",
-                            required=True,
-                            help="ledger JSONL written via --ledger on "
-                                 "reduce/bench/query/serve-bench")
-    report_cmd.add_argument("--last", type=int, default=20,
-                            help="rows shown (most recent; default 20)")
 
     sweep_cmd = sub.add_parser(
         "sweep", help="frequency sweep of one transfer-matrix entry")
@@ -750,9 +729,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     # The load generator lives in repro.serve; imported lazily like the
     # perf workloads so plain CLI start-up stays fast.
-    import json
     import tempfile
-    from pathlib import Path
 
     from repro.serve import LoadSpec, generate_requests, results_equal, run_load
 
@@ -812,10 +789,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"warm set: loads={warm.loads} hits={warm.hits} "
           f"misses={warm.misses} evictions={warm.evictions} "
           f"resident_bytes={warm.resident_bytes}")
-    print(f"serving health: {serve_health.summary()}")
-    for check in serve_health.failed() + serve_health.warned():
-        print(f"  {check.status}: {check.monitor}={check.value:.4g} "
-              f"{check.labels} {check.detail}")
+    _print_verdict("serving health", serve_health)
     if args.output is not None:
         payload = {
             "scale": args.scale,
@@ -850,20 +824,68 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 def _add_trace_out(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--trace-out", metavar="PATH", default=None,
-                     help="enable span tracing for this run and write the "
-                          "Chrome trace-event JSON to PATH (open in "
-                          "Perfetto / chrome://tracing)")
-    cmd.add_argument("--ledger", metavar="PATH", default=None,
-                     help="append one flight-recorder record for this run "
-                          "(JSONL: git SHA, config fingerprint, duration, "
-                          "span rollup, counters, health verdict) to PATH; "
-                          "summarize with `repro obs report --ledger PATH`")
-    cmd.add_argument("--health", action="store_true",
-                     help="run the command inside one health scope, "
-                          "which turns the numerical-health monitors on "
-                          "for it (orthogonality loss, solve residuals, "
-                          "deflation/recycle rates, interface SVD tails), "
-                          "and print the scope's verdict afterwards")
+                     help="trace this run inside one health scope, print "
+                          "its verdict and write the Chrome trace to PATH "
+                          "with the run record, metrics and health verdict "
+                          "in its otherData (Perfetto loads it; `repro "
+                          "stats/trace --from PATH` read it back)")
+
+
+def _print_verdict(title: str, report) -> None:
+    print(f"{title}: {report.summary()}")
+    for check in report.failed() + report.warned():
+        print(f"  {check.status}: {check.monitor}={check.value:.4g} "
+              f"{check.labels} {check.detail}")
+
+
+def _git_revision() -> dict:
+    """Best-effort ``{"sha": ..., "dirty": ...}`` of the code that ran
+    (the repository holding this package, whatever the working
+    directory)."""
+    here = Path(__file__).resolve().parent
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=here, capture_output=True,
+            text=True, timeout=5, check=True).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain"], cwd=here, capture_output=True,
+            text=True, timeout=5, check=True).stdout.strip()
+        return {"sha": sha, "dirty": bool(status)}
+    except (OSError, subprocess.SubprocessError):
+        return {"sha": None, "dirty": None}
+
+
+def _run_record(args: argparse.Namespace, seconds: float,
+                exit_code: int | None) -> dict:
+    """The ``otherData.run`` entry of a run artifact: what ran, on which
+    code, how long it took and how it ended."""
+    return {"command": args.command,
+            "args": {key: value for key, value in sorted(vars(args).items())
+                     if key != "command"},
+            "git": _git_revision(),
+            "time": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "duration_s": seconds,
+            "exit_code": exit_code}
+
+
+def _run_rows(**profiles) -> list[dict]:
+    """One table row per side of a trace diff, from its run record (a
+    plain trace profile has none)."""
+    rows = []
+    for side, profile in profiles.items():
+        run = profile.get("run") or {}
+        git = run.get("git") or {}
+        rows.append({
+            "run": side,
+            "command": run.get("command", "(no run record)"),
+            "git": (git.get("sha") or "")[:10]
+                   + ("*" if git.get("dirty") else ""),
+            "duration (s)": (round(run["duration_s"], 4)
+                             if "duration_s" in run else ""),
+            "exit": run.get("exit_code", ""),
+            "health": run.get("health") or "",
+        })
+    return rows
 
 
 def _run_observed(args: argparse.Namespace) -> dict:
@@ -872,8 +894,6 @@ def _run_observed(args: argparse.Namespace) -> dict:
     the metrics snapshot taken before the server closes (closing drops
     its series)."""
     import tempfile
-
-    from repro.obs import default_metrics
 
     system = make_benchmark(args.benchmark, scale=args.scale)
     if not args.serve:
@@ -899,7 +919,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ValidationError("--budget gates a --diff; add --diff BASELINE")
     spans = None
     if args.from_file is not None:
-        # Offline: the "current" run is a file (Chrome trace or profile),
+        # Offline: the "current" run is a file (run artifact or profile),
         # so there is no span tree to print — only profile-level output.
         try:
             current = load_profile(args.from_file)
@@ -907,32 +927,32 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise ValidationError(f"--from: {exc}") from exc
     else:
         enable_tracing()
+        start = time.perf_counter()
         try:
-            _run_observed(args)
+            metrics_snapshot = _run_observed(args)
         finally:
+            seconds = time.perf_counter() - start
             spans = drain_spans()
             disable_tracing()
         current = trace_profile(spans)
-    if spans is not None:
+        current["run"] = _run_record(args, seconds, None)
         print(span_tree_report(spans, min_duration=args.min_ms / 1e3),
               end="")
-        if args.out is not None:
-            path = write_chrome_trace(spans, args.out)
-            print(f"chrome trace written to {path}")
     if args.profile_out is not None:
-        import json
-        from pathlib import Path
-
         path = Path(args.profile_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(current, indent=1, sort_keys=True)
-                        + "\n")
+        path.write_text(json.dumps(
+            {key: value for key, value in current.items() if key != "run"},
+            indent=1, sort_keys=True) + "\n")
         print(f"trace profile written to {path}")
+    code = 0
     if args.diff is not None:
         try:
             base = load_profile(args.diff)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"--diff: {exc}") from exc
+        print(format_table(_run_rows(base=base, current=current),
+                           title="runs"))
         deltas = diff_profiles(base, current)
         print(format_table(
             format_diff(deltas),
@@ -945,32 +965,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ValidationError(f"--budget: {exc}") from exc
             failures = check_budget(deltas, budget=budget, mode=args.mode)
+            for failure in failures:
+                print(f"trace regression: {failure}", file=sys.stderr)
             if failures:
-                for failure in failures:
-                    print(f"trace regression: {failure}", file=sys.stderr)
-                return 1
-            print(f"trace diff OK: every phase within {args.budget} "
-                  f"({args.mode} mode)")
-    return 0
+                code = 1
+            else:
+                print(f"trace diff OK: every phase within {args.budget} "
+                      f"({args.mode} mode)")
+    if spans is not None and args.out is not None:
+        current["run"]["exit_code"] = code
+        path = write_chrome_trace(spans, args.out, run=current["run"],
+                                  metrics=metrics_snapshot)
+        print(f"run artifact written to {path}")
+    return code
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs import default_metrics
-
     if args.from_file is not None:
         try:
             document = json.loads(Path(args.from_file).read_text())
         except (OSError, ValueError) as exc:
             raise ValidationError(f"--from: {exc}") from exc
-        metrics_snapshot = (document.get("metrics")
-                            if isinstance(document, dict) else None)
+        other = (document.get("otherData")
+                 if isinstance(document, dict) else None)
+        metrics_snapshot = (other.get("metrics")
+                            if isinstance(other, dict) else None)
         if not isinstance(metrics_snapshot, dict):
             raise ValidationError(
-                f"--from: {args.from_file} is not a stats snapshot "
-                "(expected a JSON object with a 'metrics' object)")
+                f"--from: {args.from_file} is not a run artifact "
+                "(expected a Chrome trace whose otherData holds a "
+                "'metrics' object)")
     else:
         default_metrics().reset()
         enable_tracing()
@@ -986,25 +1010,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"metrics exposition written to {path}")
-    if args.json_out is not None:
-        path = Path(args.json_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            {"metrics": metrics_snapshot},
-            indent=1, sort_keys=True, default=str) + "\n")
-        print(f"stats snapshot written to {path}")
-    return 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    records = read_ledger(args.ledger_file)
-    if not records:
-        print(f"ledger {args.ledger_file} has no readable records")
-        return 0
-    rows = summarize_ledger(records, last=args.last)
-    print(format_table(
-        rows, title=f"run ledger {args.ledger_file} "
-                    f"({len(records)} records, last {len(rows)})"))
     return 0
 
 
@@ -1101,21 +1106,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-#: argparse fields excluded from a run's ledger config (they describe the
-#: observation, not the run, so recording them would change the config
-#: fingerprint and break across-run duration trends).
-_LEDGER_META_FIELDS = ("command", "ledger", "trace_out", "health")
-
-
-def _ledger_config(args: argparse.Namespace) -> dict:
-    return {key: value for key, value in sorted(vars(args).items())
-            if key not in _LEDGER_META_FIELDS}
+def _run_command(handler, args: argparse.Namespace) -> int:
+    try:
+        return handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    import time
-
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {
@@ -1128,57 +1128,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "trace": _cmd_trace,
         "stats": _cmd_stats,
-        "obs": _cmd_obs,
     }
-    handler = commands.get(args.command)
-    if handler is None:
-        parser.error(f"unknown command {args.command!r}")
-        return 2  # pragma: no cover
+    handler = commands[args.command]
     trace_out = getattr(args, "trace_out", None)
-    ledger_path = getattr(args, "ledger", None)
-    use_health = bool(getattr(args, "health", False))
-    # A ledger record wants the span rollup, so --ledger turns tracing on
-    # even without --trace-out (tracing is bit-transparent to the run).
-    if trace_out is not None or ledger_path is not None:
-        enable_tracing()
-    health_scope = collect_health() if use_health else nullcontext()
-    health_report = None
+    if trace_out is None:
+        return _run_command(handler, args)
+    # One observed run: its spans, this run's metrics and one health
+    # scope, written together (tracing is bit-transparent to the run).
+    default_metrics().reset()
+    enable_tracing()
     start = time.perf_counter()
     exit_code = 1
     try:
-        with health_scope as health_report:
-            exit_code = handler(args)
-        return exit_code
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with collect_health() as report:
+            exit_code = _run_command(handler, args)
     finally:
-        duration = time.perf_counter() - start
-        spans = None
-        if trace_out is not None or ledger_path is not None:
-            spans = drain_spans()
-            disable_tracing()
-        if trace_out is not None:
-            path = write_chrome_trace(spans, trace_out)
-            print(f"chrome trace written to {path} "
-                  f"({len(spans)} spans)")
-        if health_report is not None:
-            print(f"health: {health_report.summary()}")
-            for check in (health_report.failed()
-                          + health_report.warned()):
-                print(f"  {check.status}: {check.monitor}="
-                      f"{check.value:.4g} {check.detail}")
-        if ledger_path is not None:
-            from repro.obs import default_metrics
-
-            RunLedger(ledger_path).record(
-                args.command, config=_ledger_config(args),
-                duration_s=duration,
-                metrics=default_metrics().snapshot(), spans=spans,
-                health=health_report,
-                extra={"exit_code": exit_code})
-            print(f"ledger: recorded this {args.command} run in "
-                  f"{ledger_path}")
+        seconds = time.perf_counter() - start
+        spans = drain_spans()
+        disable_tracing()
+        _print_verdict("health", report)
+        path = write_chrome_trace(
+            spans, trace_out, run=_run_record(args, seconds, exit_code),
+            metrics=default_metrics().snapshot(), health=report)
+        print(f"run artifact written to {path} ({len(spans)} spans)")
+    return exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,21 +19,28 @@ its duration into the ``span.seconds`` histogram labelled
 
 Exporters (:mod:`repro.obs.export`) render either half as Chrome
 trace-event JSON (Perfetto), Prometheus text exposition, or an indented
-span-tree report; the ``repro trace`` / ``repro stats`` subcommands and
-the ``--trace-out`` flags are thin wrappers over them.
+span-tree report; the ``repro trace`` / ``repro stats`` subcommands are
+thin wrappers over them.
 
 The *consume* side sits on top of those producers:
 
 * :mod:`repro.obs.health` — numerical-health monitors with threshold
   watchdogs, collected by context-scoped :func:`collect_health` blocks
   into structured :class:`HealthReport` verdicts (each reducer opens a
-  nested scope and attaches it to ``rom.health``);
-* :mod:`repro.obs.ledger` — the append-only JSONL run flight recorder
-  behind ``--ledger`` / ``repro obs report``;
+  nested scope, attaches it to ``rom.health`` and tags its root span
+  with the reduce's inner-product, deflation and shifted-solve counts);
 * :mod:`repro.obs.diff` — trace profiles and the phase-attributed
   trace diff gating ``repro trace --diff BASELINE --budget 20%``;
 * :mod:`repro.obs.endpoint` — the stdlib ``/metrics`` + ``/healthz``
   HTTP sidecar a live ``ModelServer`` exposes via ``--metrics-port``.
+
+One run, one artifact: ``--trace-out PATH`` on ``reduce``, ``query``,
+``bench`` and ``serve-bench`` records the spans, runs the command in one
+health scope and writes a Chrome trace whose ``otherData`` holds the run
+record (command, arguments, git revision, duration, exit code), the
+metrics snapshot and the health verdict — where the time went, what it
+cost and whether the numerics stayed healthy, in one file that
+``repro stats --from`` and ``repro trace --from/--diff`` read back.
 
 This package deliberately imports nothing from the rest of the library
 (stdlib only), so every layer — linalg, mor, partition, analysis, store,
@@ -66,12 +73,6 @@ from repro.obs.health import (
     health_enabled,
     record_health,
 )
-from repro.obs.ledger import (
-    RunLedger,
-    config_fingerprint,
-    read_ledger,
-    summarize_ledger,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -103,14 +104,12 @@ __all__ = [
     "MetricsRegistry",
     "PhaseDelta",
     "Reservoir",
-    "RunLedger",
     "Span",
     "TelemetryServer",
     "Tracer",
     "check_budget",
     "classify",
     "collect_health",
-    "config_fingerprint",
     "current_span",
     "default_metrics",
     "default_tracer",
@@ -123,11 +122,9 @@ __all__ = [
     "load_profile",
     "parse_budget",
     "percentile",
-    "read_ledger",
     "record_health",
     "span_rollup",
     "span_tree_report",
-    "summarize_ledger",
     "to_chrome_trace",
     "to_prometheus",
     "trace_profile",

@@ -23,7 +23,7 @@ Phases below ``min_share`` of the baseline total are never gated —
 microsecond spans jitter by integer factors without meaning anything.
 
 Inputs are forgiving: :func:`load_profile` accepts a profile JSON, a
-Chrome trace-event JSON (as written by ``--trace-out``), or a raw list
+Chrome trace-event JSON (the run artifact of ``--trace-out``), or a raw list
 of span dicts, so ``repro trace --diff A --from B`` works on whatever
 was saved.  Stdlib only, like the rest of :mod:`repro.obs`.
 """
@@ -115,7 +115,12 @@ def _chrome_trace_spans(document: dict) -> list[dict]:
 
 
 def load_profile(path) -> dict:
-    """Load a profile from a profile JSON, Chrome trace, or span list."""
+    """Load a profile from a profile JSON, Chrome trace, or span list.
+
+    A profile of a run artifact (a Chrome trace written by
+    ``--trace-out``) also carries that run's ``run`` record, with its
+    health status added as ``run["health"]``.
+    """
     path = Path(path)
     try:
         document = json.loads(path.read_text())
@@ -124,7 +129,12 @@ def load_profile(path) -> dict:
     if isinstance(document, dict) and document.get("kind") == "trace_profile":
         return document
     if isinstance(document, dict) and "traceEvents" in document:
-        return trace_profile(_chrome_trace_spans(document))
+        profile = trace_profile(_chrome_trace_spans(document))
+        other = document.get("otherData") or {}
+        if isinstance(other.get("run"), dict):
+            health = other.get("health") or {}
+            profile["run"] = {**other["run"], "health": health.get("status")}
+        return profile
     if isinstance(document, list):
         return trace_profile(document)
     raise ValueError(

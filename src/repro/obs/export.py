@@ -5,7 +5,9 @@ Three output formats, matching the three audiences:
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format, loadable in Perfetto (https://ui.perfetto.dev)
   or ``chrome://tracing`` for interactive flame-chart inspection of a
-  reduce or a serve-bench run;
+  reduce or a serve-bench run.  It is also the one run artifact of
+  ``--trace-out``: the format's ``otherData`` slot carries the run
+  record, the metrics snapshot and the health verdict beside the spans;
 * :func:`to_prometheus` — the Prometheus text exposition format, for
   scraping counters/gauges/histograms (span timings included) into a
   monitoring stack;
@@ -40,13 +42,22 @@ def _as_span(span) -> Span:
     return span if isinstance(span, Span) else Span.from_dict(span)
 
 
-def to_chrome_trace(spans) -> dict:
+def to_chrome_trace(spans, *, run: dict | None = None,
+                    metrics: dict | None = None, health=None) -> dict:
     """Render spans as a Chrome trace-event JSON document (dict).
 
     Spans become complete (``"ph": "X"``) events with microsecond
     timestamps; thread-name metadata events make the Perfetto track
     labels readable.  ``args`` carries the span/parent ids, tags and
     error status so the hierarchy survives into the UI.
+
+    ``run`` (what ran: command, arguments, git revision, duration, exit
+    code), ``metrics`` (a :meth:`MetricsRegistry.snapshot
+    <repro.obs.metrics.MetricsRegistry.snapshot>`, stored with its
+    histograms as summaries, without their reservoir samples) and
+    ``health`` (a :class:`~repro.obs.health.HealthReport`, stored as its
+    ``as_dict``) go under ``otherData``, the format's metadata slot that
+    trace viewers show and ignore.
     """
     events = []
     tids: dict[tuple[int, str], int] = {}
@@ -79,15 +90,29 @@ def to_chrome_trace(spans) -> dict:
             "tid": tid,
             "args": args,
         })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    document = {"traceEvents": events, "displayTimeUnit": "ms"}
+    other = {}
+    if run is not None:
+        other["run"] = run
+    if metrics is not None:
+        other["metrics"] = {
+            **metrics,
+            "histograms": [{k: v for k, v in entry.items() if k != "samples"}
+                           for entry in metrics.get("histograms", ())]}
+    if health is not None:
+        other["health"] = health.as_dict()
+    if other:
+        document["otherData"] = other
+    return document
 
 
-def write_chrome_trace(spans, path) -> Path:
-    """Write :func:`to_chrome_trace` output to ``path`` and return it."""
+def write_chrome_trace(spans, path, **other_data) -> Path:
+    """Write :func:`to_chrome_trace` output (``other_data`` being its
+    ``run``/``metrics``/``health`` keywords) to ``path`` and return it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(spans), default=str,
-                               indent=1))
+    path.write_text(json.dumps(to_chrome_trace(spans, **other_data),
+                               default=str, indent=1))
     return path
 
 

@@ -40,6 +40,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import default_metrics
+from repro.obs.tracing import current_span
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -299,15 +300,20 @@ def reduce_with_health(build, *, method: str):
     ``recycle_stats`` — the recycle screen rate, so ``rom.health`` holds
     exactly the checks of this reduce (orthogonality losses, solve
     residuals, interface tails included).  With no scope open this is
-    just ``build()``.  The ROM and stats objects are duck-typed
+    just ``build()`` plus the cost tags: the open span (the reducer's
+    root, ``bdsm.reduce``, ``prima.reduce`` or ``partition.*``) is
+    tagged with the ``inner_products``/``deflations``/``normalizations``
+    of ``ortho_stats``, ``solve_columns`` (the sum of
+    ``rom.solve_counts``) and, when recycling, ``recycle_hits`` and
+    ``solves_skipped``.  The ROM and stats objects are duck-typed
     (``rom.size``, ``ortho_stats.deflations``,
     ``recycle_stats.hits/screened``) so this module stays a stdlib-only
     leaf.
     """
     if not health_enabled():
-        return build()
+        return _tag_costs(*build())
     with collect_health() as report:
-        rom, ortho_stats, seconds = build()
+        rom, ortho_stats, seconds = _tag_costs(*build())
         deflations = int(getattr(ortho_stats, "deflations", 0))
         kept = int(getattr(rom, "size", 0))
         record_health(
@@ -323,4 +329,22 @@ def reduce_with_health(build, *, method: str):
                 detail=f"hits={hits} screened={screened} solves_skipped="
                        f"{getattr(recycle_stats, 'solves_skipped', 0)}")
     rom.health = report
+    return rom, ortho_stats, seconds
+
+
+def _tag_costs(rom, ortho_stats, seconds):
+    """Tag the open span with the reduce's cost counts (see
+    :func:`reduce_with_health`); returns its arguments."""
+    span = current_span()
+    if span is not None:
+        for key in ("inner_products", "deflations", "normalizations"):
+            span.set_tag(key, int(getattr(ortho_stats, key, 0)))
+        solve_counts = getattr(rom, "solve_counts", None)
+        if solve_counts is not None:
+            span.set_tag("solve_columns", int(sum(solve_counts)))
+        recycle_stats = getattr(rom, "recycle_stats", None)
+        if recycle_stats is not None:
+            span.set_tag("recycle_hits", int(recycle_stats.hits))
+            span.set_tag("solves_skipped",
+                         int(recycle_stats.solves_skipped))
     return rom, ortho_stats, seconds

@@ -15,7 +15,8 @@ queue-depth gauges (read back by :mod:`repro.serve.stats`).
   metric trio, keyed by name + label tuple (plain records: only the
   registry mutates them, under its lock);
 * :class:`MetricsRegistry` — a thread-safe bag of the above with a
-  plain-dict ``snapshot()`` for the exporters and ``--json-out``.
+  plain-dict ``snapshot()`` for the exporters and the ``--trace-out``
+  run artifact.
 
 Everything here is stdlib-only so any layer of the library can import it
 without cycles.

@@ -663,7 +663,7 @@ def _health_overhead(runner: BenchmarkRunner, benchmark: str,
         return total / inner
 
     # Both sides run in an empty context, so a health scope the caller
-    # opened (``repro bench --health``) turns neither side on: the off
+    # opened (``repro bench --trace-out``) turns neither side on: the off
     # side runs outside any scope, the on side inside its own root one.
     def off_sample() -> float:
         return contextvars.Context().run(timed_sample)

@@ -95,10 +95,18 @@ class ModelRegistry:
         Optional byte budget of the warm set.  ``None`` (default) disables
         admission control: :meth:`warm` loads everything and nothing is
         ever evicted (the legacy behaviour).
+    labels:
+        Labels of this registry's ``serve.warm_set`` and
+        ``serve.warm_evictions`` counters and ``serve.warm_resident_bytes``
+        gauge in the default metrics registry (a
+        :class:`~repro.store.server.ModelServer` passes
+        ``server=<server_id>``, so its ``close()`` drops them with its
+        other series).
     """
 
     def __init__(self, store: ModelStore | None = None, *,
-                 warm_budget: int | None = None) -> None:
+                 warm_budget: int | None = None,
+                 labels: dict | None = None) -> None:
         if warm_budget is not None and warm_budget <= 0:
             raise ValidationError("warm_budget must be positive (or None)")
         self.store = store
@@ -109,6 +117,7 @@ class ModelRegistry:
         self._sizes: dict[str, int] = {}
         self._catalog: dict[str, str] = {}  # name -> store key
         self._stats = WarmSetStats()
+        self._labels = dict(labels or {})
 
     # ------------------------------------------------------------------ #
     # Registration and loading
@@ -233,7 +242,8 @@ class ModelRegistry:
             if name in self._warm:
                 self._warm.move_to_end(name)
                 self._stats.hits += 1
-                default_metrics().increment("serve.warm_set", result="hit")
+                default_metrics().increment("serve.warm_set", result="hit",
+                                            **self._labels)
                 return self._warm[name]
             key = self._catalog.get(name)
         if key is None:
@@ -243,7 +253,8 @@ class ModelRegistry:
         # Cold miss: reload from the store and admit.  The load runs
         # outside the registry lock so resolves of resident models are
         # never blocked behind disk reads.
-        default_metrics().increment("serve.warm_set", result="miss")
+        default_metrics().increment("serve.warm_set", result="miss",
+                                    **self._labels)
         with trace_span("serve.cold_load", model=name, key=key):
             model = self.store.load(key)
         with self._lock:
@@ -296,17 +307,16 @@ class ModelRegistry:
         self._stats.resident_bytes += int(n_bytes)
         self._stats.loads += 1
         effective = budget if budget is not None else self.warm_budget
-        if effective is None:
-            default_metrics().set_gauge("serve.warm_resident_bytes",
-                                        self._stats.resident_bytes)
-            return
-        while self._stats.resident_bytes > effective and len(self._warm) > 1:
+        while effective is not None and len(self._warm) > 1 \
+                and self._stats.resident_bytes > effective:
             victim, _ = self._warm.popitem(last=False)
             self._stats.resident_bytes -= self._sizes.pop(victim, 0)
             self._stats.evictions += 1
-            default_metrics().increment("serve.warm_evictions")
+            default_metrics().increment("serve.warm_evictions",
+                                        **self._labels)
         default_metrics().set_gauge("serve.warm_resident_bytes",
-                                    self._stats.resident_bytes)
+                                    self._stats.resident_bytes,
+                                    **self._labels)
 
     def _drop_warm(self, name: str) -> None:
         if name in self._warm:

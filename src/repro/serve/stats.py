@@ -16,11 +16,17 @@ servers in one process keep separate counts) and, per request kind,
 * gauges — the current and peak queue depth (steps submitted to the
   worker pool but not yet finished; no ``kind`` label).
 
-Those series are what ``/metrics``, ``repro stats --serve`` and the run
-ledger export.  :class:`ServingStats` reads them back into the attribute
-view callers use (``ModelServer.serving_stats()``), and builds the
-serving-SLO verdict ``/healthz`` serves.  Model loads are counted by the
-registry's ``warm_stats()``.
+The warm set adds its own series under the same ``server=`` label: the
+``serve.warm_set{result=hit|miss}`` and ``serve.warm_evictions``
+counters and the ``serve.warm_resident_bytes`` gauge.
+
+Those series are what ``/metrics``, ``repro stats --serve`` and the
+``otherData.metrics`` of a ``--trace-out`` run artifact export (a server
+closed before the run ends has already dropped them).
+:class:`ServingStats` reads them back into the attribute view callers use
+(``ModelServer.serving_stats()``), and builds the serving-SLO verdict
+``/healthz`` serves.  Model loads are counted by the registry's
+``warm_stats()``, which outlives ``close()``.
 """
 
 from __future__ import annotations

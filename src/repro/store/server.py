@@ -28,8 +28,9 @@ in ``_evaluate``), run on a pool thread on the shared
 :class:`~repro.analysis.engine.SweepEngine`; results are scattered back
 outside the locks.  :meth:`ModelServer.submit` queues a one-request plan
 through the same step runner :meth:`ModelServer.serve` uses.  Request,
-error, evaluation and coalescing counters, per-request latency and the
-queue depth are recorded into the process-wide
+error, evaluation and coalescing counters, per-request latency, the
+queue depth and the warm set's hit/miss, eviction and resident-bytes
+series are recorded into the process-wide
 :func:`~repro.obs.metrics.default_metrics` registry under the server's
 ``server=`` label; :meth:`ModelServer.serving_stats` and
 :meth:`ModelServer.health` read them back (:mod:`repro.serve.stats`).
@@ -155,9 +156,10 @@ class ModelServer:
             raise ValidationError("max_workers must be >= 1")
         self.store = store
         self.engine = engine if engine is not None else SweepEngine(jobs=1)
-        self.registry = ModelRegistry(store, warm_budget=warm_budget)
-        self.planner = QueryPlanner(coalesce=coalesce)
         self.server_id = str(next(_SERVER_IDS))
+        self.registry = ModelRegistry(store, warm_budget=warm_budget,
+                                      labels={"server": self.server_id})
+        self.planner = QueryPlanner(coalesce=coalesce)
         self._max_workers = max_workers
         self._pool_lock = threading.RLock()
         self._pool: ThreadPoolExecutor | None = None
@@ -451,7 +453,8 @@ class ModelServer:
 
     def warm_stats(self):
         """Warm-set hit/miss/eviction/skip counters
-        (:class:`~repro.serve.registry.WarmSetStats`)."""
+        (:class:`~repro.serve.registry.WarmSetStats`, kept by the
+        registry itself, so they stay readable after :meth:`close`)."""
         return self.registry.stats()
 
     def close(self) -> None:

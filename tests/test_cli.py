@@ -406,18 +406,105 @@ class TestObservabilityCLI:
         assert code == 0
         assert "trace diff OK" in out
 
-    def test_stats_json_out_round_trips_through_from(self, capsys,
-                                                     tmp_path):
+    @staticmethod
+    def _artifact(capsys, path, *argv):
         import json
-        dump = tmp_path / "stats.json"
-        assert main(["stats", "--json-out", str(dump)]) == 0
+        assert main(["reduce", "--benchmark", "ckt1", "--moments", "3",
+                     *argv, "--trace-out", str(path)]) == 0
         capsys.readouterr()
-        payload = json.loads(dump.read_text())
-        assert set(payload) == {"metrics"}
-        assert main(["stats", "--from", str(dump)]) == 0
+        return json.loads(path.read_text())
+
+    def test_trace_out_writes_one_run_artifact(self, capsys, tmp_path):
+        """One file answers where the time went, what it cost and whether
+        the numerics stayed healthy."""
+        import json
+
+        from repro.obs import to_prometheus
+        path = tmp_path / "run.json"
+        assert main(["reduce", "--benchmark", "ckt1",
+                     "--trace-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "health: " in out and "run artifact written" in out
+        document = json.loads(path.read_text())
+        (root,) = [e for e in document["traceEvents"]
+                   if e["name"] == "bdsm.reduce"]
+        assert root["args"]["inner_products"] > 0
+        assert root["args"]["solve_columns"] > 0
+        assert {"deflations", "normalizations"} <= set(root["args"])
+        other = document["otherData"]
+        assert ('repro_span_seconds_count{span="bdsm.project"} 1'
+                in to_prometheus(other["metrics"]))
+        assert all("samples" not in h for h in other["metrics"]["histograms"])
+        assert other["health"]["status"] in ("ok", "warn")
+        assert other["health"]["checks"]
+        run = other["run"]
+        assert run["command"] == "reduce" and run["exit_code"] == 0
+        assert run["args"]["benchmark"] == "ckt1"
+        assert set(run["git"]) == {"sha", "dirty"}
+        assert run["duration_s"] > 0
+
+    def test_trace_out_records_a_failed_run(self, capsys, tmp_path):
+        import json
+        path = tmp_path / "run.json"
+        assert main(["reduce", "--levels", "2",
+                     "--trace-out", str(path)]) == 1
+        assert "error: --levels" in capsys.readouterr().err
+        run = json.loads(path.read_text())["otherData"]["run"]
+        assert run["exit_code"] == 1
+
+    def test_stats_from_reads_run_artifact(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        self._artifact(capsys, path)
+        assert main(["stats", "--from", str(path)]) == 0
+        assert ('repro_span_seconds_count{span="bdsm.project"} 1'
+                in capsys.readouterr().out)
+
+    def test_trace_diff_prints_both_run_records(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._artifact(capsys, a)
+        self._artifact(capsys, b, "--method", "prima")
+        assert main(["trace", "--from", str(b), "--diff", str(a)]) == 0
+        out = capsys.readouterr().out
+        runs, phases = out.split("trace diff vs", 1)
+        assert [line.split("|")[0].strip() for line in runs.splitlines()
+                if line.startswith(("base", "current"))] == ["base",
+                                                             "current"]
+        assert runs.count("| reduce ") == 2
+        assert "prima.reduce" in phases and "bdsm.reduce" in phases
+
+    def test_trace_out_flag_writes_the_canned_run(self, capsys, tmp_path):
+        import json
+        path = tmp_path / "trace.json"
+        assert main(["trace", "--out", str(path)]) == 0
+        assert "health:" not in capsys.readouterr().out
+        other = json.loads(path.read_text())["otherData"]
+        assert set(other) == {"run", "metrics"}
+        assert other["run"]["command"] == "trace"
+        assert other["run"]["exit_code"] == 0
+
+    @pytest.mark.parametrize("command", ["stats", "trace"])
+    def test_from_missing_file_is_typed_error(self, capsys, tmp_path,
+                                              command):
+        assert main([command, "--from", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: --from:")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--health"], ["reduce", "--ledger", "l.jsonl"],
+        ["bench", "--health"], ["query", "--store", "s", "--ledger", "l"],
+        ["serve-bench", "--health"], ["stats", "--json-out", "s.json"],
+        ["obs", "report", "--ledger", "l.jsonl"]],
+        ids=["reduce-health", "reduce-ledger", "bench-health",
+             "query-ledger", "serve-bench-health", "stats-json-out",
+             "obs-report"])
+    def test_removed_observation_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize("document", [{}, {"perf": {"timers": {}}},
-                                          {"metrics": []}, []])
+                                          {"metrics": []}, [],
+                                          {"metrics": {"counters": []}}])
     def test_stats_from_without_metrics_object_is_typed_error(
             self, capsys, tmp_path, document):
         # A ValidationError, reported as a clean exit 1 — not an empty
@@ -431,40 +518,3 @@ class TestObservabilityCLI:
         assert captured.err.startswith("error: --from:")
         assert "'metrics' object" in captured.err
 
-    def test_ledger_flag_records_and_obs_report_reads(self, capsys,
-                                                      tmp_path):
-        from repro.obs.ledger import read_ledger
-        ledger = tmp_path / "ledger.jsonl"
-        argv = ["reduce", "--benchmark", "ckt1", "--moments", "3",
-                "--ledger", str(ledger)]
-        assert main(argv) == 0
-        assert "ledger: recorded" in capsys.readouterr().out
-        assert main(argv) == 0
-        capsys.readouterr()
-        records = read_ledger(ledger)
-        assert len(records) == 2
-        assert records[0]["kind"] == "reduce"
-        assert records[0]["config"]["benchmark"] == "ckt1"
-        assert records[0]["span_rollup"]
-        assert main(["obs", "report", "--ledger", str(ledger)]) == 0
-        out = capsys.readouterr().out
-        assert "reduce" in out and "trend" in out
-        # Reporting must not append to the ledger it reads.
-        assert len(read_ledger(ledger)) == 2
-
-    def test_health_flag_prints_verdict_and_feeds_ledger(self, capsys,
-                                                         tmp_path):
-        from repro.obs.ledger import read_ledger
-        ledger = tmp_path / "ledger.jsonl"
-        assert main(["reduce", "--benchmark", "ckt1", "--moments", "3",
-                     "--health", "--ledger", str(ledger)]) == 0
-        out = capsys.readouterr().out
-        assert "health:" in out
-        (record,) = read_ledger(ledger)
-        assert record["health"]["status"] in ("ok", "warn")
-        assert record["health"]["checks"]
-
-    def test_obs_report_empty_ledger_is_clean(self, capsys, tmp_path):
-        assert main(["obs", "report", "--ledger",
-                     str(tmp_path / "none.jsonl")]) == 0
-        assert "no readable records" in capsys.readouterr().out

@@ -35,7 +35,7 @@ class TestResistor:
 
     def test_spice_line(self):
         net = _one("R", "R1", "a", "0", 1500.0)
-        assert write_netlist(net).splitlines()[1] == "R1 a 0 1500"
+        assert write_netlist(net).splitlines()[1] == "R1 a 0 1500.0"
 
 
 class TestCapacitorInductor:

@@ -1,6 +1,7 @@
 """Tests for the numerical-health layer (repro.obs.health), the
-trace-diff regression gate (repro.obs.diff), the run flight recorder
-(repro.obs.ledger) and the HTTP telemetry endpoint (repro.obs.endpoint).
+trace-diff regression gate (repro.obs.diff), the run artifact's
+``otherData`` (repro.obs.export) and the HTTP telemetry endpoint
+(repro.obs.endpoint).
 
 The fault-injection cases are the core: a deliberately de-orthogonalised
 merge basis must come back flagged by the ortho watchdog, two reduces
@@ -44,6 +45,7 @@ from repro.obs.diff import (
     write_profile,
 )
 from repro.obs.endpoint import TelemetryServer
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.health import (
     HealthReport,
     classify,
@@ -51,12 +53,6 @@ from repro.obs.health import (
     health_enabled,
     record_health,
     reduce_with_health,
-)
-from repro.obs.ledger import (
-    RunLedger,
-    config_fingerprint,
-    read_ledger,
-    summarize_ledger,
 )
 from repro.obs.metrics import MetricsRegistry, default_metrics
 
@@ -412,70 +408,34 @@ class TestBudgetGate:
 
 
 # --------------------------------------------------------------------- #
-# The run flight recorder
+# The run artifact: a Chrome trace whose otherData holds run, metrics and
+# health
 # --------------------------------------------------------------------- #
-class TestLedger:
-    def test_record_round_trip(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        record = RunLedger(path).record(
-            "reduce", config={"benchmark": "ckt1", "moments": 4},
-            duration_s=1.25, metrics={"counters": [
-                {"name": "solve.calls", "labels": {"backend": "splu"},
-                 "value": 3}]},
-            health={"status": "ok", "checks": []},
-            extra={"exit_code": 0})
-        (loaded,) = read_ledger(path)
-        assert loaded["kind"] == "reduce"
-        assert loaded["duration_s"] == pytest.approx(1.25)
-        assert loaded["config_fingerprint"] == record["config_fingerprint"]
-        assert loaded["counters"] == {'solve.calls{backend=splu}': 3.0}
-        assert loaded["health"]["status"] == "ok"
-        assert loaded["extra"]["exit_code"] == 0
+class TestRunArtifact:
+    def test_other_data_round_trip(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.increment("solve.calls", 3, backend="splu")
+        registry.observe("span.seconds", 0.5, span="bdsm.project")
+        with collect_health() as report:
+            record_health("ortho.loss", 1e-7)
+        run = {"command": "reduce", "duration_s": 1.25, "exit_code": 0,
+               "git": {"sha": "abc", "dirty": False}}
+        path = write_chrome_trace([], tmp_path / "run.json", run=run,
+                                  metrics=registry.snapshot(),
+                                  health=report)
+        other = json.loads(path.read_text())["otherData"]
+        assert other["run"] == run
+        assert other["metrics"]["counters"] == [
+            {"name": "solve.calls", "labels": {"backend": "splu"},
+             "value": 3.0}]
+        (histogram,) = other["metrics"]["histograms"]
+        assert histogram["count"] == 1 and "samples" not in histogram
+        assert other["health"]["status"] == "warn"
+        # The trace diff reads the run back, its health status included.
+        assert load_profile(path)["run"] == {**run, "health": "warn"}
 
-    def test_fingerprint_is_order_insensitive(self):
-        assert (config_fingerprint({"a": 1, "b": 2})
-                == config_fingerprint({"b": 2, "a": 1}))
-        assert (config_fingerprint({"a": 1})
-                != config_fingerprint({"a": 2}))
-
-    def test_corrupt_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(path)
-        ledger.record("reduce", duration_s=1.0)
-        with path.open("a") as fh:
-            fh.write("{torn write\n\n[1, 2]\n")
-        ledger.record("reduce", duration_s=2.0)
-        records = read_ledger(path)
-        assert [r["duration_s"] for r in records] == [1.0, 2.0]
-
-    def test_missing_file_reads_empty(self, tmp_path):
-        assert read_ledger(tmp_path / "absent.jsonl") == []
-
-    def test_summary_trends_same_config_runs(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(path)
-        ledger.record("reduce", config={"benchmark": "ckt1"},
-                      duration_s=1.0)
-        ledger.record("reduce", config={"benchmark": "ckt2"},
-                      duration_s=5.0)
-        ledger.record("reduce", config={"benchmark": "ckt1"},
-                      duration_s=1.5,
-                      health={"status": "fail",
-                              "checks": [{"monitor": "ortho.loss",
-                                          "value": 1.0, "status": "fail"}]})
-        rows = summarize_ledger(read_ledger(path))
-        assert rows[0]["trend"] == ""
-        assert rows[1]["trend"] == ""  # different config fingerprint
-        assert rows[2]["trend"] == "+50%"
-        assert rows[2]["health"] == "fail" and rows[2]["fails"] == 1
-
-    def test_summary_last_window(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(path)
-        for i in range(6):
-            ledger.record("bench", duration_s=float(i + 1))
-        rows = summarize_ledger(read_ledger(path), last=2)
-        assert [r["duration (s)"] for r in rows] == [5.0, 6.0]
+    def test_spans_only_trace_has_no_other_data(self):
+        assert "otherData" not in to_chrome_trace([])
 
 
 # --------------------------------------------------------------------- #

@@ -6,9 +6,10 @@ disabled no-op path, bounded buffers), span parenthood carried onto
 the traced numerics), the ``span.seconds`` aggregate every span close feeds
 (tracing on or off), the shared Reservoir/percentile core the serving
 latency series builds on, the three exporters (Chrome trace-event
-JSON, Prometheus text exposition, span-tree report), the serve-stack
-span topology of a coalesced batch, and the committed ``obs_overhead``
-acceptance JSON.
+JSON, Prometheus text exposition, span-tree report), the cost counts
+every reducer tags its root span with, the serve-stack span topology of
+a coalesced batch and its per-server warm-set series, and the committed
+``obs_overhead`` acceptance JSON.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from repro import (
     SweepEngine,
     bdsm_reduce,
     make_benchmark,
+    multipoint_bdsm_reduce,
+    partitioned_reduce,
+    prima_reduce,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -472,11 +476,105 @@ class TestServeSpans:
             (name,) = server.registry.known_names()
             server.transfer(name, np.array([1e6j]))
             server.transfer(name, np.array([1e7j]))
-        hits = [e for e in metrics.snapshot()["counters"]
-                if e["name"] == "serve.warm_set"
-                and e["labels"].get("result") == "hit"]
+            hits = [e for e in metrics.snapshot()["counters"]
+                    if e["name"] == "serve.warm_set"
+                    and e["labels"].get("result") == "hit"]
         assert hits and hits[0]["value"] >= 2
         metrics.reset()
+
+    def test_warm_set_series_are_per_server(self, tmp_path):
+        """Each server's warm-set series carry its ``server=`` label and
+        leave with its ``close()``; ``warm_stats()`` outlives it."""
+        warm = ("serve.warm_set", "serve.warm_evictions",
+                "serve.warm_resident_bytes")
+
+        def series() -> list[dict]:
+            snapshot = default_metrics().snapshot()
+            return [e for e in snapshot["counters"] + snapshot["gauges"]
+                    if e["name"] in warm]
+
+        servers = []
+        for name in ("ckt1", "ckt2"):
+            store = ModelStore(tmp_path / name)
+            bdsm_reduce(make_benchmark(name, scale="smoke"), 4, store=store)
+            server = ModelServer(store, warm_budget=10**9)
+            server.warm()
+            (model,) = server.registry.known_names()
+            server.registry.resolve(model)
+            servers.append(server)
+        ids = {server.server_id for server in servers}
+        assert series() and all(e["labels"].get("server") in ids
+                                for e in series())
+        for server in servers:
+            resident = server.warm_stats().resident_bytes
+            gauges = default_metrics().snapshot(server=server.server_id)[
+                "gauges"]
+            assert [g["value"] for g in gauges
+                    if g["name"] == "serve.warm_resident_bytes"] == [resident]
+        resident = [s.warm_stats().resident_bytes for s in servers]
+        assert 0 < resident[0] < resident[1]
+        for server in servers:
+            server.close()
+        assert series() == []
+        assert [s.warm_stats().resident_bytes for s in servers] == resident
+
+
+# --------------------------------------------------------------------- #
+# Reducer cost counts on the root span
+# --------------------------------------------------------------------- #
+def _rom_arrays(rom) -> list[np.ndarray]:
+    return [np.asarray(getattr(m, "toarray", lambda: m)())
+            for m in (rom.C, rom.G, rom.B, rom.L)]
+
+
+_COST_CASES = {
+    "bdsm": ("bdsm.reduce", "ckt1",
+             lambda system: bdsm_reduce(system, 4)),
+    "prima": ("prima.reduce", "ckt1",
+              lambda system: prima_reduce(system, 4)),
+    "multipoint-bdsm-recycle": (
+        "bdsm.reduce", "ckt1",
+        lambda system: multipoint_bdsm_reduce(system, 3, [0.0, 1e9],
+                                              recycle=True)),
+    "partitioned-2": ("partition.reduce", "ckt2",
+                      lambda system: partitioned_reduce(system, 3,
+                                                        n_parts=2)),
+}
+
+
+class TestReducerCostTags:
+    @pytest.mark.parametrize("case", sorted(_COST_CASES))
+    def test_root_span_carries_the_returned_counts(self, case):
+        root_name, benchmark, reduce = _COST_CASES[case]
+        system = make_benchmark(benchmark, scale="smoke")
+        untraced, _, _ = reduce(system)
+        drain_spans()
+        enable_tracing()
+        try:
+            rom, stats, _ = reduce(system)
+        finally:
+            spans = drain_spans()
+            disable_tracing()
+        (root,) = [s for s in spans
+                   if s.name == root_name and s.parent_id is None]
+        assert root.tags["inner_products"] == stats.inner_products > 0
+        assert root.tags["deflations"] == stats.deflations
+        assert root.tags["normalizations"] == stats.normalizations
+        solve_counts = getattr(rom, "solve_counts", None)
+        if solve_counts is None:
+            assert "solve_columns" not in root.tags
+        else:
+            assert root.tags["solve_columns"] == sum(solve_counts) > 0
+        recycle_stats = getattr(rom, "recycle_stats", None)
+        if recycle_stats is None:
+            assert "recycle_hits" not in root.tags
+        else:
+            assert root.tags["recycle_hits"] == recycle_stats.hits
+            assert root.tags["solves_skipped"] == \
+                recycle_stats.solves_skipped
+        for traced_array, plain in zip(_rom_arrays(rom),
+                                       _rom_arrays(untraced)):
+            assert np.array_equal(traced_array, plain)
 
 
 # --------------------------------------------------------------------- #

@@ -187,7 +187,7 @@ class TestRoundTrip:
         reparsed = parse_netlist(text)
         a, b = original.elements(), reparsed.elements()
         assert a.names.tolist() == b.names.tolist()
-        assert a.values.tolist() == pytest.approx(b.values.tolist())
+        assert a.values.tolist() == b.values.tolist()
         assert np.array_equal(a.nodes, b.nodes)
         assert original.nodes() == reparsed.nodes()
         assert original.output_nodes == reparsed.output_nodes
