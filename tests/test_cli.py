@@ -472,6 +472,36 @@ class TestObservabilityCLI:
         assert runs.count("| reduce ") == 2
         assert "prima.reduce" in phases and "bdsm.reduce" in phases
 
+    def test_trace_diff_run_table_shows_duration_and_failed_health(
+            self, capsys, tmp_path):
+        # Two runs of one configuration: the run table puts their
+        # durations side by side and surfaces the later run's failed
+        # health verdict.
+        from repro.obs import collect_health, record_health
+        from repro.obs.export import write_chrome_trace
+        paths = {}
+        for side, seconds, loss in (("base", 1.0, 1e-12),
+                                    ("current", 1.5, 1.0)):
+            with collect_health() as report:
+                record_health("ortho.loss", loss)
+            span = {"name": "bdsm.reduce", "trace_id": side,
+                    "span_id": side, "duration": seconds}
+            paths[side] = write_chrome_trace(
+                [span], tmp_path / f"{side}.json", health=report,
+                run={"command": "reduce", "args": {"benchmark": "ckt1"},
+                     "git": {"sha": "0123456789abcdef", "dirty": False},
+                     "duration_s": seconds, "exit_code": 0})
+        assert main(["trace", "--from", str(paths["current"]),
+                     "--diff", str(paths["base"])]) == 0
+        runs = capsys.readouterr().out.split("trace diff vs", 1)[0]
+        rows = {cells[0]: cells for cells in
+                ([cell.strip() for cell in line.split("|")]
+                 for line in runs.splitlines())
+                if cells[0] in ("base", "current")}
+        assert rows["base"][1:] == ["reduce", "0123456789", "1", "0", "ok"]
+        assert rows["current"][1:] == ["reduce", "0123456789", "1.5", "0",
+                                       "fail"]
+
     def test_trace_out_flag_writes_the_canned_run(self, capsys, tmp_path):
         import json
         path = tmp_path / "trace.json"
